@@ -4,7 +4,8 @@ A Tape records every produced Var in creation order together with
 vector-Jacobian closures back to its parents; backward() replays the tape
 in reverse. The operator set is exactly what the message-passing models
 need: broadcasting arithmetic, matmul on the last axis, gather/scatter on
-the node axis, concat, layer norm, and stable sigmoid/softplus pieces.
+the node axis, exclusive products, concat, layer norm, and stable
+sigmoid/softplus pieces.
 Accumulation order is fixed by tape order, so gradients are deterministic.
 """
 
@@ -100,6 +101,64 @@ def mul(tape: Tape, a: Var, b: Var) -> Var:
     )
 
 
+def exclusive_products(f: Array) -> Array:
+    """out[..., i, :, :] = product of f[..., j, :, :] over every j != i
+    (axis -3): a running suffix written into out, then multiplied by a
+    running prefix. No division, so zero factors are exact; one factor
+    gives the empty product, all ones."""
+    k = f.shape[-3]
+    if k == 1:
+        return np.ones_like(f)
+    out = np.empty_like(f)
+    out[..., k - 2, :, :] = f[..., k - 1, :, :]
+    for i in range(k - 3, -1, -1):
+        np.multiply(f[..., i + 1, :, :], out[..., i + 1, :, :], out=out[..., i, :, :])
+    pre = f[..., 0, :, :]
+    for i in range(1, k - 1):
+        out[..., i, :, :] *= pre
+        pre = pre * f[..., i, :, :]
+    out[..., k - 1, :, :] = pre
+    return out
+
+
+def exclusive_prod(tape: Tape, f: Var) -> Var:
+    """exclusive_products on the tape. With P_j, S_j the products of the
+    factors before and after j, the VJP is grad_j = A_j S_j + P_j B_j,
+    where A_j = sum_{i<j} g_i prod_{l<j, l!=i} f_l and B_j mirrors it from
+    the right. Two sweeps build them: A_{j+1} = A_j f_j + g_j P_j and
+    B_{j-1} = B_j f_j + g_j S_j. The sweeps skip the trivial ends (P_0 = 1,
+    A_0 = 0 and their mirrors), so for two factors the VJP is a swap."""
+    x = f.value
+    k = x.shape[-3]
+    if k == 1:
+        return tape.constant(exclusive_products(x))
+
+    def at(a: Array, j: int) -> Array:
+        return a[..., j, :, :]
+
+    def vjp(g: Array) -> Array:
+        out = np.empty_like(x)  # holds S_j, 0 < j < k-1, until the second sweep
+        bs: dict[int, Array] = {}  # B_j, 0 < j < k-1
+        s, b = at(x, k - 1), at(g, k - 1)  # S_{k-2}, B_{k-2}
+        for j in range(k - 2, 0, -1):
+            at(out, j)[...] = s
+            bs[j] = b
+            b = b * at(x, j) + at(g, j) * s
+            s = at(x, j) * s
+        at(out, 0)[...] = b
+        p, a = at(x, 0), at(g, 0)
+        for j in range(1, k - 1):
+            oj = at(out, j)
+            oj *= a
+            oj += p * bs[j]
+            a = a * at(x, j) + at(g, j) * p
+            p = p * at(x, j)
+        at(out, k - 1)[...] = a
+        return out
+
+    return tape.var(exclusive_products(x), ((f, vjp),))
+
+
 def scale(tape: Tape, a: Var, s: float) -> Var:
     return tape.var(a.value * s, ((a, lambda g: g * s),))
 
@@ -142,40 +201,30 @@ def relu(tape: Tape, a: Var) -> Var:
     return tape.var(a.value * mask, ((a, lambda g: g * mask),))
 
 
-def sigmoid(tape: Tape, a: Var) -> Var:
-    out = np.empty_like(a.value)
-    pos = a.value >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.value[pos]))
-    ex = np.exp(a.value[~pos])
+def stable_sigmoid(x: Array) -> Array:
+    """1 / (1 + exp(-x)) without overflow: exp is only taken of -|x|."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(tape: Tape, a: Var) -> Var:
+    out = stable_sigmoid(a.value)
     return tape.var(out, ((a, lambda g: g * out * (1.0 - out)),))
 
 
 def softplus(tape: Tape, a: Var) -> Var:
-    out = np.logaddexp(0.0, a.value)
-    sig = np.empty_like(a.value)
-    pos = a.value >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-a.value[pos]))
-    ex = np.exp(a.value[~pos])
-    sig[~pos] = ex / (1.0 + ex)
-    return tape.var(out, ((a, lambda g: g * sig),))
-
-
-def log(tape: Tape, a: Var) -> Var:
-    return tape.var(np.log(a.value), ((a, lambda g: g / a.value),))
+    sig = stable_sigmoid(a.value)
+    return tape.var(np.logaddexp(0.0, a.value), ((a, lambda g: g * sig),))
 
 
 def sum_all(tape: Tape, a: Var) -> Var:
     return tape.var(
         np.asarray(a.value.sum()), ((a, lambda g: np.broadcast_to(g, a.value.shape)),)
     )
-
-
-def sum_axis(tape: Tape, a: Var, axis: int) -> Var:
-    def vjp(g: Array) -> Array:
-        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape)
-
-    return tape.var(a.value.sum(axis=axis), ((a, vjp),))
 
 
 def gather_nodes(tape: Tape, h: Var, idx: Array) -> Var:

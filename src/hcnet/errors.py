@@ -87,10 +87,6 @@ class DimensionTooSmall(EngineError):
     pass
 
 
-class StaleTrace(EngineError):
-    pass
-
-
 # --- train ---
 class NoCandidate(EngineError):
     pass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyOutcomes, NaNScore
+from .errors import ConfigError, EmptyOutcomes, NaNScore
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
     ModelParams,
@@ -124,6 +124,8 @@ def evaluate_model(
     parity with negative-sample-limited protocols; default ranks against
     every filtered candidate.
     """
+    if model_kind not in ("hcnet", "hrnet"):
+        raise ConfigError(f"unknown model kind {model_kind!r}")
     all_facts: set[tuple[int, tuple[int, ...]]] = graph.fact_set()
     for facts in (splits or {}).values():
         all_facts |= {(f.relation, f.nodes) for f in facts}
@@ -155,7 +157,7 @@ def evaluate_model(
                 outcomes.append(
                     RankingOutcome(query, true, rank_of(scores, cands.index(true)), len(cands))
                 )
-    elif model_kind == "hrnet":
+    else:
         trace = hrnet_forward_batch(graph, params)
         by_arity: dict[int, list[int]] = {}
         for j, (query, _, cands) in enumerate(jobs):
@@ -180,6 +182,4 @@ def evaluate_model(
                 outcomes.append(
                     RankingOutcome(query, true, rank_of(scores, cands.index(true)), len(cands))
                 )
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
     return aggregate(outcomes, graph)

@@ -65,9 +65,6 @@ class RelationalHypergraph:
     def max_arity(self) -> int:
         return max((r.arity for r in self.relations), default=1)
 
-    def arity_of_edge(self, e: int) -> int:
-        return self.relations[self.edges[e].relation].arity
-
     def fact_set(self) -> set[tuple[int, tuple[int, ...]]]:
         return {(ed.relation, ed.nodes) for ed in self.edges}
 

@@ -1,14 +1,19 @@
 """Positional encodings, conditional/unconditional message passing, decoders.
 
-Two forward paths share the same parameterization:
+Two forward paths share the same parameterization and one message
+kernel: per relation, one gather of the (E_r, k) node ids, position-major,
+and the exclusive products of the factors (`autodiff.exclusive_products`).
 
-* a batched training path over a gradient tape (autodiff module), scoring
-  Q queries against all nodes at once, with layer norm / dropout / skip
-  connections as used for training; and
-* an exact theorem path (`forward_exact`) in bare form that sums each
-  node's incoming messages in lexicographically sorted order, so nodes
-  with equal message multisets get bitwise-equal features — required by
-  the refinement-and-matching checks against the WL engines.
+* The batched training path runs the kernel on a gradient tape
+  (`autodiff.exclusive_prod`), so the tape grows by a fixed number of
+  vars per relation and layer, whatever the arity. It scores Q queries
+  against all nodes at once, with layer norm / dropout / skip connections
+  as used for training.
+* The exact theorem path (`forward_exact`) runs the bare layer form and
+  differs only in how it sums: each node's messages in lexicographic
+  order, so nodes with equal message multisets get bitwise-equal
+  features — required by the refinement-and-matching checks against the
+  WL engines.
 
 The layer rule, for each node v with incidence pairs (e,i):
 
@@ -113,7 +118,7 @@ class ModelParams:
             dict(self.fixed),
         )
 
-    def pe_row(self, i: int) -> Array:
+    def pe_row(self, i: int | Array) -> Array:
         table = self.tensors.get("pe", self.fixed.get("pe"))
         return table[i]
 
@@ -235,43 +240,38 @@ def forward_exact(
 ) -> list[Array]:
     """Feature maps for rounds 0..L with multiset-order-independent sums.
 
-    Messages destined for one node are sorted lexicographically before
-    accumulation, so two nodes receiving equal multisets of messages end
-    up with bitwise-identical features. Runs the bare layer form
-    regardless of the config's norm/skip flags.
+    Messages come from the same kernel as the batched path. Each node's
+    messages are summed in lexicographic order, so two nodes receiving
+    equal multisets of messages end up with bitwise-identical features.
+    Runs the bare layer form regardless of the config's norm/skip flags.
     """
     cfg = params.config
     L = cfg.layers if layers is None else layers
-    V, d = h0.shape
     out = [h0.astype(np.float64)]
     h = out[0]
+    edge_groups = edges_by_relation(graph)
     for ell in range(L):
-        alpha = float(params.tensors[f"alpha_l{ell}"])
+        alpha = params.tensors[f"alpha_l{ell}"]
         W = params.tensors[f"W_l{ell}"]
         b = params.tensors[f"b_l{ell}"]
-        inbox: list[list[tuple]] = [[] for _ in range(V)]
-        for ed in graph.edges:
-            k = len(ed.nodes)
-            g = _g_vector(params, ed.relation, query_rel)
-            factors = [
-                alpha * h[ed.nodes[j - 1]] + (1.0 - alpha) * params.pe_row(j)
-                for j in range(1, k + 1)
-            ]
-            for i in range(1, k + 1):
-                m = np.ones(d)
-                for j in range(1, k + 1):
-                    if j != i:
-                        m = m * factors[j - 1]
-                inbox[ed.nodes[i - 1]].append(tuple(g * m))
-        new = np.empty_like(h)
-        for v in range(V):
-            acc = np.zeros(d)
-            for m in sorted(inbox[v]):
-                acc = acc + np.asarray(m)
-            z = W @ np.concatenate([h[v], acc]) + b
-            new[v] = np.maximum(z, 0.0)
-        out.append(new)
-        h = new
+        dest, msgs = [], []
+        for rel, nodes in edge_groups.items():
+            k = nodes.shape[1]
+            p = params.pe_row(np.arange(1, k + 1)[:, None])  # (k, 1, d)
+            f = alpha * h[nodes.T] + (1.0 - alpha) * p  # (k, E, d)
+            m = _g_vector(params, rel, query_rel) * ad.exclusive_products(f)
+            dest.append(nodes.T.reshape(-1))
+            msgs.append(m.reshape(-1, m.shape[-1]))
+        acc = np.zeros_like(h)
+        if dest:
+            dest_a, msgs_a = np.concatenate(dest), np.concatenate(msgs)
+            order = np.lexsort((*msgs_a.T[::-1], dest_a))
+            np.add.at(acc, dest_a[order], msgs_a[order])
+        # Row by row, so equal input rows give bitwise-equal output rows
+        # whatever blocking a BLAS matrix product would use.
+        x = np.concatenate([h, acc], axis=1)
+        h = np.maximum(np.stack([W @ row for row in x]) + b, 0.0)
+        out.append(h)
     return out
 
 
@@ -321,41 +321,6 @@ def bind_params(tape: Tape, params: ModelParams) -> dict[str, Var]:
     return bound
 
 
-def _pe_var(tape: Tape, bound: dict[str, Var], j: int) -> Var:
-    table = bound["pe"]
-    return tape.var(table.value[j], ((table, lambda g, j=j: _row_grad(table.value.shape, j, g)),))
-
-
-def _row_grad(shape: tuple[int, ...], j: int, g: Array) -> Array:
-    out = np.zeros(shape)
-    out[j] = g
-    return out
-
-
-def _prods_excluding(tape: Tape, factors: list[Var]) -> list[Var]:
-    """prods[i] = elementwise product of factors[j] for j != i."""
-    k = len(factors)
-    if k == 1:
-        ones = tape.constant(np.ones_like(factors[0].value))
-        return [ones]
-    pre = [factors[0]]
-    for t in range(1, k):
-        pre.append(ad.mul(tape, pre[-1], factors[t]))
-    suf = [factors[-1]]
-    for t in range(k - 2, -1, -1):
-        suf.append(ad.mul(tape, factors[t], suf[-1]))
-    suf.reverse()
-    out = []
-    for i in range(k):
-        if i == 0:
-            out.append(suf[1])
-        elif i == k - 1:
-            out.append(pre[k - 2])
-        else:
-            out.append(ad.mul(tape, pre[i - 1], suf[i + 1]))
-    return out
-
-
 def _message_layer(
     tape: Tape,
     bound: dict[str, Var],
@@ -372,18 +337,11 @@ def _message_layer(
     msgs = tape.constant(np.zeros_like(h.value))
     for rel, nodes in edge_groups.items():
         k = nodes.shape[1]
-        factors = []
-        for j in range(1, k + 1):
-            hj = ad.gather_nodes(tape, h, nodes[:, j - 1])  # (Q, E, d)
-            pj = _pe_var(tape, bound, j)
-            factors.append(
-                ad.add(tape, ad.mul(tape, alpha, hj), ad.mul(tape, one_minus, pj))
-            )
-        prods = _prods_excluding(tape, factors)
-        g = g_by_rel[rel]
-        for i in range(k):
-            m = ad.mul(tape, prods[i], g)
-            msgs = ad.index_add(tape, msgs, nodes[:, i], m)
+        hn = ad.gather_nodes(tape, h, nodes.T)  # (Q, k, E, d)
+        pk = ad.take_rows(tape, bound["pe"], np.arange(1, k + 1)[:, None])  # (k, 1, d)
+        f = ad.add(tape, ad.mul(tape, alpha, hn), ad.mul(tape, one_minus, pk))
+        m = ad.mul(tape, ad.exclusive_prod(tape, f), g_by_rel[rel])
+        msgs = ad.index_add(tape, msgs, nodes.T, m)
     z = ad.concat_last(tape, [h, msgs])
     z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
     if cfg.use_layernorm:
@@ -407,7 +365,7 @@ def _g_vars(
     for rel in edge_groups:
         if cfg.mode == "query-dependent":
             g = ad.matmul_last(tape, zq_batch, bound[f"W_rel{rel}"])  # (Q, d)
-            out[rel] = ad.reshape(tape, g, (g.value.shape[0], 1, g.value.shape[1]))
+            out[rel] = ad.reshape(tape, g, (g.value.shape[0], 1, 1, g.value.shape[1]))
         else:
             out[rel] = bound[f"w_rel{rel}"]
     return out
@@ -484,11 +442,7 @@ def hrnet_forward_batch(
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, None)
     for ell in range(L):
         h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, train, rng)
-    return trace_with(tape, bound, h)
-
-
-def trace_with(tape: Tape, bound: dict[str, Var], features: Var) -> ForwardTrace:
-    return ForwardTrace(tape, bound, features)
+    return ForwardTrace(tape, bound, h)
 
 
 def hcnet_forward(
@@ -555,21 +509,12 @@ def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     return logits
 
 
-def _sigmoid_np(x: Array) -> Array:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def decode_unary(h_v: Array, z_q: Array, params: ModelParams) -> float:
     """Probability from the 2-layer MLP over [h_v || z_q]."""
     t = params.tensors
     x = np.concatenate([h_v, z_q])
     hdn = np.maximum(t["dec_W1"] @ x + t["dec_b1"], 0.0)
-    return float(_sigmoid_np(t["dec_W2"] @ hdn + t["dec_b2"])[0])
+    return float(ad.stable_sigmoid(t["dec_W2"] @ hdn + t["dec_b2"])[0])
 
 
 def decode_kary(h_tuple: list[Array], z_q: Array, params: ModelParams) -> float:
@@ -582,7 +527,7 @@ def decode_kary(h_tuple: list[Array], z_q: Array, params: ModelParams) -> float:
     if t[f"dec{k}_W1"].shape[1] != x.shape[0]:
         raise ShapeMismatch("decoder width does not match tuple arity")
     hdn = np.maximum(t[f"dec{k}_W1"] @ x + t[f"dec{k}_b1"], 0.0)
-    return float(_sigmoid_np(t[f"dec{k}_W2"] @ hdn + t[f"dec{k}_b2"])[0])
+    return float(ad.stable_sigmoid(t[f"dec{k}_W2"] @ hdn + t[f"dec{k}_b2"])[0])
 
 
 # --- gradients -------------------------------------------------------------

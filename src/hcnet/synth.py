@@ -28,6 +28,7 @@ from .hypergraph import (
 )
 from .nn import (
     ModelParams,
+    backward,
     decode_kary_batch,
     decode_unary_batch,
     hcnet_forward_batch,
@@ -191,13 +192,7 @@ def run_expressiveness_experiment(
                 ad.sum_all(tape, ad.softplus(tape, neg)),
             )
             loss = ad.scale(tape, loss, 1.0 / spec[0])
-            ad.backward(tape, loss, 1.0)
-            grads = {
-                name: (var.grad if var.grad is not None else np.zeros_like(var.value))
-                for name, var in trace.bound.items()
-                if name in params.tensors
-            }
-            adam_step(params, grads, state, config.lr)
+            adam_step(params, backward(trace, 1.0, root=loss), state, config.lr)
             epoch_loss += float(loss.value)
         losses.append(epoch_loss / max(len(train_specs), 1))
 

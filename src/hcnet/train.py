@@ -27,6 +27,7 @@ from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
     ModelConfig,
     ModelParams,
+    backward,
     decode_unary_batch,
     hcnet_forward_batch,
     init_params,
@@ -196,6 +197,8 @@ def fit(
     valid_facts = splits.get("valid", [])
     fact_set = graph.fact_set()
     log: list[dict] = []
+    if log_path:
+        open(log_path, "w", encoding="utf-8").close()  # one run per log
     best = params.copy()
     best_mrr = -1.0
 
@@ -260,13 +263,7 @@ def _batch_step(
     neg = ad.gather_2d(tape, logits, neg_rows, neg_idx)
     loss = adversarial_loss_from_logits(tape, pos, neg, config.adv_temperature)
     loss = ad.scale(tape, loss, 1.0 / Q)
-    ad.backward(tape, loss, 1.0)
-    grads = {
-        name: (var.grad if var.grad is not None else np.zeros_like(var.value))
-        for name, var in trace.bound.items()
-        if name in params.tensors
-    }
-    adam_step(params, grads, state, config.lr)
+    adam_step(params, backward(trace, 1.0, root=loss), state, config.lr)
     return float(loss.value)
 
 

@@ -1,12 +1,16 @@
 """End-to-end command-line interface behavior via main(argv)."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from hcnet.cli import main
 from hcnet.hypergraph import load_dataset
+from hcnet.nn import init_params
 from hcnet.synth import write_hypercycle_dataset
+from hcnet.train import TrainConfig, save_checkpoint
 
 
 def _tiny_dataset(tmp_path):
@@ -135,6 +139,19 @@ class TestTrainEvaluate:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 < report["mrr"] <= 1.0
         assert report["queries"] == 16  # 8 test facts x 2 positions
+
+    def test_unknown_model_kind_exits_1(self, tmp_path, capsys):
+        data = _tiny_dataset(tmp_path)
+        graph, _, _, _ = load_dataset(str(data))
+        params = init_params(
+            graph, TrainConfig(d=4, layers=1).model_config(), np.random.default_rng(0)
+        )
+        params.config = dataclasses.replace(params.config, kind="other")
+        ckpt = tmp_path / "other.ckpt"
+        save_checkpoint(str(ckpt), params)
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+        assert code == 1
+        assert "unknown model kind" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         data = _tiny_dataset(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hcnet.errors import EmptyOutcomes, NaNScore
+from hcnet.errors import ConfigError, EmptyOutcomes, NaNScore
 from hcnet.evalrank import (
     MetricsReport,
     RankingOutcome,
@@ -148,7 +148,7 @@ class TestEvaluateModel:
 
     def test_unknown_kind(self):
         g, params, test = self._setup()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             evaluate_model(g, test, params, "other")
 
     def test_filter_uses_split_union(self):

@@ -145,6 +145,33 @@ class TestExactForward:
         np.testing.assert_allclose(out[1][1], [3.0 + 2.0 * 0.5])
         np.testing.assert_allclose(out[1][0], [2.0 + 3.0 * 0.5])
 
+    def test_matches_per_edge_loop_reference(self):
+        # The layer rule written out edge by edge and position by position;
+        # the kernel multiplies and sums in another order, hence rtol.
+        rng = np.random.default_rng(13)
+        g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=4)
+        q = random_query(rng, g)
+        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3).bare(), rng)
+        h = hcnet_init(g, q, params)
+        t = params.tensors
+        for ell, got in enumerate(forward_exact(g, h, params, query_rel=q.relation)[1:]):
+            alpha = float(t[f"alpha_l{ell}"])
+            acc = np.zeros_like(h)
+            for ed in g.edges:
+                k = len(ed.nodes)
+                gate = t[f"W_rel{ed.relation}"] @ t["z_q"][q.relation]
+                factors = [alpha * h[u] + (1 - alpha) * params.pe_row(j + 1)
+                           for j, u in enumerate(ed.nodes)]
+                for i in range(k):
+                    m = gate.copy()
+                    for j in range(k):
+                        if j != i:
+                            m = m * factors[j]
+                    acc[ed.nodes[i]] += m
+            z = np.concatenate([h, acc], axis=1) @ t[f"W_l{ell}"].T + t[f"b_l{ell}"]
+            h = np.maximum(z, 0.0)
+            np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12)
+
     def test_layer_zero_is_init(self):
         g = hypercycle(8, 3)
         params = _params(g, kind="hrnet", mode="query-independent")
@@ -198,6 +225,20 @@ class TestBatchedForward:
         for b, q in enumerate(queries):
             single, _ = hcnet_forward(g, q, params)
             np.testing.assert_allclose(batch[b], single, atol=1e-12)
+
+    def test_tape_grows_per_relation_not_per_position(self):
+        # The message kernel records a fixed number of vars per relation and
+        # layer, whatever the relation's arity.
+        def tape_vars(arities):
+            rels = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
+            edges = [HyperEdge(r, tuple(range(k))) for r, k in enumerate(arities)]
+            g = build_graph(rels, edges, 6)
+            q = Query(0, tuple(range(arities[0] - 1)), arities[0])
+            return len(hcnet_forward_batch(g, [q], _params(g, layers=3)).tape.vars)
+
+        assert tape_vars((2,)) == tape_vars((6,))
+        one, two, three = tape_vars((2,)), tape_vars((2, 6)), tape_vars((2, 6, 4))
+        assert three - two == two - one
 
     def test_masked_edges_change_features(self):
         g = hypercycle(8, 3)

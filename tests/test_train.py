@@ -1,10 +1,13 @@
 """Training loop: negatives, masking, loss, Adam, fit, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcnet import autodiff as ad
 from hcnet.errors import (
     FactNotFound,
     NoCandidate,
@@ -18,6 +21,7 @@ from hcnet.train import (
     AdamState,
     TrainConfig,
     adam_step,
+    adversarial_loss_from_logits,
     corrupt,
     fit,
     load_checkpoint,
@@ -98,6 +102,22 @@ class TestSelfAdversarialLoss:
         equal = [probs[0]] * 4
         expected = -np.log(0.5) - np.log(1 - probs[0])
         assert self_adversarial_loss(0.5, equal, alpha) == pytest.approx(expected)
+
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 2.0])
+    def test_tape_loss_matches_scalar_oracle(self, alpha):
+        # The training loss works on raw scores; summed over queries it must
+        # equal the probability-space definition at p = sigmoid(score).
+        rng = np.random.default_rng(int(alpha * 10))
+        pos = rng.uniform(-4, 4, 5)
+        neg = rng.uniform(-4, 4, (5, 7))
+        tape = ad.Tape()
+        loss = adversarial_loss_from_logits(tape, tape.leaf(pos), tape.leaf(neg), alpha)
+        p_pos, p_neg = ad.stable_sigmoid(pos), ad.stable_sigmoid(neg)
+        expected = sum(
+            self_adversarial_loss(p_pos[q], list(p_neg[q]), alpha) for q in range(5)
+        )
+        assert float(loss.value) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMasking:
@@ -196,6 +216,16 @@ class TestFit:
         assert all("loss" in e and "val_mrr" in e for e in log)
         assert log_path.read_text().count("\n") == 3
         assert all(np.isfinite(e["loss"]) for e in log)
+
+    def test_rerun_truncates_log(self, tmp_path):
+        graph, splits = _toy_splits()
+        cfg = TrainConfig(d=4, layers=1, epochs=2, batch_size=4, negatives=2, seed=0)
+        log_path = tmp_path / "run.log"
+        fit(graph, splits, cfg, log_path=str(log_path))
+        _, log = fit(graph, splits, cfg, log_path=str(log_path))
+        lines = log_path.read_text().splitlines()
+        assert len(lines) == cfg.epochs
+        assert [json.loads(line) for line in lines] == log
 
     def test_seeded_runs_identical(self):
         graph, splits = _toy_splits()
