@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EngineError
 from .evalrank import evaluate_model
-from .hypergraph import load_dataset
+from .hypergraph import Query, load_dataset
 from .logic import LogicSignature, compile_hgml_r, eval_formula_c, parse_formula
 from .nn import ModelConfig, grad_check, init_params
 from .randgen import random_hypergraph, random_query
@@ -119,8 +119,6 @@ def _cmd_refine(args) -> int:
         if rel is None:
             raise ConfigError(f"unknown relation {rel_name!r}")
         given = _names_to_ids(graph, given_part.split(",")) if given_part else []
-        from .hypergraph import Query
-
         colorings = conditional_run(
             graph, Query(rel.id, tuple(given), int(target)), args.rounds
         )

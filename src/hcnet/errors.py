@@ -100,6 +100,10 @@ class FactNotFound(EngineError):
     pass
 
 
+class CheckpointError(EngineError):
+    pass
+
+
 # --- evalrank ---
 class NaNScore(EngineError):
     pass

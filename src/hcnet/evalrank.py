@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, EmptyOutcomes, NaNScore
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
+    MODEL_KINDS,
     ModelParams,
     decode_kary_batch,
     decode_unary_batch,
@@ -62,15 +63,11 @@ def filtered_candidates(
 ) -> list[int]:
     """Nodes whose substitution at t is unknown, plus the true entity."""
     true = fact.nodes[t - 1]
-    out = []
-    for v in range(node_count):
-        if v == true:
-            out.append(v)
-            continue
-        sub = fact.nodes[: t - 1] + (v,) + fact.nodes[t:]
-        if (fact.relation, sub) not in all_facts:
-            out.append(v)
-    return out
+    head, tail = fact.nodes[: t - 1], fact.nodes[t:]
+    return [
+        v for v in range(node_count)
+        if v == true or (fact.relation, head + (v,) + tail) not in all_facts
+    ]
 
 
 def rank_of(scores: np.ndarray, true_idx: int) -> float:
@@ -124,7 +121,7 @@ def evaluate_model(
     parity with negative-sample-limited protocols; default ranks against
     every filtered candidate.
     """
-    if model_kind not in ("hcnet", "hrnet"):
+    if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
     all_facts: set[tuple[int, tuple[int, ...]]] = graph.fact_set()
     for facts in (splits or {}).values():

@@ -10,7 +10,9 @@ evaluator only.
 
 The compiler turns a restricted formula into fixed message-passing
 parameters whose rounds compute formula truth values exactly, in integer
-arithmetic with the truncated ReLU min(max(0,x),1).
+arithmetic with the truncated ReLU min(max(0,x),1). The compiled network
+runs the learned model's message kernel (`nn.edges_by_relation` and
+`autodiff.exclusive_products`) in int64.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import (
     ColorOutOfSignature,
     FormulaParseError,
@@ -31,6 +34,7 @@ from .errors import (
     UnknownRelation,
 )
 from .hypergraph import RelationalHypergraph
+from .nn import edges_by_relation
 
 # --- AST -------------------------------------------------------------------
 
@@ -401,7 +405,11 @@ def run_compiled(
 ) -> np.ndarray:
     """Run L rounds (default: one per subformula) of the compiled network in
     exact integer arithmetic; entry (v, p) of the result is 1 iff
-    subformula p holds at v."""
+    subformula p holds at v.
+
+    Messages come from the model's kernel, in int64: per relation, one
+    gather of the (E_r, k) node ids and the exclusive products of the
+    factors p_j - h_e(j)."""
     sig = network.sig
     L = network.size
     V = graph.node_count
@@ -416,20 +424,19 @@ def run_compiled(
             if isinstance(f, ColorAtom) and f.color == sig.colors[c]:
                 h[v, ell] = 1
 
+    # Relations outside the signature have zero parameters: skipped.
+    groups = [
+        (rel_index[graph.relations[rel].name], nodes)
+        for rel, nodes in edges_by_relation(graph).items()
+        if graph.relations[rel].name in rel_index
+    ]
     for _ in range(rounds if rounds is not None else L):
         msg = np.zeros((V, L), dtype=np.int64)
-        for ed in graph.edges:
-            r = rel_index.get(graph.relations[ed.relation].name)
-            if r is None:
-                continue  # relation outside the signature: zero parameters
-            k = len(ed.nodes)
-            feats = h[list(ed.nodes)]  # (k, L)
-            for i in range(1, k + 1):
-                z = np.ones(L, dtype=np.int64)
-                for j in range(1, k + 1):
-                    if j != i:
-                        z *= network.p[j] - feats[j - 1]
-                msg[ed.nodes[i - 1]] += network.ar[r] - _trunc(network.Wr[r] @ z)
+        for r, nodes in groups:
+            k = nodes.shape[1]
+            f = network.p[1 : k + 1, None, :] - h[nodes.T]  # (k, E, L)
+            z = ad.exclusive_products(f)
+            np.add.at(msg, nodes.T, network.ar[r] - _trunc(z @ network.Wr[r].T))
         h = _trunc(h @ network.W0.T + msg + network.bias)
     return h
 

@@ -15,6 +15,10 @@ and the exclusive products of the factors (`autodiff.exclusive_products`).
   features — required by the refinement-and-matching checks against the
   WL engines.
 
+The compiled logic networks (`logic.run_compiled`) run the same kernel in
+int64. Both conditional paths start from one query initialization
+(`_query_init`), which also checks every query.
+
 The layer rule, for each node v with incidence pairs (e,i):
 
     h' = act( W [ h_v || sum_(e,i) g_(rho(e),q) * prod_{j != i}
@@ -32,13 +36,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import DimensionTooSmall, QueryArityMismatch, ShapeMismatch
+from .errors import ConfigError, DimensionTooSmall, QueryArityMismatch, ShapeMismatch
 from .hypergraph import Query, RelationalHypergraph
+from .refine import _canonical_ordinals
 
 Array = np.ndarray
 
 PE_KINDS = ("sinusoidal", "one-hot", "constant", "learnable")
 INIT_VARIANTS = ("pos+rel", "pos", "rel", "ones")
+MODEL_KINDS = ("hcnet", "hrnet")
+MESSAGE_MODES = ("query-dependent", "query-independent")
 
 
 # --- positional encodings --------------------------------------------------
@@ -127,10 +134,13 @@ def init_params(
     graph: RelationalHypergraph,
     config: ModelConfig,
     rng: np.random.Generator,
-    extra_arities: tuple[int, ...] = (),
 ) -> ModelParams:
     """Fresh parameters: U[-1/sqrt(d), 1/sqrt(d)] matrices, zero biases,
     N(0,1)/sqrt(d) query embeddings, alpha = 0.5."""
+    if config.kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {config.kind!r}")
+    if config.mode not in MESSAGE_MODES:
+        raise ConfigError(f"unknown message mode {config.mode!r}")
     d = config.d
     bound = 1.0 / np.sqrt(d)
     num_rel = len(graph.relations)
@@ -166,9 +176,7 @@ def init_params(
         decoder_arities: tuple[int, ...] = ()
         mlp("dec", 2 * d)
     else:
-        decoder_arities = tuple(
-            sorted({r.arity for r in graph.relations} | set(extra_arities))
-        )
+        decoder_arities = tuple(sorted({r.arity for r in graph.relations}))
         for k in decoder_arities:
             mlp(f"dec{k}", (k + 1) * d)
     return ModelParams(config, num_rel, max_arity, decoder_arities, tensors, fixed)
@@ -192,32 +200,12 @@ def edges_by_relation(
 def hcnet_init(
     graph: RelationalHypergraph, query: Query, params: ModelParams, variant: str | None = None
 ) -> Array:
-    """h0_v = sum over given positions i with u_i = v of (p_i + z_q);
-    zero elsewhere. Ablation variants drop either addend or use a bare
-    indicator."""
-    variant = variant or params.config.variant
-    if variant not in INIT_VARIANTS:
-        raise ShapeMismatch(f"unknown init variant {variant!r}")
-    d = params.config.d
-    arity = graph.relations[query.relation].arity
-    if len(query.given) != arity - 1:
-        raise QueryArityMismatch(
-            f"query gives {len(query.given)} nodes for arity {arity}"
-        )
-    if not (1 <= query.target <= arity):
-        raise QueryArityMismatch(f"target position {query.target}")
-    h0 = np.zeros((graph.node_count, d))
-    zq = params.tensors["z_q"][query.relation]
-    for u, i in zip(query.given, query.given_positions(arity)):
-        if variant == "pos+rel":
-            h0[u] += params.pe_row(i) + zq
-        elif variant == "pos":
-            h0[u] += params.pe_row(i)
-        elif variant == "rel":
-            h0[u] += zq
-        else:
-            h0[u] += np.ones(d)
-    return h0
+    """One query's initial features (V, d), as the batched path builds them
+    (`_query_init`)."""
+    tape = Tape()
+    bound = bind_params(tape, params)
+    h0, _ = _query_init(tape, bound, graph, [query], variant or params.config.variant)
+    return h0.value[0]
 
 
 # --- forward: exact theorem path ------------------------------------------
@@ -293,13 +281,10 @@ def hcnet_features_exact(
 
 
 def feature_partition(features: Array, decimals: int | None = None) -> list[int]:
-    """Exact-equality partition of feature rows as dense class ids."""
-    keys: list[tuple] = []
-    for row in features:
-        r = np.round(row, decimals) if decimals is not None else row
-        keys.append(tuple(r.tolist()))
-    order = {k: i for i, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+    """Exact-equality partition of feature rows as dense class ids, interned
+    like the WL engines' colors."""
+    rows = np.round(features, decimals) if decimals is not None else features
+    return _canonical_ordinals([tuple(r) for r in rows.tolist()])
 
 
 # --- forward: batched tape path -------------------------------------------
@@ -371,6 +356,47 @@ def _g_vars(
     return out
 
 
+def _query_init(
+    tape: Tape,
+    bound: dict[str, Var],
+    graph: RelationalHypergraph,
+    queries: list[Query],
+    variant: str,
+) -> tuple[Var, Var]:
+    """Initial features (Q, V, d) and query embeddings z_q (Q, d) for a
+    batch: h0_v = sum over given positions i with u_i = v of (p_i + z_q);
+    zero elsewhere. Ablation variants drop either addend or use a bare
+    indicator."""
+    if variant not in INIT_VARIANTS:
+        raise ShapeMismatch(f"unknown init variant {variant!r}")
+    incidences: list[tuple[int, int, int]] = []  # (query, given node, its position)
+    for b, q in enumerate(queries):
+        arity = graph.relations[q.relation].arity
+        if len(q.given) != arity - 1:
+            raise QueryArityMismatch(f"query {b} gives {len(q.given)} nodes for arity {arity}")
+        if not (1 <= q.target <= arity):
+            raise QueryArityMismatch(f"query {b}: target position {q.target}")
+        incidences += [(b, u, i) for u, i in zip(q.given, q.given_positions(arity))]
+    rows_a, cols_a, pe_a = np.asarray(incidences, dtype=np.intp).reshape(-1, 3).T
+    qrel = np.asarray([q.relation for q in queries], dtype=np.intp)
+    zq_batch = ad.take_rows(tape, bound["z_q"], qrel)  # (Q, d)
+
+    parts: list[Var] = []
+    if variant in ("pos+rel", "pos"):
+        parts.append(ad.take_rows(tape, bound["pe"], pe_a))
+    if variant in ("pos+rel", "rel"):
+        parts.append(ad.take_rows(tape, bound["z_q"], qrel[rows_a]))
+    d = zq_batch.value.shape[1]
+    if variant == "ones":
+        parts.append(tape.constant(np.ones((len(rows_a), d))))
+    vals = parts[0]
+    for p in parts[1:]:
+        vals = ad.add(tape, vals, p)
+    shape = (len(queries), graph.node_count, d)
+    h0 = ad.index_add_2d(tape, tape.constant(np.zeros(shape)), rows_a, cols_a, vals)
+    return h0, zq_batch
+
+
 def hcnet_forward_batch(
     graph: RelationalHypergraph,
     queries: list[Query],
@@ -384,39 +410,9 @@ def hcnet_forward_batch(
     """Conditional features (Q, V, d) for a batch of queries in one pass."""
     cfg = params.config
     L = cfg.layers if layers is None else layers
-    d = cfg.d
-    Q, V = len(queries), graph.node_count
-    variant = variant or cfg.variant
     tape = Tape()
     bound = bind_params(tape, params)
-
-    rows, cols, pe_idx = [], [], []
-    for b, q in enumerate(queries):
-        arity = graph.relations[q.relation].arity
-        if len(q.given) != arity - 1:
-            raise QueryArityMismatch(f"query {b}")
-        for u, i in zip(q.given, q.given_positions(arity)):
-            rows.append(b)
-            cols.append(u)
-            pe_idx.append(i)
-    rows_a, cols_a, pe_a = (np.asarray(x, dtype=np.intp) for x in (rows, cols, pe_idx))
-    qrel = np.asarray([q.relation for q in queries], dtype=np.intp)
-    zq_batch = ad.take_rows(tape, bound["z_q"], qrel)  # (Q, d)
-
-    parts: list[Var] = []
-    if variant in ("pos+rel", "pos"):
-        parts.append(ad.take_rows(tape, bound["pe"], pe_a))
-    if variant in ("pos+rel", "rel"):
-        parts.append(ad.take_rows(tape, bound["z_q"], qrel[rows_a]))
-    if variant == "ones":
-        parts.append(tape.constant(np.ones((len(rows), d))))
-    vals = parts[0]
-    for p in parts[1:]:
-        vals = ad.add(tape, vals, p)
-    h = ad.index_add_2d(
-        tape, tape.constant(np.zeros((Q, V, d))), rows_a, cols_a, vals
-    )
-
+    h, zq_batch = _query_init(tape, bound, graph, queries, variant or cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, zq_batch)
     for ell in range(L):
@@ -475,13 +471,11 @@ def _mlp_logits(tape: Tape, bound: dict[str, Var], prefix: str, x: Var) -> Var:
     return ad.reshape(tape, out, out.value.shape[:-1])
 
 
-def decode_unary_batch(trace: ForwardTrace, zq_batch: Var | None = None) -> Var:
+def decode_unary_batch(trace: ForwardTrace) -> Var:
     """Logits (Q, V) of the unary decoder over [h_v || z_q]."""
     tape, bound, h = trace.tape, trace.bound, trace.features
-    if zq_batch is None:
-        zq_batch = trace.zq_batch
     Q, V, d = h.value.shape
-    z3 = ad.reshape(tape, zq_batch, (Q, 1, d))
+    z3 = ad.reshape(tape, trace.zq_batch, (Q, 1, d))
     zb = ad.broadcast_middle(tape, z3, V)
     x = ad.concat_last(tape, [h, zb])
     logits = _mlp_logits(tape, bound, "dec", x)

@@ -26,14 +26,13 @@ def random_hypergraph(
     max_relations: int = 4,
     max_arity: int = 4,
     num_colors: int = 1,
-    edge_factor: float = 2.0,
 ) -> RelationalHypergraph:
     n = int(rng.integers(2, max_nodes + 1))
     num_rel = int(rng.integers(1, max_relations + 1))
     relations = [
         Relation(r, f"r{r}", int(rng.integers(1, max_arity + 1))) for r in range(num_rel)
     ]
-    num_edges = int(rng.integers(1, max(2, int(edge_factor * n))))
+    num_edges = int(rng.integers(1, 2 * n))
     edges = []
     for _ in range(num_edges):
         rel = relations[int(rng.integers(0, num_rel))]
@@ -48,18 +47,17 @@ def random_knowledge_graph(
     rng: np.random.Generator,
     max_nodes: int = 15,
     max_relations: int = 3,
-    allow_loops: bool = False,
 ) -> RelationalHypergraph:
-    """Random binary-relation graph. Loop-free by default: the pairwise-test
-    equivalence relies on every incoming edge having an inverse, and
-    inverses are only created for non-loop facts."""
+    """Random loop-free binary-relation graph: the pairwise-test equivalence
+    relies on every incoming edge having an inverse, and inverses are only
+    created for non-loop facts."""
     n = int(rng.integers(2, max_nodes + 1))
     num_rel = int(rng.integers(1, max_relations + 1))
     relations = [Relation(r, f"r{r}", 2) for r in range(num_rel)]
     num_edges = int(rng.integers(1, 3 * n))
     edges = []
     for a, b in rng.integers(0, n, (num_edges, 2)):
-        if not allow_loops and a == b:
+        if a == b:
             b = (b + 1) % n
         edges.append(HyperEdge(int(rng.integers(0, num_rel)), (int(a), int(b))))
     return build_graph(relations, edges, n)

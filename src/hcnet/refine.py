@@ -155,7 +155,8 @@ def hcwl2_run(
 ) -> list[PairColoring]:
     """Conditioned local 2-WL: for each pair (u,v), aggregate over E(v) the
     colors (u, w) of positional neighbors w together with their position
-    and the edge's relation."""
+    and the edge's relation. Row u refines like hrwl1 does, on the colors
+    (u, .)."""
     _require_kg(graph)
     n = graph.node_count
     out = [PairColoring(list(init.colors), 0, n)]
@@ -163,18 +164,7 @@ def hcwl2_run(
     for ell in range(rounds):
         keys = []
         for u in range(n):
-            row = u * n
-            for v in range(n):
-                sig = []
-                for e, i in graph.incidence_index[v]:
-                    ed = graph.edges[e]
-                    inner = tuple(
-                        (current[row + w], j)
-                        for j, w in enumerate(ed.nodes, start=1)
-                        if j != i
-                    )
-                    sig.append((inner, ed.relation))
-                keys.append((current[row + v], tuple(sorted(sig))))
+            keys += _hrwl1_keys(graph, current[u * n : (u + 1) * n])
         current = _canonical_ordinals(keys)
         out.append(PairColoring(current, ell + 1, n))
     return out

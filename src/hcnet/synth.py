@@ -28,14 +28,13 @@ from .hypergraph import (
 )
 from .nn import (
     ModelParams,
-    backward,
     decode_kary_batch,
     decode_unary_batch,
     hcnet_forward_batch,
     hrnet_forward_batch,
     init_params,
 )
-from .train import AdamState, TrainConfig, adam_step
+from .train import AdamState, TrainConfig, train_step
 
 
 def hypercycle(n: int, k: int) -> RelationalHypergraph:
@@ -131,7 +130,8 @@ def _pair_logits(
     neg_tails: np.ndarray,
     queries: list[Query],
 ):
-    """(tape, positive logits, negative logits) for one graph's queries."""
+    """(trace, positive logits (n,), negative logits (n, 1)) for one
+    graph's queries: one negative per query."""
     n = graph.node_count
     rows = np.arange(n, dtype=np.intp)
     if params.config.kind == "hcnet":
@@ -139,13 +139,14 @@ def _pair_logits(
         logits = decode_unary_batch(trace)
         tape = trace.tape
         pos = ad.gather_2d(tape, logits, rows, pos_tails)
-        neg = ad.gather_2d(tape, logits, rows, neg_tails)
+        neg = ad.gather_2d(tape, logits, rows[:, None], neg_tails[:, None])
     else:
         trace = hrnet_forward_batch(graph, params)
         tape = trace.tape
         qrel = np.zeros(n, dtype=np.intp)
         pos = decode_kary_batch(trace, np.stack([rows, pos_tails], axis=1), qrel)
         neg = decode_kary_batch(trace, np.stack([rows, neg_tails], axis=1), qrel)
+        neg = ad.reshape(tape, neg, (n, 1))
     return trace, pos, neg
 
 
@@ -185,15 +186,7 @@ def run_expressiveness_experiment(
             spec = train_specs[gi]
             queries, pos_tails, neg_tails = batches[spec]
             trace, pos, neg = _pair_logits(graphs[spec], params, pos_tails, neg_tails, queries)
-            tape = trace.tape
-            loss = ad.add(
-                tape,
-                ad.sum_all(tape, ad.softplus(tape, ad.neg(tape, pos))),
-                ad.sum_all(tape, ad.softplus(tape, neg)),
-            )
-            loss = ad.scale(tape, loss, 1.0 / spec[0])
-            adam_step(params, backward(trace, 1.0, root=loss), state, config.lr)
-            epoch_loss += float(loss.value)
+            epoch_loss += train_step(params, state, trace, pos, neg, config)
         losses.append(epoch_loss / max(len(train_specs), 1))
 
     def score(specs: list[tuple[int, int]]) -> float:

@@ -6,31 +6,37 @@ against the training fact set. During message passing the batch's positive
 edges are masked out, so a query never sees the edge it is asked to
 predict. The loss weights negatives by a softmax of their own scores
 (temperature alpha_adv); the weights are treated as constants in the
-gradient.
+gradient. `fit` and the hypercycle experiment share one step function,
+`train_step`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (
+    CheckpointError,
     FactNotFound,
     NoCandidate,
     ProbabilityOutOfRange,
     ShapeMismatch,
 )
+from .evalrank import evaluate_model, filtered_candidates
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
+    ForwardTrace,
     ModelConfig,
     ModelParams,
     backward,
     decode_unary_batch,
     hcnet_forward_batch,
     init_params,
+    pe_table,
 )
 
 
@@ -47,7 +53,6 @@ class TrainConfig:
     mode: str = "query-dependent"
     variant: str = "pos+rel"
     pe_kind: str = "sinusoidal"
-    accumulation: int = 1
     steps_per_epoch: int | None = None  # None = every batch
     seed: int = 0
 
@@ -81,13 +86,7 @@ def corrupt(
     if fact_set is None:
         fact_set = graph.fact_set()
     true = fact.nodes[t - 1]
-    legal = []
-    for v in range(graph.node_count):
-        if v == true:
-            continue
-        sub = fact.nodes[: t - 1] + (v,) + fact.nodes[t:]
-        if (fact.relation, sub) not in fact_set:
-            legal.append(v)
+    legal = [v for v in filtered_candidates(fact, t, graph.node_count, fact_set) if v != true]
     if not legal:
         raise NoCandidate(f"no legal corruption at position {t}")
     return [legal[i] for i in rng.integers(0, len(legal), size=n)]
@@ -188,8 +187,6 @@ def fit(
 ) -> tuple[ModelParams, list[dict]]:
     """Train an HCNet on the graph's facts; returns the best-validation-MRR
     checkpoint and the per-epoch log."""
-    from .evalrank import evaluate_model  # local import: avoids a cycle
-
     rng = np.random.default_rng(config.seed)
     params = init_params(graph, config.model_config("hcnet"), rng)
     state = AdamState()
@@ -255,14 +252,25 @@ def _batch_step(
     )
     logits = decode_unary_batch(trace)  # (Q, V)
     tape = trace.tape
-    Q = len(queries)
-    rows = np.arange(Q, dtype=np.intp)
+    rows = np.arange(len(queries), dtype=np.intp)
     pos = ad.gather_2d(tape, logits, rows, np.asarray(pos_nodes, dtype=np.intp))
-    neg_idx = np.asarray(neg_nodes, dtype=np.intp)
-    neg_rows = np.repeat(rows, config.negatives).reshape(Q, config.negatives)
-    neg = ad.gather_2d(tape, logits, neg_rows, neg_idx)
+    neg = ad.gather_2d(tape, logits, rows[:, None], np.asarray(neg_nodes, dtype=np.intp))
+    return train_step(params, state, trace, pos, neg, config)
+
+
+def train_step(
+    params: ModelParams,
+    state: AdamState,
+    trace: ForwardTrace,
+    pos: ad.Var,
+    neg: ad.Var,
+    config: TrainConfig,
+) -> float:
+    """One Adam step on the adversarial loss of positive logits (Q,) against
+    negative logits (Q, n), averaged over the Q queries; returns the loss."""
+    tape = trace.tape
     loss = adversarial_loss_from_logits(tape, pos, neg, config.adv_temperature)
-    loss = ad.scale(tape, loss, 1.0 / Q)
+    loss = ad.scale(tape, loss, 1.0 / pos.value.shape[0])
     adam_step(params, backward(trace, 1.0, root=loss), state, config.lr)
     return float(loss.value)
 
@@ -272,7 +280,8 @@ def _batch_step(
 
 def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None = None) -> None:
     """JSON header (names, shapes, offsets, config echo) + raw little-endian
-    float32 blobs in header order."""
+    float32 blobs in header order. Written to a temporary file first and
+    moved into place, so a crash never leaves a partial checkpoint."""
     names = sorted(params.tensors)
     header = {
         "model": asdict(params.config),
@@ -285,37 +294,45 @@ def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None =
     offset = 0
     for name in names:
         shape = list(params.tensors[name].shape)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+        nbytes = 4 * int(np.prod(shape, dtype=np.int64))
         header["tensors"].append(
             {"name": name, "shape": shape, "offset": offset, "nbytes": nbytes}
         )
         offset += nbytes
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
         for name in names:
             fh.write(params.tensors[name].astype("<f4").tobytes())
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    """Inverse of save_checkpoint; raises CheckpointError on a malformed
+    header or a tensor whose bytes are missing."""
     with open(path, "rb") as fh:
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        tensors = {}
-        for spec in header["tensors"]:
-            data = np.frombuffer(fh.read(spec["nbytes"]), dtype="<f4").astype(np.float64)
-            tensors[spec["name"]] = data.reshape(spec["shape"])
-    cfg = ModelConfig(**header["model"])
-    params = ModelParams(
-        cfg,
-        header["num_relations"],
-        header["max_arity"],
-        tuple(header["decoder_arities"]),
-        tensors,
-    )
+        data = fh.read()
+    hlen = int.from_bytes(data[:8], "little")
+    if len(data) < 8 or 8 + hlen > len(data):
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
+        cfg = ModelConfig(**header["model"])
+        specs = [(s["name"], list(s["shape"]), s["nbytes"]) for s in header["tensors"]]
+        meta = (header["num_relations"], header["max_arity"], tuple(header["decoder_arities"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    tensors = {}
+    pos = 8 + hlen
+    for name, shape, nbytes in specs:
+        if nbytes != 4 * int(np.prod(shape, dtype=np.int64)) or pos + nbytes > len(data):
+            raise CheckpointError(f"{path}: tensor {name!r} is truncated or mis-sized")
+        raw = np.frombuffer(data, dtype="<f4", count=nbytes // 4, offset=pos)
+        tensors[name] = raw.astype(np.float64).reshape(shape)
+        pos += nbytes
+    params = ModelParams(cfg, *meta, tensors)
     if cfg.pe_kind != "learnable":
-        from .nn import pe_table
-
-        params.fixed["pe"] = pe_table(cfg.pe_kind, header["max_arity"], cfg.d)
+        params.fixed["pe"] = pe_table(cfg.pe_kind, meta[1], cfg.d)
     return params, header

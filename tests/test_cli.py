@@ -164,6 +164,40 @@ class TestTrainEvaluate:
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [
+        {"mode": "query-dependant"},
+        {"variant": "pos-rel"},
+        {"accumulation": 8},
+    ])
+    def test_config_typo_exits_1(self, tmp_path, capsys, values):
+        data = _tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"d": 4, "layers": 1, "epochs": 1, **values}))
+        code = main([
+            "train", "--data", str(data), "--config", str(cfg_path),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("cut", ["empty", "header", "body"])
+    def test_bad_checkpoint_exits_1(self, tmp_path, capsys, cut):
+        data = _tiny_dataset(tmp_path)
+        graph, _, _, _ = load_dataset(str(data))
+        params = init_params(
+            graph, TrainConfig(d=4, layers=1).model_config(), np.random.default_rng(0)
+        )
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), params)
+        raw = ckpt.read_bytes()
+        hlen = int.from_bytes(raw[:8], "little")
+        ckpt.write_bytes({"empty": b"", "header": raw[: 8 + hlen // 2],
+                          "body": raw[:-3]}[cut])
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main([
             "train", "--data", str(tmp_path / "nope"),

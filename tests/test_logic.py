@@ -239,6 +239,44 @@ class TestCompiler:
         pout = run_compiled(net, apply_permutation(g, perm))
         assert (pout[perm] == out).all()
 
+    def test_matches_per_edge_loop_reference(self):
+        # The compiled layer written out edge by edge and position by
+        # position, as the paper states it.
+        def reference(net, g, rel_ids):
+            h = run_compiled(net, g, rounds=0)
+            for _ in range(net.size):
+                msg = np.zeros_like(h)
+                for ed in g.edges:
+                    r = rel_ids[ed.relation]
+                    for i, u in enumerate(ed.nodes, start=1):
+                        z = np.ones(net.size, dtype=np.int64)
+                        for j, w in enumerate(ed.nodes, start=1):
+                            if j != i:
+                                z *= net.p[j] - h[w]
+                        msg[u] += net.ar[r] - np.clip(net.Wr[r] @ z, 0, 1)
+                h = np.clip(h @ net.W0.T + msg + net.bias, 0, 1)
+            return h
+
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            g = random_hypergraph(rng, max_nodes=10, max_relations=3, num_colors=2)
+            sig = LogicSignature(
+                colors=["c0", "c1"], relations=[(r.name, r.arity) for r in g.relations]
+            )
+            net = compile_hgml_r(random_hgml_r(rng, sig, depth=3), sig)
+            expected = reference(net, g, {r.id: r.id for r in g.relations})
+            assert np.array_equal(run_compiled(net, g), expected)
+
+    def test_relations_outside_signature_are_skipped(self):
+        sig = LogicSignature(colors=["a"], relations=[("r", 2)])
+        relations = [Relation(0, "s", 3), Relation(1, "r", 2)]
+        edges = [HyperEdge(1, (0, 1)), HyperEdge(0, (1, 2, 0)), HyperEdge(1, (2, 1))]
+        g = build_graph(relations, edges, 3)
+        only_r = build_graph(relations, [edges[0], edges[2]], 3)
+        net = compile_hgml_r(parse_formula("exists>=2 r@2 []"), sig)
+        assert np.array_equal(run_compiled(net, g), run_compiled(net, only_r))
+        assert run_compiled(net, g)[:, -1].tolist() == [0, 1, 0]
+
     def test_integer_dtype_everywhere(self):
         net = compile_hgml_r(PHI, DEGREE_SIG)
         for arr in (net.W0, net.bias, net.Wr, net.ar, net.p):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from hcnet.errors import DimensionTooSmall, QueryArityMismatch, ShapeMismatch
+from hcnet.errors import ConfigError, DimensionTooSmall, QueryArityMismatch, ShapeMismatch
 from hcnet.hypergraph import HyperEdge, Query, Relation, apply_permutation, build_graph
 from hcnet.nn import (
+    INIT_VARIANTS,
     ModelConfig,
     decode_kary,
     decode_unary,
@@ -108,6 +109,40 @@ class TestInit:
         g = hypercycle(8, 3)
         with pytest.raises(QueryArityMismatch):
             hcnet_init(g, Query(0, (1, 2), 2), _params(g))
+
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_target_out_of_range_in_both_paths(self, target):
+        g = hypercycle(8, 3)  # r0 is binary
+        params = _params(g)
+        with pytest.raises(QueryArityMismatch):
+            hcnet_init(g, Query(0, (1,), target), params)
+        with pytest.raises(QueryArityMismatch):
+            hcnet_forward_batch(g, [Query(0, (1,), 2), Query(0, (1,), target)], params)
+
+    def test_unknown_variant_in_both_paths(self):
+        g = hypercycle(8, 3)
+        params = _params(g)
+        with pytest.raises(ShapeMismatch):
+            hcnet_init(g, Query(0, (1,), 2), params, "pos-rel")
+        with pytest.raises(ShapeMismatch):
+            hcnet_forward_batch(g, [Query(0, (1,), 2)], params, variant="pos-rel")
+
+    @pytest.mark.parametrize("pe_kind", ["sinusoidal", "one-hot", "constant", "learnable"])
+    def test_is_the_batched_path_at_layer_zero(self, pe_kind):
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            g = random_hypergraph(rng, max_nodes=12)
+            q = random_query(rng, g)
+            params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=1, pe_kind=pe_kind), rng)
+            for variant in INIT_VARIANTS:
+                trace = hcnet_forward_batch(g, [q], params, layers=0, variant=variant)
+                assert np.array_equal(hcnet_init(g, q, params, variant), trace.features.value[0])
+
+    @pytest.mark.parametrize("typo", [{"kind": "hcnett"}, {"mode": "query-dependant"}])
+    def test_params_reject_unknown_kind_or_mode(self, typo):
+        with pytest.raises(ConfigError):
+            init_params(hypercycle(8, 3), ModelConfig(d=8, layers=1, **typo),
+                        np.random.default_rng(0))
 
     def test_distinguishability(self):
         # Distinct given nodes receive pairwise-distinct nonzero features,

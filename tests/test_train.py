@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from hcnet import autodiff as ad
 from hcnet.errors import (
+    CheckpointError,
     FactNotFound,
     NoCandidate,
     ProbabilityOutOfRange,
     ShapeMismatch,
 )
-from hcnet.hypergraph import HyperEdge, Relation, build_graph
-from hcnet.nn import ModelConfig, init_params
+from hcnet.evalrank import filtered_candidates
+from hcnet.hypergraph import HyperEdge, Query, Relation, build_graph
+from hcnet.nn import ModelConfig, decode_unary_batch, hcnet_forward_batch, init_params
+from hcnet.randgen import random_hypergraph
 from hcnet.synth import hypercycle, opposite_queries
 from hcnet.train import (
     AdamState,
@@ -28,6 +31,7 @@ from hcnet.train import (
     mask_positives,
     save_checkpoint,
     self_adversarial_loss,
+    train_step,
 )
 
 
@@ -65,6 +69,23 @@ class TestCorrupt:
         a = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
         b = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
         assert a == b
+
+    def test_draws_from_filtered_candidates_without_truth(self):
+        # One substitution filter: corruptions index the evaluation's
+        # candidate list, with the true entity removed, in its order.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=3)
+            fact = g.edges[0]
+            for t in range(1, len(fact.nodes) + 1):
+                legal = [v for v in filtered_candidates(fact, t, g.node_count, g.fact_set())
+                         if v != fact.nodes[t - 1]]
+                if not legal:
+                    continue
+                seed = int(rng.integers(1 << 30))
+                got = corrupt(fact, t, g, 6, np.random.default_rng(seed))
+                draws = np.random.default_rng(seed).integers(0, len(legal), size=6)
+                assert got == [legal[i] for i in draws]
 
 
 class TestSelfAdversarialLoss:
@@ -118,6 +139,38 @@ class TestSelfAdversarialLoss:
             self_adversarial_loss(p_pos[q], list(p_neg[q]), alpha) for q in range(5)
         )
         assert float(loss.value) == pytest.approx(expected, rel=1e-12)
+
+
+class TestTrainStep:
+    def test_single_negative_is_plain_softplus_loss(self):
+        # One negative gets adversarial weight exactly 1, so the shared step
+        # optimizes mean(softplus(-s+) + softplus(s-)), bit for bit.
+        g = hypercycle(8, 3)
+        rng = np.random.default_rng(0)
+        pos, neg = rng.uniform(-3, 3, 8), rng.uniform(-3, 3, (8, 1))
+        params = init_params(g, ModelConfig(kind="hcnet", d=4, layers=1), rng)
+        trace = hcnet_forward_batch(g, [Query(0, (0,), 2)], params)
+        tape = trace.tape
+        loss = train_step(params, AdamState(), trace, tape.leaf(pos), tape.leaf(neg),
+                          TrainConfig(adv_temperature=0.3))
+        expected = (np.logaddexp(0.0, -pos).sum() + np.logaddexp(0.0, neg).sum()) / 8
+        assert loss == expected
+
+    def test_updates_params_through_the_tape(self):
+        g = hypercycle(8, 3)
+        params = init_params(g, ModelConfig(kind="hcnet", d=4, layers=1),
+                             np.random.default_rng(0))
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        trace = hcnet_forward_batch(g, [Query(0, (0,), 2), Query(0, (1,), 2)], params)
+        logits = decode_unary_batch(trace)
+        rows = np.arange(2, dtype=np.intp)
+        pos = ad.gather_2d(trace.tape, logits, rows, np.asarray([4, 5]))
+        neg = ad.gather_2d(trace.tape, logits, np.repeat(rows, 3).reshape(2, 3),
+                           np.asarray([[1, 2, 3], [2, 3, 6]]))
+        state = AdamState()
+        train_step(params, state, trace, pos, neg, TrainConfig(lr=0.1))
+        assert state.step == 1
+        assert not np.array_equal(params.tensors["dec_W2"], before["dec_W2"])
 
 
 class TestMasking:
@@ -279,3 +332,44 @@ class TestCheckpoint:
         assert names == sorted(names)
         total = sum(t["nbytes"] for t in header["tensors"])
         assert len(raw) == 8 + hlen + total
+
+    def _saved(self, tmp_path):
+        g = hypercycle(8, 3)
+        params = init_params(g, ModelConfig(kind="hcnet", d=4, layers=1),
+                             np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params)
+        return path, path.read_bytes()
+
+    def test_empty_file(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        path.write_bytes(b"")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        hlen = int.from_bytes(raw[:8], "little")
+        path.write_bytes(raw[: 8 + hlen - 1])
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(str(path))
+
+    def test_malformed_header(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        hlen = int.from_bytes(raw[:8], "little")
+        path.write_bytes(raw[:8] + b"x" * hlen + raw[8 + hlen :])
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(str(path))
+
+    def test_truncated_body(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-1])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_save_replaces_and_leaves_no_temp_file(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(b"stale")
+        self._saved(tmp_path)
+        assert path.read_bytes() == raw
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
