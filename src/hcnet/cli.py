@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -89,9 +89,7 @@ def _load_config(path: str | None, seed: int | None) -> TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = TrainConfig(**values)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _names_to_ids(graph, names: list[str]) -> list[int]:

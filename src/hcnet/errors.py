@@ -104,6 +104,10 @@ class CheckpointError(EngineError):
     pass
 
 
+class NonFiniteValue(EngineError):
+    pass
+
+
 # --- evalrank ---
 class NaNScore(EngineError):
     pass

@@ -147,7 +147,7 @@ def evaluate_model(
     if model_kind == "hcnet":
         for start in range(0, len(jobs), batch_queries):
             chunk = jobs[start : start + batch_queries]
-            trace = hcnet_forward_batch(graph, [q for q, _, _ in chunk], params)
+            trace = hcnet_forward_batch(graph, [q for q, _, _ in chunk], params, record=False)
             logits = decode_unary_batch(trace).value
             for row, (query, true, cands) in enumerate(chunk):
                 scores = logits[row, cands]
@@ -155,7 +155,7 @@ def evaluate_model(
                     RankingOutcome(query, true, rank_of(scores, cands.index(true)), len(cands))
                 )
     else:
-        trace = hrnet_forward_batch(graph, params)
+        trace = hrnet_forward_batch(graph, params, record=False)
         by_arity: dict[int, list[int]] = {}
         for j, (query, _, cands) in enumerate(jobs):
             by_arity.setdefault(len(query.given) + 1, []).append(j)

@@ -202,7 +202,7 @@ def hcnet_init(
 ) -> Array:
     """One query's initial features (V, d), as the batched path builds them
     (`_query_init`)."""
-    tape = Tape()
+    tape = Tape(record=False)
     bound = bind_params(tape, params)
     h0, _ = _query_init(tape, bound, graph, [query], variant or params.config.variant)
     return h0.value[0]
@@ -254,7 +254,7 @@ def forward_exact(
         if dest:
             dest_a, msgs_a = np.concatenate(dest), np.concatenate(msgs)
             order = np.lexsort((*msgs_a.T[::-1], dest_a))
-            np.add.at(acc, dest_a[order], msgs_a[order])
+            acc = ad.scatter_add(acc, dest_a[order], msgs_a[order])
         # Row by row, so equal input rows give bitwise-equal output rows
         # whatever blocking a BLAS matrix product would use.
         x = np.concatenate([h, acc], axis=1)
@@ -406,11 +406,14 @@ def hcnet_forward_batch(
     rng: np.random.Generator | None = None,
     masked_edges: set[int] | None = None,
     variant: str | None = None,
+    record: bool = True,
 ) -> ForwardTrace:
-    """Conditional features (Q, V, d) for a batch of queries in one pass."""
+    """Conditional features (Q, V, d) for a batch of queries in one pass.
+    With record=False the tape records nothing, so the pass cannot be
+    differentiated and holds only the arrays still in use."""
     cfg = params.config
     L = cfg.layers if layers is None else layers
-    tape = Tape()
+    tape = Tape(record=record)
     bound = bind_params(tape, params)
     h, zq_batch = _query_init(tape, bound, graph, queries, variant or cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
@@ -427,11 +430,13 @@ def hrnet_forward_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
     masked_edges: set[int] | None = None,
+    record: bool = True,
 ) -> ForwardTrace:
-    """Query-agnostic features (1, V, d) from the all-ones initialization."""
+    """Query-agnostic features (1, V, d) from the all-ones initialization;
+    `record` as in `hcnet_forward_batch`."""
     cfg = params.config
     L = cfg.layers if layers is None else layers
-    tape = Tape()
+    tape = Tape(record=record)
     bound = bind_params(tape, params)
     h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
     edge_groups = edges_by_relation(graph, masked_edges)

@@ -175,14 +175,14 @@ def equivariance_suite(seed: int = 0, permutations: int = 20, tol: float = 1e-9)
         g = random_hypergraph(rng, max_nodes=20, max_relations=3, max_arity=4)
         q = random_query(rng, g)
         params = init_params(g, ModelConfig(kind="hcnet", d=16, layers=3), rng)
-        trace = hcnet_forward_batch(g, [q], params)
+        trace = hcnet_forward_batch(g, [q], params, record=False)
         scores = decode_unary_batch(trace).value[0]
         feats = trace.features.value[0]
 
         perm = [int(x) for x in rng.permutation(g.node_count)]
         pg = apply_permutation(g, perm)
         pq = Query(q.relation, tuple(perm[u] for u in q.given), q.target)
-        ptrace = hcnet_forward_batch(pg, [pq], params)
+        ptrace = hcnet_forward_batch(pg, [pq], params, record=False)
         pscores = decode_unary_batch(ptrace).value[0]
         pfeats = ptrace.features.value[0]
 
@@ -219,7 +219,9 @@ def gradient_suite(seed: int = 0, instances: int = 10, threshold: float = 1e-4) 
 
 def complexity_suite(seed: int = 0, factor_limit: float = 2.5, repeats: int = 3) -> SuiteResult:
     """Doubling the edge count doubles forward wall time at most
-    `factor_limit`-fold (linear-in-edges scaling)."""
+    `factor_limit`-fold (linear-in-edges scaling). The pass is timed
+    without recording: a recorded one keeps every intermediate alive, so
+    its time also measures how much free heap earlier work left behind."""
     rng = np.random.default_rng(seed)
     times = {}
     for n in (1000, 2000):
@@ -229,7 +231,7 @@ def complexity_suite(seed: int = 0, factor_limit: float = 2.5, repeats: int = 3)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            hrnet_forward_batch(g, params)
+            hrnet_forward_batch(g, params, record=False)
             best = min(best, time.perf_counter() - t0)
         times[n] = best
     ratio = times[2000] / times[1000]

@@ -13,16 +13,20 @@ gradient. `fit` and the hypercycle experiment share one step function,
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import (
     CheckpointError,
+    ConfigError,
     FactNotFound,
     NoCandidate,
+    NonFiniteValue,
     ProbabilityOutOfRange,
     ShapeMismatch,
 )
@@ -55,6 +59,25 @@ class TrainConfig:
     pe_kind: str = "sinusoidal"
     steps_per_epoch: int | None = None  # None = every batch
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject a field of the wrong type or out of range with ConfigError.
+        `mode`, `variant` and `pe_kind` are checked where they are used."""
+
+        def need(name: str, kind: type, ok, want: str) -> None:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+                raise ConfigError(f"config {name!r} must be {want}, got {value!r}")
+
+        for name in ("d", "batch_size", "negatives"):
+            need(name, Integral, lambda x: x >= 1, "an integer >= 1")
+        for name in ("layers", "epochs", "seed"):
+            need(name, Integral, lambda x: x >= 0, "an integer >= 0")
+        if self.steps_per_epoch is not None:
+            need("steps_per_epoch", Integral, lambda x: x >= 1, "null or an integer >= 1")
+        for name in ("lr", "adv_temperature"):
+            need(name, Real, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+        need("dropout", Real, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
 
     def model_config(self, kind: str = "hcnet") -> ModelConfig:
         # The query-agnostic baseline carries per-relation weight vectors;
@@ -267,11 +290,17 @@ def train_step(
     config: TrainConfig,
 ) -> float:
     """One Adam step on the adversarial loss of positive logits (Q,) against
-    negative logits (Q, n), averaged over the Q queries; returns the loss."""
+    negative logits (Q, n), averaged over the Q queries; returns the loss.
+    Raises NonFiniteValue, leaving the parameters as they were, when the
+    loss or a parameter's gradient holds a NaN or an infinity."""
     tape = trace.tape
     loss = adversarial_loss_from_logits(tape, pos, neg, config.adv_temperature)
     loss = ad.scale(tape, loss, 1.0 / pos.value.shape[0])
-    adam_step(params, backward(trace, 1.0, root=loss), state, config.lr)
+    grads = backward(trace, 1.0, root=loss)
+    bad = [name for name in params.tensors if not np.isfinite(grads[name]).all()]
+    if not np.isfinite(loss.value) or bad:
+        raise NonFiniteValue(f"loss {float(loss.value)}; non-finite gradient in {bad}")
+    adam_step(params, grads, state, config.lr)
     return float(loss.value)
 
 

@@ -272,7 +272,102 @@ class TestExclusiveProducts:
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
+def _add_at(base, idx, vals):
+    out = base.copy()
+    np.add.at(out, (Ellipsis, idx, slice(None)), vals)
+    return out
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestScatterAdd:
+    # 20 bins per slice: all slices in one bincount, two per call with a
+    # shorter last chunk, or one per call.
+    @pytest.mark.parametrize("base_scale", [1e-3, 0.0])
+    @pytest.mark.parametrize("chunk_bins", [1 << 15, 40, 1])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("idx", [
+        np.array([4, 0, 4, 4, 2, 0]),
+        np.array([[1, 1, 3], [3, 0, 1]]),
+        np.array([], dtype=np.intp),
+    ])
+    def test_equals_add_at_bitwise(self, lead, idx, chunk_bins, base_scale, monkeypatch):
+        # Values of very different magnitudes make the sum depend on the
+        # order of the terms, so only the same order gives the same bits.
+        # A zero base is left out of the terms; -0.0 values must stay
+        # +0.0 there.
+        monkeypatch.setattr(ad, "SCATTER_BINS", chunk_bins)
+        rng = np.random.default_rng(len(lead) + idx.size)
+        base = rng.standard_normal(lead + (5, 4)) * base_scale
+        vals = rng.standard_normal(lead + idx.shape + (4,)) * 10.0 ** rng.integers(-8, 8, 4)
+        vals[..., 0] = -0.0
+        assert _bitwise_equal(ad.scatter_add(base, idx, vals), _add_at(base, idx, vals))
+
+    def test_non_contiguous_vals_and_chained_calls(self):
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((4, 6, 3))
+        idx = np.array([[5, 0, 5], [2, 2, 5]])
+        vals = h[..., idx, :]  # a gather's output is not C-contiguous
+        assert not vals.flags.c_contiguous
+        got = ad.scatter_add(ad.scatter_add(h, idx, vals), idx[::-1], vals * 3.0)
+        want = _add_at(_add_at(h, idx, vals), idx[::-1], vals * 3.0)
+        assert _bitwise_equal(got, want)
+
+    def test_negative_zero(self):
+        # A bin whose terms are all -0.0 sums to -0.0 under np.add.at.
+        base = np.array([[-0.0, 0.0], [-0.0, -0.0], [1.0, -0.0]])
+        idx = np.array([0, 1, 1, 2])
+        vals = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -1.0], [-1.0, 0.0]])
+        got = ad.scatter_add(base, idx, vals)
+        want = _add_at(base, idx, vals)
+        assert _bitwise_equal(got, want)
+        assert np.signbit(got[0, 0]) and np.signbit(got[1, 0])
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_index_out_of_range(self, bad):
+        with pytest.raises(IndexError):
+            ad.scatter_add(np.zeros((2, 3, 2)), np.array([0, bad]), np.ones((2, 2, 2)))
+
+    def test_leaves_base_untouched(self):
+        base = np.ones((2, 3, 2))
+        ad.scatter_add(base, np.array([0, 0]), np.ones((2, 2, 2)))
+        assert (base == 1.0).all()
+
+
 class TestTapeSemantics:
+    def test_backward_frees_non_leaf_grads(self):
+        rng = np.random.default_rng(4)
+        x_val, w_val = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
+        tape = ad.Tape()
+        x, w, c = tape.leaf(x_val), tape.leaf(w_val), tape.constant(np.full(2, 0.5))
+        y = ad.mul(tape, ad.matmul_last(tape, x, w), c)
+        loss = ad.sum_all(tape, y)
+        ad.backward(tape, loss, 1.0)
+        for v in tape.vars:
+            if v in (x, w, c):
+                assert v.grad is not None
+            else:
+                assert v.grad is None and v.parents == ()
+        np.testing.assert_array_equal(x.grad, np.full((3, 2), 0.5) @ w_val)
+        np.testing.assert_array_equal(w.grad, np.full((2, 3), 0.5) @ x_val)
+        np.testing.assert_array_equal(c.grad, (x_val @ w_val.T).sum(axis=0))
+
+    def test_non_recording_tape_keeps_nothing(self):
+        rng = np.random.default_rng(5)
+        x_val = rng.standard_normal((3, 4))
+        values = []
+        for record in (True, False):
+            tape = ad.Tape(record=record)
+            x = tape.leaf(x_val)
+            out = ad.relu(tape, ad.index_add(tape, x, np.array([0, 0]), ad.take_rows(
+                tape, x, np.array([2, 1]))))
+            values.append(out.value)
+            assert (len(tape.vars) > 0) == record
+            assert (out.parents == ()) == (not record)
+        np.testing.assert_array_equal(values[0], values[1])
+
     def test_zero_seed_gives_zero_grads(self):
         tape = ad.Tape()
         x = tape.leaf(np.ones(3))

@@ -7,13 +7,18 @@ fail a traced benchmark run; these checks make it fail the test suite.
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hcnet.autodiff as ad
+import hcnet.evalrank as evalrank
 import hcnet.hypergraph as hg
+import hcnet.nn as nn
 import hcnet.suites as suites
+import hcnet.synth as synth
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +61,30 @@ def test_theorem_suite_names_are_in_all_suites(tracer):
     assert len(wanted) == 5
     assert set(wanted) <= names
     assert {f"{s}_suite" for s in tracer.SUITES} == set(wanted)
+
+
+def test_traced_forward_backward_and_evaluation(tracer):
+    """`--trace 1` rewrites each op's `parents` to time its closures and
+    walks `tape.vars` after `backward`; both must survive a tape that frees
+    as it walks and an evaluation that records nothing."""
+    g = synth.hypercycle(8, 3)
+    params = nn.init_params(g, nn.ModelConfig(kind="hcnet", d=8, layers=2),
+                            np.random.default_rng(0))
+    queries = [hg.Query(0, (0,), 2), hg.Query(0, (3,), 2)]
+    with tracer.Tracer() as t:
+        trace = nn.hcnet_forward_batch(g, queries, params, train=True)
+        logits = nn.decode_unary_batch(trace)
+        grads = nn.backward(trace, np.ones_like(logits.value))
+        report = evalrank.evaluate_model(g, [hg.HyperEdge(0, (0, 4))], params, "hcnet")
+    assert report.count == 2
+    assert all(np.isfinite(v).all() for v in grads.values())
+    metrics = t.metrics()
+    reported = {name for name, _, source, _ in tracer.per_layer_metrics() if source != "bench"}
+    assert set(metrics) == reported
+    assert all(math.isfinite(v) and v >= 0.0 for v in metrics.values())
+    for name in ("nn.hcnet_forward_batch_s", "autodiff.backward_s",
+                 "evalrank.evaluate_model_self_s", "autodiff.gather_nodes.bwd_s",
+                 "autodiff.index_add.fwd_s", "nn.tape_vars", "nn.tape_mb",
+                 "autodiff.gather_nodes.mb"):
+        assert metrics[name] > 0.0, name
+    assert not hasattr(ad.gather_nodes, "__wrapped__")  # patches undone on exit

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import hcnet.train as train_module
 from hcnet.cli import main
 from hcnet.hypergraph import load_dataset
 from hcnet.nn import init_params
@@ -168,6 +169,15 @@ class TestTrainEvaluate:
         {"mode": "query-dependant"},
         {"variant": "pos-rel"},
         {"accumulation": 8},
+        {"batch_size": 0},
+        {"lr": "x"},
+        {"dropout": 1.5},
+        {"negatives": 0},
+        {"epochs": -1},
+        {"d": 4.5},
+        {"layers": -1},
+        {"steps_per_epoch": 0},
+        {"adv_temperature": 0},
     ])
     def test_config_typo_exits_1(self, tmp_path, capsys, values):
         data = _tiny_dataset(tmp_path)
@@ -180,6 +190,32 @@ class TestTrainEvaluate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        data = _tiny_dataset(tmp_path)
+        code = main(["train", "--data", str(data), "--seed", "-1",
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_exits_1(self, tmp_path, capsys, monkeypatch):
+        def poisoned(*args, **kwargs):
+            params = init_params(*args, **kwargs)
+            params.tensors["dec_W1"][0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(train_module, "init_params", poisoned)
+        data = _tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"d": 4, "layers": 1, "epochs": 1, "batch_size": 4}))
+        code = main([
+            "train", "--data", str(data), "--config", str(cfg_path),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: loss nan")
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize("cut", ["empty", "header", "body"])
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, cut):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hcnet.evalrank as evalrank
 from hcnet.errors import ConfigError, EmptyOutcomes, NaNScore
 from hcnet.evalrank import (
     MetricsReport,
@@ -145,6 +146,22 @@ class TestEvaluateModel:
         # With the truth plus at most 3 sampled negatives, rank <= 4 always,
         # so hits@10 is exactly 1.
         assert rep.hits10 == 1.0
+
+    @pytest.mark.parametrize("kind", ["hcnet", "hrnet"])
+    def test_report_equals_recording_pass(self, kind, monkeypatch):
+        # Evaluation runs its forwards on a non-recording tape; recording
+        # them must not change a single bit of the report.
+        g = hypercycle(12, 3)
+        mode = "query-dependent" if kind == "hcnet" else "query-independent"
+        params = init_params(g, ModelConfig(kind=kind, d=8, layers=2, mode=mode),
+                             np.random.default_rng(3))
+        test = [HyperEdge(0, (0, 6)), HyperEdge(0, (2, 9)), HyperEdge(0, (5, 7))]
+        lean = evaluate_model(g, test, params, kind, batch_queries=4).as_dict()
+        for name in ("hcnet_forward_batch", "hrnet_forward_batch"):
+            forward = getattr(evalrank, name)
+            monkeypatch.setattr(evalrank, name,
+                                lambda *a, _f=forward, **k: _f(*a, **{**k, "record": True}))
+        assert evaluate_model(g, test, params, kind, batch_queries=4).as_dict() == lean
 
     def test_unknown_kind(self):
         g, params, test = self._setup()

@@ -9,6 +9,7 @@ from hcnet.nn import (
     INIT_VARIANTS,
     ModelConfig,
     decode_kary,
+    decode_kary_batch,
     decode_unary,
     decode_unary_batch,
     feature_partition,
@@ -19,6 +20,7 @@ from hcnet.nn import (
     hcnet_init,
     hrnet_features_exact,
     hrnet_forward,
+    hrnet_forward_batch,
     init_params,
     pe_table,
     positional_encoding,
@@ -274,6 +276,27 @@ class TestBatchedForward:
         assert tape_vars((2,)) == tape_vars((6,))
         one, two, three = tape_vars((2,)), tape_vars((2, 6)), tape_vars((2, 6, 4))
         assert three - two == two - one
+
+    def test_non_recording_pass_is_bitwise_equal(self):
+        rng = np.random.default_rng(10)
+        g = random_hypergraph(rng, max_nodes=15, max_arity=4)
+        queries = [random_query(rng, g) for _ in range(3)]
+        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3), rng)
+        hr_params = init_params(
+            g, ModelConfig(kind="hrnet", d=8, layers=3, mode="query-independent"), rng
+        )
+        k = hr_params.decoder_arities[0]
+        tuples = rng.integers(0, g.node_count, (5, k)).astype(np.intp)
+        qrel = np.full(5, next(r.id for r in g.relations if r.arity == k), dtype=np.intp)
+        out = {}
+        for record in (True, False):
+            hc = hcnet_forward_batch(g, queries, params, record=record)
+            hr = hrnet_forward_batch(g, hr_params, record=record)
+            out[record] = (hc.features.value, decode_unary_batch(hc).value,
+                           hr.features.value, decode_kary_batch(hr, tuples, qrel).value)
+            assert (len(hc.tape.vars) > 0, len(hr.tape.vars) > 0) == (record, record)
+        for a, b in zip(out[True], out[False]):
+            np.testing.assert_array_equal(a, b)
 
     def test_masked_edges_change_features(self):
         g = hypercycle(8, 3)

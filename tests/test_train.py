@@ -1,17 +1,23 @@
 """Training loop: negatives, masking, loss, Adam, fit, checkpoints."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcnet
 from hcnet import autodiff as ad
 from hcnet.errors import (
     CheckpointError,
     FactNotFound,
     NoCandidate,
+    NonFiniteValue,
     ProbabilityOutOfRange,
     ShapeMismatch,
 )
@@ -171,6 +177,27 @@ class TestTrainStep:
         train_step(params, state, trace, pos, neg, TrainConfig(lr=0.1))
         assert state.step == 1
         assert not np.array_equal(params.tensors["dec_W2"], before["dec_W2"])
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_raises_before_update(self, bad):
+        g = hypercycle(8, 3)
+        params = init_params(g, ModelConfig(kind="hcnet", d=4, layers=1),
+                             np.random.default_rng(0))
+        params.tensors["W_l0"][0, 1] = bad
+        before = {k: v.copy() for k, v in params.tensors.items()}
+        trace = hcnet_forward_batch(g, [Query(0, (0,), 2), Query(0, (1,), 2)], params)
+        logits = decode_unary_batch(trace)
+        rows = np.arange(2, dtype=np.intp)
+        pos = ad.gather_2d(trace.tape, logits, rows, np.asarray([4, 5]))
+        neg = ad.gather_2d(trace.tape, logits, rows[:, None], np.asarray([[1], [2]]))
+        state = AdamState()
+        with pytest.raises(NonFiniteValue):
+            train_step(params, state, trace, pos, neg, TrainConfig(lr=0.1))
+        assert state.step == 0 and state.m == {}
+        for name, tensor in params.tensors.items():
+            np.testing.assert_array_equal(tensor, before[name])
 
 
 class TestMasking:
@@ -373,3 +400,43 @@ class TestCheckpoint:
         self._saved(tmp_path)
         assert path.read_bytes() == raw
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+# One training step at the benchmark's `train` size: V=1000, E=4000 facts of
+# arities 2/2/3/3, Q=16 queries, L=3, d=32, 10 negatives. Prints the peak
+# RSS of the process in MB.
+_STEP_SCRIPT = """
+import resource
+import numpy as np
+from hcnet.hypergraph import HyperEdge, Relation, build_graph
+from hcnet.train import TrainConfig, fit
+
+rng = np.random.default_rng(0)
+arities = (2, 2, 3, 3)
+relations = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
+edges = []
+for r, k in enumerate(arities):
+    rows = np.unique(rng.integers(0, 1000, size=(1100, k)), axis=0)[:1000]
+    edges += [HyperEdge(r, tuple(int(v) for v in row)) for row in rows]
+graph = build_graph(relations, edges, 1000)
+cfg = TrainConfig(d=32, layers=3, batch_size=16, negatives=10, epochs=1, steps_per_epoch=1)
+_, log = fit(graph, {"train": edges}, cfg)
+assert len(log) == 1 and np.isfinite(log[0]["loss"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+class TestMemoryBound:
+    def test_train_step_peak_rss(self):
+        """The step's tape frees each gradient once it has been propagated;
+        keeping them all alive peaked at about 1.6 GB."""
+        src = Path(hcnet.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", _STEP_SCRIPT], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = float(proc.stdout.split()[-1])
+        assert peak_mb < 1200, f"peak RSS {peak_mb:.0f} MB"
