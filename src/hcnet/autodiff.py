@@ -15,12 +15,16 @@ parents, the leaves and constants, keep a gradient. A Tape(record=False)
 records nothing: its vars carry no parents and the tape keeps no list, so
 a forward pass for evaluation holds no more than the arrays still in use.
 Every float scatter-add is `scatter_add`, a bincount that reproduces
-np.add.at bit for bit at a fraction of its cost.
+np.add.at bit for bit at a fraction of its cost. Importing the module sets
+glibc's malloc to keep freed arrays for reuse (`keep_freed_memory`), so a
+repeated pass does not page-fault its arrays in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -28,6 +32,36 @@ import numpy as np
 from .errors import ShapeMismatch
 
 Array = np.ndarray
+
+# glibc's malloc hands a freed block back to the kernel when it was mapped
+# on its own (above the mmap threshold) or leaves more than the trim
+# threshold free at the top of the heap, and both thresholds adapt to what
+# the process freed before. A pass over a large graph allocates tens of MB
+# of arrays, so whether it page-faulted them all in again followed the
+# process's history: a recorded hrnet forward on V=2000 took 22 ms after
+# one training run and 31-34 ms (7300 faults) after a leaner one. Fixed
+# thresholds keep freed arrays in the process for the next pass.
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> bool:
+    """Have glibc serve arrays up to 32 MB from the heap and keep up to
+    2 GB of freed heap; True if both were set. A no-op, False, without
+    glibc's mallopt or when either threshold is set in the environment."""
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)) and bool(
+        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
+    )
+
+
+keep_freed_memory()
 
 
 class Var:
@@ -250,23 +284,23 @@ def sum_all(tape: Tape, a: Var) -> Var:
 # one call, and a large graph one call per slice, its randomly indexed
 # accumulator staying in cache. On a 2-core x86 host, a scatter of 16
 # slices of V*d = 32000 bins took 14 ms with one slice per call and
-# 23-39 ms with 2 to 16.
+# 23-39 ms with 2 to 16; the hypercycle benchmark workload (up to 20
+# slices of 640 bins) ran 29.3 steps/s with these chunks and 27.5 with one
+# slice per call (medians of 10 pairs).
 SCATTER_BINS = 1 << 15
-_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
 
 def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
     """A new array: float64 base (..., V, d) with vals (..., *idx.shape, d)
     summed in at [..., idx, :], duplicates accumulating in index order; idx
-    in [0, V). Bit for bit np.add.at(base.copy(), (..., idx, slice(None)),
-    vals).
+    in [0, V) and base free of -0.0. Bit for bit np.add.at(base.copy(),
+    (..., idx, slice(None)), vals).
 
     Each leading slice has V*d bins. The terms of a slice are its base
     entries, then its vals in index order, and one np.bincount sums a chunk
     of slices; bincount adds weights in input order, as np.add.at does.
-    Its sums start from +0.0, so a base of all +0.0 (every VJP, the first
-    scatter of a layer) is left out of the terms. Where the base holds a
-    -0.0, a bin whose terms are all -0.0 comes out +0.0; it is set back."""
+    Its sums start from +0.0, so a base of all zeros (every VJP, the first
+    scatter of a layer) is left out of the terms."""
     V, d = base.shape[-2:]
     n = V * d
     idx = np.asarray(idx, dtype=np.intp)
@@ -275,10 +309,8 @@ def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
     m = idx.size * d
     count = math.prod(base.shape[:-2])
     base_s = base.reshape(count, n)
-    vals_s = vals.reshape((count,) + idx.shape + (d,))
-    bits = base_s.view(np.int64)
-    head = n if bits.any() else 0  # base terms per slice
-    neg_zero = head and (bits == _NEG_ZERO_BITS).any()
+    vals_s = vals.reshape(count, m)
+    head = n if base_s.any() else 0  # base terms per slice
     chunk = max(1, min(count, SCATTER_BINS // max(n, 1)))
     bins = np.empty((chunk, head + m), dtype=np.intp)  # row q: bin of each term of slice q
     bins[0, :head] = np.arange(head)
@@ -287,19 +319,13 @@ def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
     cols += np.arange(d)
     if chunk > 1:
         np.add(bins[0], (np.arange(1, chunk) * n)[:, None], out=bins[1:])
-    terms = np.empty((chunk, head + m))
     parts = []
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
-        terms[:c, :head] = base_s[lo : lo + c, :head]
-        terms[:c, head:] = vals_s[lo : lo + c].reshape(c, m)
-        acc = np.bincount(bins[:c].reshape(-1), weights=terms[:c].reshape(-1), minlength=c * n)
-        if neg_zero:
-            lost = np.flatnonzero((acc == 0) & np.signbit(terms[:c, :n]).reshape(-1))
-            rest = terms[:c, n:]
-            live = np.bincount(bins[:c, n:][(rest != 0) | ~np.signbit(rest)], minlength=c * n)
-            acc[lost[live[lost] == 0]] = -0.0
-        parts.append(acc)
+        terms = vals_s[lo : lo + c]
+        if head:
+            terms = np.concatenate((base_s[lo : lo + c], terms), axis=1)
+        parts.append(np.bincount(bins[:c].reshape(-1), weights=terms.reshape(-1), minlength=c * n))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return out.reshape(base.shape)
 

@@ -219,9 +219,7 @@ def gradient_suite(seed: int = 0, instances: int = 10, threshold: float = 1e-4) 
 
 def complexity_suite(seed: int = 0, factor_limit: float = 2.5, repeats: int = 3) -> SuiteResult:
     """Doubling the edge count doubles forward wall time at most
-    `factor_limit`-fold (linear-in-edges scaling). The pass is timed
-    without recording: a recorded one keeps every intermediate alive, so
-    its time also measures how much free heap earlier work left behind."""
+    `factor_limit`-fold (linear-in-edges scaling)."""
     rng = np.random.default_rng(seed)
     times = {}
     for n in (1000, 2000):
@@ -231,7 +229,7 @@ def complexity_suite(seed: int = 0, factor_limit: float = 2.5, repeats: int = 3)
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
-            hrnet_forward_batch(g, params, record=False)
+            hrnet_forward_batch(g, params)
             best = min(best, time.perf_counter() - t0)
         times[n] = best
     ratio = times[2000] / times[1000]
