@@ -4,9 +4,15 @@ A Tape records every produced Var in creation order together with
 vector-Jacobian closures back to its parents; backward() replays the tape
 in reverse. The operator set is exactly what the message-passing models
 need: broadcasting arithmetic, matmul on the last axis, gather/scatter on
-the node axis, exclusive products, concat, layer norm, and stable
-sigmoid/softplus pieces.
+the node axis, a layer's relational messages (`relation_messages`),
+concat, layer norm, and stable sigmoid/softplus pieces.
 Accumulation order is fixed by tape order, so gradients are deterministic.
+
+A layer's messages are one tape op for all relations. It keeps only the
+summed (..., V, d) messages; its VJP recomputes each relation's gathered
+rows, factors and exclusive products from the layer's input, one
+relation at a time (recomputation in backward, as in gradient
+checkpointing), so no per-incidence array outlives the op.
 
 The tape holds only what is still needed. backward() frees as it walks:
 once a var has passed its gradient on, it drops that gradient and its
@@ -173,42 +179,39 @@ def exclusive_products(f: Array) -> Array:
     return out
 
 
-def exclusive_prod(tape: Tape, f: Var) -> Var:
-    """exclusive_products on the tape. With P_j, S_j the products of the
-    factors before and after j, the VJP is grad_j = A_j S_j + P_j B_j,
-    where A_j = sum_{i<j} g_i prod_{l<j, l!=i} f_l and B_j mirrors it from
-    the right. Two sweeps build them: A_{j+1} = A_j f_j + g_j P_j and
-    B_{j-1} = B_j f_j + g_j S_j. The sweeps skip the trivial ends (P_0 = 1,
-    A_0 = 0 and their mirrors), so for two factors the VJP is a swap."""
-    x = f.value
-    k = x.shape[-3]
+def exclusive_products_vjp(f: Array, g: Array) -> Array:
+    """Gradient of sum(g * exclusive_products(f)) with respect to f. With
+    P_j, S_j the products of the factors before and after j, it is
+    grad_j = A_j S_j + P_j B_j, where A_j = sum_{i<j} g_i prod_{l<j, l!=i} f_l
+    and B_j mirrors it from the right. Two sweeps build them:
+    A_{j+1} = A_j f_j + g_j P_j and B_{j-1} = B_j f_j + g_j S_j. The sweeps
+    skip the trivial ends (P_0 = 1, A_0 = 0 and their mirrors), so for two
+    factors the gradient is a swap; for one it is zero."""
+    k = f.shape[-3]
     if k == 1:
-        return tape.constant(exclusive_products(x))
+        return np.zeros_like(f)
 
     def at(a: Array, j: int) -> Array:
         return a[..., j, :, :]
 
-    def vjp(g: Array) -> Array:
-        out = np.empty_like(x)  # holds S_j, 0 < j < k-1, until the second sweep
-        bs: dict[int, Array] = {}  # B_j, 0 < j < k-1
-        s, b = at(x, k - 1), at(g, k - 1)  # S_{k-2}, B_{k-2}
-        for j in range(k - 2, 0, -1):
-            at(out, j)[...] = s
-            bs[j] = b
-            b = b * at(x, j) + at(g, j) * s
-            s = at(x, j) * s
-        at(out, 0)[...] = b
-        p, a = at(x, 0), at(g, 0)
-        for j in range(1, k - 1):
-            oj = at(out, j)
-            oj *= a
-            oj += p * bs[j]
-            a = a * at(x, j) + at(g, j) * p
-            p = p * at(x, j)
-        at(out, k - 1)[...] = a
-        return out
-
-    return tape.var(exclusive_products(x), ((f, vjp),))
+    out = np.empty_like(f)  # holds S_j, 0 < j < k-1, until the second sweep
+    bs: dict[int, Array] = {}  # B_j, 0 < j < k-1
+    s, b = at(f, k - 1), at(g, k - 1)  # S_{k-2}, B_{k-2}
+    for j in range(k - 2, 0, -1):
+        at(out, j)[...] = s
+        bs[j] = b
+        b = b * at(f, j) + at(g, j) * s
+        s = at(f, j) * s
+    at(out, 0)[...] = b
+    p, a = at(f, 0), at(g, 0)
+    for j in range(1, k - 1):
+        oj = at(out, j)
+        oj *= a
+        oj += p * bs[j]
+        a = a * at(f, j) + at(g, j) * p
+        p = p * at(f, j)
+    at(out, k - 1)[...] = a
+    return out
 
 
 def scale(tape: Tape, a: Var, s: float) -> Var:
@@ -327,7 +330,7 @@ def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
             terms = np.concatenate((base_s[lo : lo + c], terms), axis=1)
         parts.append(np.bincount(bins[:c].reshape(-1), weights=terms.reshape(-1), minlength=c * n))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out.reshape(base.shape)
+    return out.reshape(base.shape).astype(base.dtype, copy=False)  # bincount of no terms is int64
 
 
 def gather_nodes(tape: Tape, h: Var, idx: Array) -> Var:
@@ -346,11 +349,114 @@ def take_rows(tape: Tape, table: Var, idx: Array) -> Var:
 
 
 def index_add(tape: Tape, base: Var, idx: Array, vals: Var) -> Var:
-    """out = base with vals accumulated at [..., idx, :] (duplicates sum)."""
+    """out = base with vals accumulated at [..., idx, :] (duplicates sum).
+    No model calls it since `relation_messages` took over its scatter; the
+    benchmark's tracer (`perfbench/tracer.py`) still patches it by name."""
     return tape.var(
         scatter_add(base.value, idx, vals.value),
         ((base, lambda g: g), (vals, lambda g: g[..., idx, :])),
     )
+
+
+# --- the message kernel ------------------------------------------------------
+
+
+def _factors(h: Array, alpha: Array, one_minus: Array, pe: Array, nodes: Array):
+    """A relation's gathered rows h[..., nodes.T, :] (..., k, E, d), its
+    encodings pe[1..k] (k, 1, d) and its factors alpha*rows + one_minus*pe."""
+    hn = h[..., nodes.T, :]
+    pk = pe[np.arange(1, nodes.shape[1] + 1)[:, None]]
+    return hn, pk, alpha * hn + one_minus * pk
+
+
+def incidence_messages(
+    h: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict, groups: dict
+) -> tuple[Array, Array]:
+    """Every incidence's message (..., T, d) and its destination node (T,).
+
+    groups maps each relation to its (E, k) node ids and gates to its gate
+    (broadcastable to (..., k, E, d)); T is the sum of k*E. Relation by
+    relation, in the order of groups, position-major: the message to
+    position i of an edge is gate * prod_{j != i} (alpha h_e(j) + one_minus
+    pe_j), written straight into the output."""
+    T = sum(nodes.size for nodes in groups.values())
+    msgs = np.empty(h.shape[:-2] + (T, h.shape[-1]))
+    dest = np.empty(T, dtype=np.intp)
+    lo = 0
+    for rel, nodes in groups.items():
+        hi = lo + nodes.size
+        _, _, f = _factors(h, alpha, one_minus, pe, nodes)
+        out = msgs[..., lo:hi, :].reshape(f.shape)  # splits an axis: a view
+        np.multiply(exclusive_products(f), gates[rel], out=out)
+        dest[lo:hi] = nodes.T.reshape(-1)
+        lo = hi
+    return msgs, dest
+
+
+def _relation_grads(
+    G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, nodes: Array
+) -> list[Array]:
+    """One relation's gradient contributions to gate, one_minus, alpha, pe
+    and h (to the gate alone at arity 1, whose product is constant), given
+    the gradient G (..., V, d) of the summed messages. Factors and products
+    are recomputed from the inputs. Each term is computed as the separate
+    tape ops (gather, take_rows, mul, add, exclusive products, gate mul,
+    index_add) computed it, so the gradients are bitwise equal to theirs."""
+    hn, pk, f = _factors(h.value, alpha.value, one_minus.value, pe.value, nodes)
+    gm = G[..., nodes.T, :]
+    out = [_unbroadcast(gm * exclusive_products(f), gate.value.shape)]
+    if nodes.shape[1] == 1:
+        return out
+    gf = exclusive_products_vjp(f, _unbroadcast(gm * gate.value, f.shape))
+    del gm, f
+    gb = _unbroadcast(gf, pk.shape)
+    out.append(_unbroadcast(gb * pk, one_minus.value.shape))
+    out.append(_unbroadcast(gf * hn, alpha.value.shape))
+    del hn
+    rows = np.arange(1, nodes.shape[1] + 1)[:, None]
+    gpk = _unbroadcast(gb * one_minus.value, pk.shape)
+    out.append(scatter_add(np.zeros_like(pe.value), rows, gpk))
+    ghn = _unbroadcast(gf * alpha.value, gf.shape)
+    out.append(scatter_add(np.zeros_like(h.value), nodes.T, ghn))
+    return out
+
+
+def relation_messages(
+    tape: Tape, h: Var, alpha: Var, one_minus: Var, pe: Var, gates: dict, groups: dict
+) -> Var:
+    """A layer's summed messages (..., V, d): `incidence_messages` scattered
+    onto their destinations by one `scatter_add`, bit for bit the chain of
+    one index_add per relation.
+
+    One tape op for all relations, and it keeps no per-incidence array: its
+    VJP recomputes each relation's factors and products from the inputs,
+    one relation at a time. The parents are listed as (parent, relation)
+    pairs in the order the per-op chain reached them: relations last to
+    first, and per relation gate, one_minus, alpha, pe, h. The first pair
+    of a relation computes all of its terms, and each pair hands on one."""
+    msgs, dest = incidence_messages(
+        h.value, alpha.value, one_minus.value, pe.value,
+        {rel: g.value for rel, g in gates.items()}, groups,
+    )
+    out = scatter_add(np.zeros_like(h.value), dest, msgs)
+
+    def relation_vjp(rel: int, nodes: Array) -> Callable[[Array], Array]:
+        pending: list[Array] = []
+
+        def vjp(g: Array) -> Array:
+            if not pending:
+                grads = _relation_grads(g, h, alpha, one_minus, pe, gates[rel], nodes)
+                pending.extend(reversed(grads))
+            return pending.pop()
+
+        return vjp
+
+    parents: list[tuple[Var, Callable[[Array], Array]]] = []
+    for rel, nodes in reversed(groups.items()):
+        vjp = relation_vjp(rel, nodes)
+        targets = (gates[rel],) if nodes.shape[1] == 1 else (gates[rel], one_minus, alpha, pe, h)
+        parents += [(t, vjp) for t in targets]
+    return tape.var(out, tuple(parents))
 
 
 def index_add_2d(tape: Tape, base: Var, rows: Array, cols: Array, vals: Var) -> Var:

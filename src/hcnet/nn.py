@@ -1,21 +1,24 @@
 """Positional encodings, conditional/unconditional message passing, decoders.
 
 Two forward paths share the same parameterization and one message
-kernel: per relation, one gather of the (E_r, k) node ids, position-major,
-and the exclusive products of the factors (`autodiff.exclusive_products`).
+kernel, `autodiff.incidence_messages`: per relation, one gather of the
+(E_r, k) node ids, position-major, and the exclusive products of the
+factors (`autodiff.exclusive_products`), gated, all written into one
+array of per-incidence messages.
 
-* The batched training path runs the kernel on a gradient tape
-  (`autodiff.exclusive_prod`), so the tape grows by a fixed number of
-  vars per relation and layer, whatever the arity. It scores Q queries
-  against all nodes at once, with layer norm / dropout / skip connections
-  as used for training.
+* The batched training path runs the kernel as one tape op per layer
+  (`autodiff.relation_messages`), which sums the messages with one
+  scatter and keeps no per-incidence array: its VJP recomputes them from
+  the layer's input, one relation at a time. It scores Q queries against
+  all nodes at once, with layer norm / dropout / skip connections as used
+  for training.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
   features — required by the refinement-and-matching checks against the
   WL engines.
 
-The compiled logic networks (`logic.run_compiled`) run the same kernel in
+The compiled logic networks (`logic.run_compiled`) run its products in
 int64. Both conditional paths start from one query initialization
 (`_query_init`), which also checks every query.
 
@@ -101,6 +104,11 @@ class ModelConfig:
     use_layernorm: bool = True
     use_skip: bool = True
     dropout: float = 0.0
+
+    def __post_init__(self) -> None:
+        # hrnet has no query, so there is nothing for W_r z_q to read.
+        if self.kind == "hrnet" and self.mode == "query-dependent":
+            raise ConfigError("hrnet needs mode 'query-independent'")
 
     def bare(self) -> "ModelConfig":
         return replace(self, use_layernorm=False, use_skip=False, dropout=0.0)
@@ -238,23 +246,15 @@ def forward_exact(
     out = [h0.astype(np.float64)]
     h = out[0]
     edge_groups = edges_by_relation(graph)
+    pe = params.pe_row(slice(None))
     for ell in range(L):
         alpha = params.tensors[f"alpha_l{ell}"]
         W = params.tensors[f"W_l{ell}"]
         b = params.tensors[f"b_l{ell}"]
-        dest, msgs = [], []
-        for rel, nodes in edge_groups.items():
-            k = nodes.shape[1]
-            p = params.pe_row(np.arange(1, k + 1)[:, None])  # (k, 1, d)
-            f = alpha * h[nodes.T] + (1.0 - alpha) * p  # (k, E, d)
-            m = _g_vector(params, rel, query_rel) * ad.exclusive_products(f)
-            dest.append(nodes.T.reshape(-1))
-            msgs.append(m.reshape(-1, m.shape[-1]))
-        acc = np.zeros_like(h)
-        if dest:
-            dest_a, msgs_a = np.concatenate(dest), np.concatenate(msgs)
-            order = np.lexsort((*msgs_a.T[::-1], dest_a))
-            acc = ad.scatter_add(acc, dest_a[order], msgs_a[order])
+        gates = {rel: _g_vector(params, rel, query_rel) for rel in edge_groups}
+        msgs, dest = ad.incidence_messages(h, alpha, 1.0 - alpha, pe, gates, edge_groups)
+        order = np.lexsort((*msgs.T[::-1], dest))
+        acc = ad.scatter_add(np.zeros_like(h), dest[order], msgs[order])
         # Row by row, so equal input rows give bitwise-equal output rows
         # whatever blocking a BLAS matrix product would use.
         x = np.concatenate([h, acc], axis=1)
@@ -319,14 +319,7 @@ def _message_layer(
 ) -> Var:
     alpha = bound[f"alpha_l{ell}"]
     one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
-    msgs = tape.constant(np.zeros_like(h.value))
-    for rel, nodes in edge_groups.items():
-        k = nodes.shape[1]
-        hn = ad.gather_nodes(tape, h, nodes.T)  # (Q, k, E, d)
-        pk = ad.take_rows(tape, bound["pe"], np.arange(1, k + 1)[:, None])  # (k, 1, d)
-        f = ad.add(tape, ad.mul(tape, alpha, hn), ad.mul(tape, one_minus, pk))
-        m = ad.mul(tape, ad.exclusive_prod(tape, f), g_by_rel[rel])
-        msgs = ad.index_add(tape, msgs, nodes.T, m)
+    msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, edge_groups)
     z = ad.concat_last(tape, [h, msgs])
     z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
     if cfg.use_layernorm:

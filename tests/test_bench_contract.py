@@ -71,20 +71,28 @@ def test_traced_forward_backward_and_evaluation(tracer):
     params = nn.init_params(g, nn.ModelConfig(kind="hcnet", d=8, layers=2),
                             np.random.default_rng(0))
     queries = [hg.Query(0, (0,), 2), hg.Query(0, (3,), 2)]
+    hr_params = nn.init_params(
+        g, nn.ModelConfig(kind="hrnet", d=8, layers=2, mode="query-independent"),
+        np.random.default_rng(0),
+    )
+    tuples = np.array([[0, 4], [3, 7]], dtype=np.intp)
     with tracer.Tracer() as t:
         trace = nn.hcnet_forward_batch(g, queries, params, train=True)
         logits = nn.decode_unary_batch(trace)
         grads = nn.backward(trace, np.ones_like(logits.value))
+        hr_trace = nn.hrnet_forward_batch(g, hr_params, train=True)
+        hr_logits = nn.decode_kary_batch(hr_trace, tuples, np.zeros(2, dtype=np.intp))
+        hr_grads = nn.backward(hr_trace, np.ones_like(hr_logits.value))
         report = evalrank.evaluate_model(g, [hg.HyperEdge(0, (0, 4))], params, "hcnet")
     assert report.count == 2
-    assert all(np.isfinite(v).all() for v in grads.values())
+    assert all(np.isfinite(v).all() for v in [*grads.values(), *hr_grads.values()])
     metrics = t.metrics()
     reported = {name for name, _, source, _ in tracer.per_layer_metrics() if source != "bench"}
     assert set(metrics) == reported
     assert all(math.isfinite(v) and v >= 0.0 for v in metrics.values())
     for name in ("nn.hcnet_forward_batch_s", "autodiff.backward_s",
                  "evalrank.evaluate_model_self_s", "autodiff.gather_nodes.bwd_s",
-                 "autodiff.index_add.fwd_s", "nn.tape_vars", "nn.tape_mb",
+                 "autodiff.index_add_2d.fwd_s", "nn.tape_vars", "nn.tape_mb",
                  "autodiff.gather_nodes.mb"):
         assert metrics[name] > 0.0, name
     assert not hasattr(ad.gather_nodes, "__wrapped__")  # patches undone on exit

@@ -154,6 +154,27 @@ class TestTrainEvaluate:
         assert code == 1
         assert "unknown model kind" in capsys.readouterr().err
 
+    def test_query_dependent_hrnet_checkpoint_exits_1(self, tmp_path, capsys):
+        # hrnet has no query for W_r z_q; loading such a config is an error.
+        data = _tiny_dataset(tmp_path)
+        graph, _, _, _ = load_dataset(str(data))
+        params = init_params(
+            graph, TrainConfig(d=4, layers=1).model_config("hrnet"), np.random.default_rng(0)
+        )
+        ckpt = tmp_path / "hrnet.ckpt"
+        save_checkpoint(str(ckpt), params)
+        raw = ckpt.read_bytes()
+        hlen = int.from_bytes(raw[:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["model"]["mode"] = "query-dependent"
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :])
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "query-independent" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         data = _tiny_dataset(tmp_path)
         cfg_path = tmp_path / "cfg.json"

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from hcnet import autodiff as ad
 from hcnet.errors import ConfigError, DimensionTooSmall, QueryArityMismatch, ShapeMismatch
 from hcnet.hypergraph import HyperEdge, Query, Relation, apply_permutation, build_graph
 from hcnet.nn import (
     INIT_VARIANTS,
     ModelConfig,
+    backward,
     decode_kary,
     decode_kary_batch,
     decode_unary,
@@ -146,6 +148,12 @@ class TestInit:
             init_params(hypercycle(8, 3), ModelConfig(d=8, layers=1, **typo),
                         np.random.default_rng(0))
 
+    def test_hrnet_rejects_query_dependent_messages(self):
+        with pytest.raises(ConfigError, match="query-independent"):
+            ModelConfig(kind="hrnet", mode="query-dependent")
+        with pytest.raises(ConfigError):
+            _params(hypercycle(8, 3), kind="hrnet")
+
     def test_distinguishability(self):
         # Distinct given nodes receive pairwise-distinct nonzero features,
         # each distinct from the zero background.
@@ -264,8 +272,8 @@ class TestBatchedForward:
             np.testing.assert_allclose(batch[b], single, atol=1e-12)
 
     def test_tape_grows_per_relation_not_per_position(self):
-        # The message kernel records a fixed number of vars per relation and
-        # layer, whatever the relation's arity.
+        # A layer's messages are one tape var whatever the relations and
+        # arities; each relation adds only its gate's vars.
         def tape_vars(arities):
             rels = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
             edges = [HyperEdge(r, tuple(range(k))) for r, k in enumerate(arities)]
@@ -389,3 +397,132 @@ class TestGradients:
             g, ModelConfig(kind="hcnet", d=6, layers=2, pe_kind="learnable"), rng
         )
         assert grad_check(g, q, params, seed=12) < 1e-4
+
+
+# --- the fused message op against the per-op chain it replaced -------------
+
+
+def _exclusive_prod(tape, f):
+    """exclusive_products as a tape op; one factor gives a constant."""
+    x = f.value
+    if x.shape[-3] == 1:
+        return tape.constant(ad.exclusive_products(x))
+    return tape.var(ad.exclusive_products(x), ((f, lambda g: ad.exclusive_products_vjp(x, g)),))
+
+
+def _chained_messages(tape, h, alpha, one_minus, pe, gates, groups):
+    """The layer's messages as separate tape ops: per relation a gather,
+    two muls, an add, the exclusive products, the gate mul, an index_add,
+    plus the encoding lookup."""
+    msgs = tape.constant(np.zeros_like(h.value))
+    for rel, nodes in groups.items():
+        k = nodes.shape[1]
+        hn = ad.gather_nodes(tape, h, nodes.T)
+        pk = ad.take_rows(tape, pe, np.arange(1, k + 1)[:, None])
+        f = ad.add(tape, ad.mul(tape, alpha, hn), ad.mul(tape, one_minus, pk))
+        m = ad.mul(tape, _exclusive_prod(tape, f), gates[rel])
+        msgs = ad.index_add(tape, msgs, nodes.T, m)
+    return msgs
+
+
+def _bitwise_equal(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _graph(arities, nodes=7, per_relation=6, seed=0):
+    rng = np.random.default_rng(seed)
+    rels = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
+    edges = [HyperEdge(r, tuple(int(v) for v in rng.integers(0, nodes, k)))
+             for r, k in enumerate(arities) for _ in range(per_relation)]
+    return build_graph(rels, edges, nodes)
+
+
+def _jittered(graph, seed=0, **kw):
+    params = _params(graph, d=6, layers=3, seed=seed, **kw)
+    rng = np.random.default_rng(seed + 1)
+    for t in params.tensors.values():
+        t += rng.uniform(-0.1, 0.1, t.shape)
+    return params
+
+
+class TestRelationMessages:
+    @pytest.mark.parametrize("gate_shape", [(6,), (2, 1, 1, 6)])
+    def test_op_equals_the_chain_bitwise(self, gate_shape):
+        # Arities 1 to 5, repeated nodes inside an edge, values of very
+        # different magnitudes: only the chain's order of every sum gives
+        # the same bits.
+        groups = {0: np.array([[1, 1, 4], [0, 2, 4]]), 1: np.array([[3], [3], [0]]),
+                  2: np.array([[4, 0, 1, 2, 3]]), 3: np.array([[2, 2], [1, 0], [4, 4]])}
+        rng = np.random.default_rng(1)
+        inputs = {"h": rng.standard_normal((2, 5, 6)) * 10.0 ** rng.integers(-3, 3, 6),
+                  "alpha": np.asarray(0.3), "pe": rng.standard_normal((6, 6)),
+                  **{f"g{r}": rng.standard_normal(gate_shape) for r in groups}}
+        seed = rng.standard_normal((2, 5, 6))
+        results = []
+        for op in (ad.relation_messages, _chained_messages):
+            tape = ad.Tape()
+            leaves = {name: tape.leaf(value.copy()) for name, value in inputs.items()}
+            one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+            gates = {r: leaves[f"g{r}"] for r in groups}
+            out = op(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"], gates, groups)
+            ad.backward(tape, out, seed)
+            results.append((out.value, {n: v.grad for n, v in leaves.items()}))
+        (fused, fused_grads), (chain, chain_grads) = results
+        assert _bitwise_equal(fused, chain)
+        for name in inputs:
+            assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
+
+    @pytest.mark.parametrize("case", [
+        dict(kind="hcnet", arities=(1, 2, 3, 5), mode="query-dependent", dropout=0.3),
+        dict(kind="hcnet", arities=(2, 1, 4), mode="query-independent", pe_kind="learnable"),
+        dict(kind="hcnet", arities=(3, 2, 2), mode="query-dependent", masked_relation=1),
+        dict(kind="hcnet", arities=(1, 1, 2), mode="query-independent", pe_kind="one-hot"),
+        dict(kind="hrnet", arities=(1, 3, 2), mode="query-independent"),
+        dict(kind="hrnet", arities=(2, 4), mode="query-independent", masked_relation=0),
+    ])
+    def test_models_equal_the_chain_bitwise(self, case, monkeypatch):
+        case = dict(case)
+        kind, arities = case.pop("kind"), case.pop("arities")
+        masked_relation = case.pop("masked_relation", None)
+        g = _graph(arities)
+        params = _jittered(g, kind=kind, **case)
+        masked = {e for e, ed in enumerate(g.edges) if ed.relation == masked_relation}
+        queries = [Query(r, tuple(range(k - 1)), k) for r, k in enumerate(arities)]
+        k = max(arities)
+        tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
+        qrel = np.full(5, arities.index(k), dtype=np.intp)
+
+        def run(record):
+            rng = np.random.default_rng(3)
+            if kind == "hcnet":
+                trace = hcnet_forward_batch(g, queries, params, train=True, rng=rng,
+                                            masked_edges=masked, record=record)
+                logits = decode_unary_batch(trace)
+            else:
+                trace = hrnet_forward_batch(g, params, train=True, rng=rng,
+                                            masked_edges=masked, record=record)
+                logits = decode_kary_batch(trace, tuples, qrel)
+            out = [trace.features.value, logits.value]
+            if record:
+                seed = np.random.default_rng(4).standard_normal(logits.value.shape)
+                out += list(backward(trace, seed).values())
+            return out
+
+        fused = run(True) + run(False)
+        monkeypatch.setattr(ad, "relation_messages", _chained_messages)
+        chain = run(True) + run(False)
+        assert len(fused) == len(chain) > 4
+        for a, b in zip(fused, chain):
+            assert _bitwise_equal(a, b)
+
+    def test_tape_keeps_no_per_incidence_array(self):
+        # 40 edges of arity 3 on 6 nodes: a per-incidence array (Q, 3, 40, d)
+        # is ten times the widest per-node one, the (Q, V, 2d) concat.
+        g = _graph((3, 2), nodes=6, per_relation=40)
+        params = _params(g, d=4, layers=2)
+        queries = [Query(0, (0, 1), 3), Query(1, (2,), 1)]
+        trace = hcnet_forward_batch(g, queries, params)
+        decode_unary_batch(trace)
+        widest = len(queries) * g.node_count * 2 * 4
+        assert max(v.value.size for v in trace.tape.vars) == widest

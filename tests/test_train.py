@@ -316,6 +316,17 @@ class TestFit:
         for name in a.tensors:
             assert (a.tensors[name] == b.tensors[name]).all()
 
+    def test_unary_facts_train(self):
+        # A batch of unary facts gives no node to initialize a query from:
+        # the initial features scatter nothing, and must stay float.
+        rels = [Relation(0, "r0", 1), Relation(1, "r1", 2)]
+        edges = [HyperEdge(0, (v,)) for v in range(4)]
+        edges += [HyperEdge(1, (v, (v + 1) % 6)) for v in range(6)]
+        graph = build_graph(rels, edges, 6)
+        cfg = TrainConfig(d=4, layers=2, epochs=2, batch_size=4, negatives=2, seed=0)
+        _, log = fit(graph, {"train": edges[:4]}, cfg)
+        assert len(log) == 2 and all(np.isfinite(e["loss"]) for e in log)
+
     def test_steps_per_epoch_cap(self):
         graph, splits = _toy_splits()
         cfg = TrainConfig(
@@ -428,8 +439,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 class TestMemoryBound:
     def test_train_step_peak_rss(self):
-        """The step's tape frees each gradient once it has been propagated;
-        keeping them all alive peaked at about 1.6 GB."""
+        """The step's tape frees each gradient once it has been propagated
+        and keeps no per-incidence message array; keeping the gradients
+        peaked at about 1.6 GB, keeping the arrays at about 0.9 GB."""
         src = Path(hcnet.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                    OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -439,4 +451,4 @@ class TestMemoryBound:
         )
         assert proc.returncode == 0, proc.stderr
         peak_mb = float(proc.stdout.split()[-1])
-        assert peak_mb < 1200, f"peak RSS {peak_mb:.0f} MB"
+        assert peak_mb < 500, f"peak RSS {peak_mb:.0f} MB"
