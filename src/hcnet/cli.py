@@ -29,23 +29,58 @@ from .synth import hypercycle, write_hypercycle_dataset
 from .train import TrainConfig, fit, load_checkpoint, save_checkpoint
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
+
+
+def _cycle_spec(text: str) -> tuple[int, int]:
+    spec = _ints(text)
+    if len(spec) != 2:
+        raise argparse.ArgumentTypeError(f"expected N,K: {text!r}")
+    return spec
+
+
+def _query_spec(text: str) -> tuple[str, list[str], int]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected REL:u1,u2,...:t: {text!r}")
+    rel, given, target = parts
+    try:
+        return rel, given.split(",") if given else [], int(target)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"target position is not an integer: {text!r}") from None
+
+
+def _relations_spec(text: str) -> list[tuple[str, int]]:
+    pairs = [item.partition(":") for item in text.split(",")]
+    try:
+        return [(name, int(arity)) for name, _, arity in pairs]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME:ARITY,...: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hcnet")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate-hypercycle", help="write the synthetic cyclic suite")
     g.add_argument("--out", required=True)
-    g.add_argument("--ns", default="8,12,16,20")
-    g.add_argument("--ks", default="3,4,5,6,7")
+    g.add_argument("--ns", type=_ints, default="8,12,16,20")
+    g.add_argument("--ks", type=_ints, default="3,4,5,6,7")
     g.add_argument("--ratio", type=float, default=0.7)
     g.add_argument("--seed", type=int, default=0)
 
     r = sub.add_parser("refine", help="emit per-round color partitions")
     src = r.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="dataset directory")
-    src.add_argument("--hypercycle", metavar="N,K", help="generate a cycle instead")
+    src.add_argument(
+        "--hypercycle", type=_cycle_spec, metavar="N,K", help="generate a cycle instead"
+    )
     r.add_argument("--rounds", type=int, default=5)
-    r.add_argument("--query", help="REL:u1,u2,...:t — run the conditioned test")
+    r.add_argument("--query", type=_query_spec, help="REL:u1,u2,...:t — run the conditioned test")
 
     lo = sub.add_parser("logic", help="evaluate or compile formulas")
     lsub = lo.add_subparsers(dest="logic_command", required=True)
@@ -58,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lc = lsub.add_parser("compile")
     lc.add_argument("--formula", required=True)
     lc.add_argument("--colors", default="c0")
-    lc.add_argument("--relations", required=True, metavar="NAME:ARITY,...")
+    lc.add_argument("--relations", type=_relations_spec, required=True, metavar="NAME:ARITY,...")
 
     t = sub.add_parser("train")
     t.add_argument("--data", required=True)
@@ -107,19 +142,16 @@ def _names_to_ids(graph, names: list[str]) -> list[int]:
 
 def _cmd_refine(args) -> int:
     if args.hypercycle:
-        n, k = (int(x) for x in args.hypercycle.split(","))
-        graph = hypercycle(n, k)
+        graph = hypercycle(*args.hypercycle)
     else:
         graph, *_ = load_dataset(args.data)
     if args.query:
-        rel_name, given_part, target = args.query.split(":")
+        rel_name, given_names, target = args.query
         rel = next((r for r in graph.relations if r.name == rel_name), None)
         if rel is None:
             raise ConfigError(f"unknown relation {rel_name!r}")
-        given = _names_to_ids(graph, given_part.split(",")) if given_part else []
-        colorings = conditional_run(
-            graph, Query(rel.id, tuple(given), int(target)), args.rounds
-        )
+        given = _names_to_ids(graph, given_names)
+        colorings = conditional_run(graph, Query(rel.id, tuple(given), target), args.rounds)
     else:
         colorings = hrwl1_run(graph, uniform_coloring(graph), args.rounds)
     for coloring in colorings:
@@ -143,11 +175,7 @@ def _cmd_logic(args) -> int:
         result = eval_formula_c(graph, sig, parse_formula(args.formula), node)
         print("true" if result else "false")
         return 0
-    relations = []
-    for item in args.relations.split(","):
-        name, _, arity = item.partition(":")
-        relations.append((name, int(arity)))
-    sig = LogicSignature(colors=colors, relations=relations)
+    sig = LogicSignature(colors=colors, relations=args.relations)
     net = compile_hgml_r(parse_formula(args.formula), sig)
     print(json.dumps({
         "subformulas": net.size,
@@ -206,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate-hypercycle":
             write_hypercycle_dataset(
                 args.out,
-                tuple(int(x) for x in args.ns.split(",")),
-                tuple(int(x) for x in args.ks.split(",")),
+                args.ns,
+                args.ks,
                 args.ratio,
                 args.seed,
             )

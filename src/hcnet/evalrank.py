@@ -2,27 +2,26 @@
 
 For each test fact and each position t, the candidate set is every node
 whose substitution at t does not form a known fact (train + valid + test),
-plus the true entity. One conditional forward pass scores all candidates
-of a query simultaneously. Ties are broken by the mean of the optimistic
-and pessimistic rank, so a constant scorer cannot inflate the metrics.
+plus the true entity. Both model kinds score every node at a query's target
+in one ranking loop: hcnet by a conditional forward per batch of queries,
+hrnet by decoding V tuples per query from one query-agnostic forward. Ties
+take the mean of the optimistic and pessimistic rank, so a constant scorer
+cannot inflate the metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, EmptyOutcomes, NaNScore
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
-from .nn import (
-    MODEL_KINDS,
-    ModelParams,
-    decode_kary_batch,
-    decode_unary_batch,
-    hcnet_forward_batch,
-    hrnet_forward_batch,
-)
+from .nn import Array, ModelParams, decode_kary_batch, decode_unary_batch
+from .nn import hcnet_forward_batch, hrnet_forward_batch
+
+BATCH_QUERIES = 16  # queries scored per call of a model's scoring function
 
 
 @dataclass
@@ -105,78 +104,55 @@ def aggregate(outcomes: list[RankingOutcome], graph: RelationalHypergraph | None
     return report
 
 
+def _scorer(graph: RelationalHypergraph, params: ModelParams) -> Callable[[list[Query]], Array]:
+    """Logits (Q, V) for a list of queries: one per node at each query's target."""
+    if params.config.kind == "hcnet":
+        return lambda queries: decode_unary_batch(
+            hcnet_forward_batch(graph, queries, params, record=False)
+        ).value
+    trace = hrnet_forward_batch(graph, params, record=False)  # serves every query
+    V = graph.node_count
+
+    def row(q: Query) -> Array:
+        given = np.broadcast_to(np.asarray(q.given, dtype=np.intp), (V, len(q.given)))
+        tuples = np.insert(given, q.target - 1, np.arange(V), axis=1)
+        return decode_kary_batch(trace, tuples, np.full(V, q.relation, dtype=np.intp)).value
+
+    return lambda queries: np.stack([row(q) for q in queries])
+
+
 def evaluate_model(
     graph: RelationalHypergraph,
     test_facts: list[HyperEdge],
     params: ModelParams,
     model_kind: str = "hcnet",
     splits: dict[str, list[HyperEdge]] | None = None,
-    max_negatives: int | None = None,
-    seed: int = 0,
-    batch_queries: int = 16,
 ) -> MetricsReport:
-    """Rank the true entity of every (fact, position) query.
-
-    `max_negatives` caps the candidate pool (sampled without the truth) for
-    parity with negative-sample-limited protocols; default ranks against
-    every filtered candidate.
-    """
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
-    all_facts: set[tuple[int, tuple[int, ...]]] = graph.fact_set()
+    """Rank the true entity of every (fact, position) query. ConfigError if
+    the parameters are not of `model_kind` or lack a relation, arity or decoder."""
+    if model_kind != params.config.kind:
+        raise ConfigError(f"model kind {model_kind!r}, parameters of kind {params.config.kind!r}")
+    if len(graph.relations) > params.num_relations or graph.max_arity > params.max_arity:
+        raise ConfigError(f"model of {params.num_relations} relations, arity <= {params.max_arity}")
+    if model_kind == "hrnet" and {len(f.nodes) for f in test_facts} - set(params.decoder_arities):
+        raise ConfigError(f"a test fact's arity has no decoder in {params.decoder_arities}")
+    all_facts = graph.fact_set() | {(f.relation, f.nodes) for f in test_facts}
     for facts in (splits or {}).values():
         all_facts |= {(f.relation, f.nodes) for f in facts}
-    for f in test_facts:
-        all_facts.add((f.relation, f.nodes))
-    rng = np.random.default_rng(seed)
 
     jobs: list[tuple[Query, int, list[int]]] = []
     for fact in test_facts:
-        arity = len(fact.nodes)
-        for t in range(1, arity + 1):
-            cands = filtered_candidates(fact, t, graph.node_count, all_facts)
-            true = fact.nodes[t - 1]
-            if max_negatives is not None and len(cands) - 1 > max_negatives:
-                others = [v for v in cands if v != true]
-                pick = rng.choice(len(others), size=max_negatives, replace=False)
-                cands = [true] + [others[i] for i in pick]
+        for t in range(1, len(fact.nodes) + 1):
             given = fact.nodes[: t - 1] + fact.nodes[t:]
-            jobs.append((Query(fact.relation, given, t), true, cands))
+            cands = filtered_candidates(fact, t, graph.node_count, all_facts)
+            jobs.append((Query(fact.relation, given, t), fact.nodes[t - 1], cands))
 
+    score = _scorer(graph, params)
     outcomes: list[RankingOutcome] = []
-    if model_kind == "hcnet":
-        for start in range(0, len(jobs), batch_queries):
-            chunk = jobs[start : start + batch_queries]
-            trace = hcnet_forward_batch(graph, [q for q, _, _ in chunk], params, record=False)
-            logits = decode_unary_batch(trace).value
-            for row, (query, true, cands) in enumerate(chunk):
-                scores = logits[row, cands]
-                outcomes.append(
-                    RankingOutcome(query, true, rank_of(scores, cands.index(true)), len(cands))
-                )
-    else:
-        trace = hrnet_forward_batch(graph, params, record=False)
-        by_arity: dict[int, list[int]] = {}
-        for j, (query, _, cands) in enumerate(jobs):
-            by_arity.setdefault(len(query.given) + 1, []).append(j)
-        for arity, job_ids in by_arity.items():
-            tuples, qrels, spans = [], [], []
-            for j in job_ids:
-                query, true, cands = jobs[j]
-                lo = len(tuples)
-                for v in cands:
-                    full = list(query.given)
-                    full.insert(query.target - 1, v)
-                    tuples.append(full)
-                    qrels.append(query.relation)
-                spans.append((j, lo, len(tuples)))
-            logits = decode_kary_batch(
-                trace, np.asarray(tuples, dtype=np.intp), np.asarray(qrels, dtype=np.intp)
-            ).value
-            for j, lo, hi in spans:
-                query, true, cands = jobs[j]
-                scores = logits[lo:hi]
-                outcomes.append(
-                    RankingOutcome(query, true, rank_of(scores, cands.index(true)), len(cands))
-                )
+    for start in range(0, len(jobs), BATCH_QUERIES):
+        chunk = jobs[start : start + BATCH_QUERIES]
+        logits = score([q for q, _, _ in chunk])
+        for row, (query, true, cands) in enumerate(chunk):
+            rank = rank_of(logits[row, cands], cands.index(true))
+            outcomes.append(RankingOutcome(query, true, rank, len(cands)))
     return aggregate(outcomes, graph)

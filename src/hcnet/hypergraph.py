@@ -19,6 +19,7 @@ from .errors import (
     NotABijection,
     ParseError,
     PositionOutOfRange,
+    QueryArityMismatch,
 )
 
 
@@ -48,6 +49,12 @@ class Query:
     target: int
 
     def given_positions(self, arity: int) -> tuple[int, ...]:
+        """Positions 1..arity without the target; QueryArityMismatch unless
+        the query gives arity - 1 nodes and its target lies in 1..arity."""
+        if len(self.given) != arity - 1:
+            raise QueryArityMismatch(f"query gives {len(self.given)} nodes for arity {arity}")
+        if not (1 <= self.target <= arity):
+            raise QueryArityMismatch(f"target position {self.target} outside 1..{arity}")
         return tuple(i for i in range(1, arity + 1) if i != self.target)
 
 

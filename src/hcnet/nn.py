@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import ConfigError, DimensionTooSmall, QueryArityMismatch, ShapeMismatch
+from .errors import ConfigError, DimensionTooSmall, ShapeMismatch
 from .hypergraph import Query, RelationalHypergraph
 from .refine import _canonical_ordinals
 
@@ -365,10 +365,6 @@ def _query_init(
     incidences: list[tuple[int, int, int]] = []  # (query, given node, its position)
     for b, q in enumerate(queries):
         arity = graph.relations[q.relation].arity
-        if len(q.given) != arity - 1:
-            raise QueryArityMismatch(f"query {b} gives {len(q.given)} nodes for arity {arity}")
-        if not (1 <= q.target <= arity):
-            raise QueryArityMismatch(f"query {b}: target position {q.target}")
         incidences += [(b, u, i) for u, i in zip(q.given, q.given_positions(arity))]
     rows_a, cols_a, pe_a = np.asarray(incidences, dtype=np.intp).reshape(-1, 3).T
     qrel = np.asarray([q.relation for q in queries], dtype=np.intp)

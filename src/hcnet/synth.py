@@ -129,19 +129,21 @@ def _pair_logits(
     pos_tails: np.ndarray,
     neg_tails: np.ndarray,
     queries: list[Query],
+    record: bool,
 ):
     """(trace, positive logits (n,), negative logits (n, 1)) for one
-    graph's queries: one negative per query."""
+    graph's queries: one negative per query. With record=False the pass
+    records nothing, so it cannot be differentiated."""
     n = graph.node_count
     rows = np.arange(n, dtype=np.intp)
     if params.config.kind == "hcnet":
-        trace = hcnet_forward_batch(graph, queries, params)
+        trace = hcnet_forward_batch(graph, queries, params, record=record)
         logits = decode_unary_batch(trace)
         tape = trace.tape
         pos = ad.gather_2d(tape, logits, rows, pos_tails)
         neg = ad.gather_2d(tape, logits, rows[:, None], neg_tails[:, None])
     else:
-        trace = hrnet_forward_batch(graph, params)
+        trace = hrnet_forward_batch(graph, params, record=record)
         tape = trace.tape
         qrel = np.zeros(n, dtype=np.intp)
         pos = decode_kary_batch(trace, np.stack([rows, pos_tails], axis=1), qrel)
@@ -185,7 +187,9 @@ def run_expressiveness_experiment(
         for gi in order:
             spec = train_specs[gi]
             queries, pos_tails, neg_tails = batches[spec]
-            trace, pos, neg = _pair_logits(graphs[spec], params, pos_tails, neg_tails, queries)
+            trace, pos, neg = _pair_logits(
+                graphs[spec], params, pos_tails, neg_tails, queries, record=True
+            )
             epoch_loss += train_step(params, state, trace, pos, neg, config)
         losses.append(epoch_loss / max(len(train_specs), 1))
 
@@ -193,7 +197,9 @@ def run_expressiveness_experiment(
         hits, total = 0.0, 0
         for spec in specs:
             queries, pos_tails, neg_tails = batches[spec]
-            _, pos, neg = _pair_logits(graphs[spec], params, pos_tails, neg_tails, queries)
+            _, pos, neg = _pair_logits(
+                graphs[spec], params, pos_tails, neg_tails, queries, record=False
+            )
             hits += _accuracy(pos.value, neg.value) * 2 * spec[0]
             total += 2 * spec[0]
         return hits / total if total else float("nan")

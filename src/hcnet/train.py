@@ -33,6 +33,7 @@ from .errors import (
 from .evalrank import evaluate_model, filtered_candidates
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
+    MODEL_KINDS,
     ForwardTrace,
     ModelConfig,
     ModelParams,
@@ -340,7 +341,8 @@ def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None =
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Inverse of save_checkpoint; raises CheckpointError on a malformed
-    header or a tensor whose bytes are missing."""
+    header (an unknown model kind too) or a tensor whose bytes are missing
+    or whose sizes are not non-negative integers."""
     with open(path, "rb") as fh:
         data = fh.read()
     hlen = int.from_bytes(data[:8], "little")
@@ -353,10 +355,16 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         meta = (header["num_relations"], header["max_arity"], tuple(header["decoder_arities"]))
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if cfg.kind not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {cfg.kind!r}")
     tensors = {}
     pos = 8 + hlen
     for name, shape, nbytes in specs:
-        if nbytes != 4 * int(np.prod(shape, dtype=np.int64)) or pos + nbytes > len(data):
+        if (
+            not all(isinstance(n, int) and n >= 0 for n in (nbytes, *shape))
+            or nbytes != 4 * int(np.prod(shape, dtype=np.int64))
+            or pos + nbytes > len(data)
+        ):
             raise CheckpointError(f"{path}: tensor {name!r} is truncated or mis-sized")
         raw = np.frombuffer(data, dtype="<f4", count=nbytes // 4, offset=pos)
         tensors[name] = raw.astype(np.float64).reshape(shape)

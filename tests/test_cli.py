@@ -8,9 +8,9 @@ import pytest
 
 import hcnet.train as train_module
 from hcnet.cli import main
-from hcnet.hypergraph import load_dataset
+from hcnet.hypergraph import HyperEdge, Relation, build_graph, load_dataset, save_dataset
 from hcnet.nn import init_params
-from hcnet.synth import write_hypercycle_dataset
+from hcnet.synth import hypercycle, write_hypercycle_dataset
 from hcnet.train import TrainConfig, save_checkpoint
 
 
@@ -65,6 +65,12 @@ class TestRefine:
         assert main(["refine", "--data", str(data), "--rounds", "1"]) == 0
         assert len(capsys.readouterr().out.strip().split("\n")) == 2 * 8
 
+    @pytest.mark.parametrize("query", ["r0:x0:5", "r0::2"])
+    def test_query_not_fitting_the_relation_exits_1(self, query, capsys):
+        code = main(["refine", "--hypercycle", "8,3", "--query", query])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_relation_in_query(self, capsys):
         code = main([
             "refine", "--hypercycle", "8,3", "--query", "nope:x0:2",
@@ -114,6 +120,24 @@ class TestLogic:
         assert all(x in (1, 3) for row in payload["p"] for x in row)
 
 
+class TestMalformedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--hypercycle", "8"],
+        ["refine", "--hypercycle", "8,x"],
+        ["refine", "--hypercycle", "8,3", "--query", "r0:x0"],
+        ["refine", "--hypercycle", "8,3", "--query", "r0:x0:z"],
+        ["generate-hypercycle", "--out", "unused", "--ns", "8,a"],
+        ["logic", "compile", "--formula", "color(c0)", "--relations", "r:x"],
+        ["logic", "compile", "--formula", "color(c0)", "--relations", "r"],
+    ], ids=" ".join)
+    def test_usage_error_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "Traceback" not in err
+
+
 class TestTrainEvaluate:
     def test_end_to_end(self, tmp_path, capsys):
         data = _tiny_dataset(tmp_path)
@@ -153,6 +177,32 @@ class TestTrainEvaluate:
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
         assert code == 1
         assert "unknown model kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("misfit", ["relation", "arity", "decoder"])
+    def test_data_the_checkpoint_does_not_fit_exits_1(self, tmp_path, capsys, misfit):
+        # The checkpoint is built for hypercycle(8, 3): three relations of
+        # arity <= 3, and hrnet decoders for arities 2 and 3.
+        base = hypercycle(8, 3)
+        kind = "hrnet" if misfit == "decoder" else "hcnet"
+        params = init_params(
+            base, TrainConfig(d=4, layers=1).model_config(kind), np.random.default_rng(0)
+        )
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), params)
+        test = [HyperEdge(0, (0, 4))]
+        if misfit == "relation":
+            g = build_graph(base.relations + [Relation(3, "r3", 2)],
+                            base.edges + [HyperEdge(3, (0, 1))], 8)
+        elif misfit == "arity":
+            g = hypercycle(8, 5)
+        else:
+            g = build_graph([Relation(0, "r0", 1), *base.relations[1:]], base.edges, 8)
+            test = [HyperEdge(0, (0,))]
+        save_dataset(str(tmp_path / "data"), g, {"train": g.edges, "test": test})
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(tmp_path / "data")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_query_dependent_hrnet_checkpoint_exits_1(self, tmp_path, capsys):
         # hrnet has no query for W_r z_q; loading such a config is an error.
@@ -238,7 +288,7 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err.startswith("error: loss nan")
         assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.parametrize("cut", ["empty", "header", "body"])
+    @pytest.mark.parametrize("cut", ["empty", "header", "body", "negative", "non-integer"])
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, cut):
         data = _tiny_dataset(tmp_path)
         graph, _, _, _ = load_dataset(str(data))
@@ -249,8 +299,16 @@ class TestTrainEvaluate:
         save_checkpoint(str(ckpt), params)
         raw = ckpt.read_bytes()
         hlen = int.from_bytes(raw[:8], "little")
+        # A shape of [-1] with nbytes -4 passes the size equation, and a
+        # count of -1 would read the rest of the file; a dimension "a" is
+        # no number at all.
+        header = json.loads(raw[8 : 8 + hlen])
+        spec = next(s for s in header["tensors"] if s["name"] == "W_l0")
+        spec["shape"], spec["nbytes"] = {"negative": ([-1], -4)}.get(cut, (["a"], 4))
+        blob = json.dumps(header).encode("utf-8")
+        resized = len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :]
         ckpt.write_bytes({"empty": b"", "header": raw[: 8 + hlen // 2],
-                          "body": raw[:-3]}[cut])
+                          "body": raw[:-3]}.get(cut, resized))
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")

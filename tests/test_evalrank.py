@@ -14,7 +14,14 @@ from hcnet.evalrank import (
     rank_of,
 )
 from hcnet.hypergraph import HyperEdge, Query, Relation, build_graph
-from hcnet.nn import ModelConfig, init_params
+from hcnet.nn import (
+    ModelConfig,
+    decode_kary_batch,
+    decode_unary_batch,
+    hcnet_forward_batch,
+    hrnet_forward_batch,
+    init_params,
+)
 from hcnet.synth import hypercycle
 
 
@@ -139,14 +146,6 @@ class TestEvaluateModel:
         rep = evaluate_model(g, [HyperEdge(0, (0, 4))], params, "hrnet")
         assert rep.count == 2
 
-    def test_max_negatives_cap(self):
-        g, params, test = self._setup()
-        rep = evaluate_model(g, test, params, "hcnet", max_negatives=3)
-        assert rep.count == 4
-        # With the truth plus at most 3 sampled negatives, rank <= 4 always,
-        # so hits@10 is exactly 1.
-        assert rep.hits10 == 1.0
-
     @pytest.mark.parametrize("kind", ["hcnet", "hrnet"])
     def test_report_equals_recording_pass(self, kind, monkeypatch):
         # Evaluation runs its forwards on a non-recording tape; recording
@@ -156,17 +155,28 @@ class TestEvaluateModel:
         params = init_params(g, ModelConfig(kind=kind, d=8, layers=2, mode=mode),
                              np.random.default_rng(3))
         test = [HyperEdge(0, (0, 6)), HyperEdge(0, (2, 9)), HyperEdge(0, (5, 7))]
-        lean = evaluate_model(g, test, params, kind, batch_queries=4).as_dict()
+        monkeypatch.setattr(evalrank, "BATCH_QUERIES", 4)
+        lean = evaluate_model(g, test, params, kind).as_dict()
         for name in ("hcnet_forward_batch", "hrnet_forward_batch"):
             forward = getattr(evalrank, name)
             monkeypatch.setattr(evalrank, name,
                                 lambda *a, _f=forward, **k: _f(*a, **{**k, "record": True}))
-        assert evaluate_model(g, test, params, kind, batch_queries=4).as_dict() == lean
+        assert evaluate_model(g, test, params, kind).as_dict() == lean
 
     def test_unknown_kind(self):
         g, params, test = self._setup()
         with pytest.raises(ConfigError):
             evaluate_model(g, test, params, "other")
+
+    @pytest.mark.parametrize("kind", ["hcnet", "hrnet"])
+    def test_kind_must_match_parameters(self, kind):
+        g = hypercycle(8, 3)
+        mode = "query-dependent" if kind == "hcnet" else "query-independent"
+        params = init_params(g, ModelConfig(kind=kind, d=8, layers=2, mode=mode),
+                             np.random.default_rng(0))
+        other = "hrnet" if kind == "hcnet" else "hcnet"
+        with pytest.raises(ConfigError):
+            evaluate_model(g, [HyperEdge(0, (0, 4))], params, other)
 
     def test_filter_uses_split_union(self):
         g = hypercycle(8, 3)
@@ -180,3 +190,91 @@ class TestEvaluateModel:
         # The competing valid fact shrinks the tail candidate set by one.
         union = g.fact_set() | {(other.relation, other.nodes), (fact.relation, fact.nodes)}
         assert len(filtered_candidates(fact, 2, 8, union)) == 7
+
+
+def _reference_outcomes(graph, test_facts, params, kind, splits):
+    """The two ranking paths that evaluate_model replaced, as a reference:
+    hcnet reads a (Q, V) logit row per query in batches of 16; hrnet groups
+    the queries by arity and decodes one tuple per filtered candidate.
+    Outcomes come back in job order."""
+    all_facts = graph.fact_set() | {(f.relation, f.nodes) for f in test_facts}
+    for facts in splits.values():
+        all_facts |= {(f.relation, f.nodes) for f in facts}
+    jobs = []
+    for fact in test_facts:
+        for t in range(1, len(fact.nodes) + 1):
+            cands = filtered_candidates(fact, t, graph.node_count, all_facts)
+            given = fact.nodes[: t - 1] + fact.nodes[t:]
+            jobs.append((Query(fact.relation, given, t), fact.nodes[t - 1], cands))
+
+    scores = [None] * len(jobs)
+    if kind == "hcnet":
+        for start in range(0, len(jobs), 16):
+            chunk = jobs[start : start + 16]
+            trace = hcnet_forward_batch(graph, [q for q, _, _ in chunk], params, record=False)
+            logits = decode_unary_batch(trace).value
+            for row, (_, _, cands) in enumerate(chunk):
+                scores[start + row] = logits[row, cands]
+    else:
+        trace = hrnet_forward_batch(graph, params, record=False)
+        by_arity = {}
+        for j, (query, _, _) in enumerate(jobs):
+            by_arity.setdefault(len(query.given) + 1, []).append(j)
+        for job_ids in by_arity.values():
+            tuples, qrels, spans = [], [], []
+            for j in job_ids:
+                query, _, cands = jobs[j]
+                lo = len(tuples)
+                for v in cands:
+                    full = list(query.given)
+                    full.insert(query.target - 1, v)
+                    tuples.append(full)
+                    qrels.append(query.relation)
+                spans.append((j, lo, len(tuples)))
+            logits = decode_kary_batch(
+                trace, np.asarray(tuples, dtype=np.intp), np.asarray(qrels, dtype=np.intp)
+            ).value
+            for j, lo, hi in spans:
+                scores[j] = logits[lo:hi]
+    return [
+        RankingOutcome(query, true, rank_of(s, cands.index(true)), len(cands))
+        for (query, true, cands), s in zip(jobs, scores)
+    ]
+
+
+def _mixed_arity_instance(seed):
+    """A random graph with relations of arity 1, 2, 3, 2 and 4, its test
+    facts (one per relation, four drawn at random, two train facts) and a
+    valid split."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 14))
+    relations = [Relation(r, f"r{r}", k) for r, k in enumerate((1, 2, 3, 2, 4))]
+
+    def fact(rel):
+        return HyperEdge(rel.id, tuple(int(v) for v in rng.integers(0, n, rel.arity)))
+
+    def facts(count):
+        return [fact(relations[int(rng.integers(0, len(relations)))]) for _ in range(count)]
+
+    g = build_graph(relations, facts(3 * n), n)
+    test = [fact(rel) for rel in relations] + facts(4) + g.edges[:2]
+    return g, test, {"valid": facts(4)}
+
+
+class TestAgainstPerKindPaths:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["hcnet", "hrnet"])
+    def test_outcomes_equal_reference(self, kind, seed, monkeypatch):
+        g, test, splits = _mixed_arity_instance(seed)
+        mode = "query-dependent" if kind == "hcnet" else "query-independent"
+        params = init_params(g, ModelConfig(kind=kind, d=8, layers=2, mode=mode),
+                             np.random.default_rng(seed))
+        captured = []
+        real = evalrank.aggregate
+        monkeypatch.setattr(evalrank, "aggregate",
+                            lambda outs, graph=None: captured.extend(outs) or real(outs, graph))
+        report = evaluate_model(g, test, params, kind, splits)
+        expected = _reference_outcomes(g, test, params, kind, splits)
+        assert len(expected) > 16 and {len(o.query.given) for o in expected} == {0, 1, 2, 3}
+        assert captured == expected
+        assert report.as_dict() == real(expected, g).as_dict()

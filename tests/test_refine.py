@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from hcnet.errors import DomainMismatch, NotAKnowledgeGraph
+from hcnet.errors import DomainMismatch, NotAKnowledgeGraph, QueryArityMismatch
 from hcnet.hypergraph import (
     HyperEdge,
     Query,
@@ -112,6 +112,14 @@ class TestConditional:
         g = hypercycle(8, 3)
         final = conditional_run(g, Query(0, (0,), 2), 4)[-1]
         assert final.colors[2] != final.colors[4]
+
+    @pytest.mark.parametrize("query", [
+        Query(0, (0,), 3), Query(0, (0,), 0), Query(0, (), 2), Query(0, (0, 1), 2),
+    ])
+    def test_malformed_query_rejected(self, query):
+        # r0 is binary: one given node, target 1 or 2.
+        with pytest.raises(QueryArityMismatch):
+            conditional_init(hypercycle(8, 3), query)
 
     def test_edgeless_graph_stays_at_init(self):
         g = build_graph([Relation(0, "r", 2)], [], 4)

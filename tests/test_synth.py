@@ -1,8 +1,11 @@
 """Cyclic hypergraph family: construction, splits, symmetry, experiment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import hcnet.synth as synth
 from hcnet.errors import InvalidSpec
 from hcnet.hypergraph import apply_permutation, load_dataset
 from hcnet.nn import ModelConfig, decode_kary_batch, hrnet_forward_batch, init_params
@@ -174,3 +177,26 @@ class TestExperiment:
         )
         assert len(res.losses) == 1
         assert 0.0 <= res.accuracy <= 1.0
+
+    @pytest.mark.parametrize("model", ["hcnet", "hrnet"])
+    def test_scoring_equals_recording_pass(self, model, monkeypatch):
+        # Training records its passes and scoring records nothing; forcing
+        # scoring to record must not change a single bit of the result.
+        cfg = TrainConfig(d=4, layers=2, epochs=2, lr=1e-3)
+        kw = dict(seed=2, ns=(8, 12), ks=(3,), ratio=0.5)
+        real = synth._pair_logits
+        tapes = []
+
+        def spy(*args, record):
+            trace, pos, neg = real(*args, record=record)
+            tapes.append((record, len(trace.tape.vars)))
+            return trace, pos, neg
+
+        monkeypatch.setattr(synth, "_pair_logits", spy)
+        lean = run_expressiveness_experiment(model, cfg, **kw)
+        assert {record for record, _ in tapes} == {True, False}
+        assert all((size > 0) == record for record, size in tapes)
+        monkeypatch.setattr(synth, "_pair_logits", lambda *a, record: real(*a, record=True))
+        forced = run_expressiveness_experiment(model, cfg, **kw)
+        assert dataclasses.asdict(forced) == dataclasses.asdict(lean)
+        assert not np.isnan(lean.accuracy)
