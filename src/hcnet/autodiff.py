@@ -20,10 +20,11 @@ closures (and with them the arrays they captured), so only vars without
 parents, the leaves and constants, keep a gradient. A Tape(record=False)
 records nothing: its vars carry no parents and the tape keeps no list, so
 a forward pass for evaluation holds no more than the arrays still in use.
-Every float scatter-add is `scatter_add`, a bincount that reproduces
-np.add.at bit for bit at a fraction of its cost. Importing the module sets
-glibc's malloc to keep freed arrays for reuse (`keep_freed_memory`), so a
-repeated pass does not page-fault its arrays in again.
+Every float scatter-add is `scatter_add`, a bincount into a new zero
+array that reproduces np.add.at into zeros bit for bit at a fraction of
+its cost. Importing the module sets glibc's malloc to keep freed arrays
+for reuse (`keep_freed_memory`), so a repeated pass does not page-fault
+its arrays in again.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class Tape:
         return self.var(value)
 
     def constant(self, value: Array) -> Var:
-        # Recorded like any var but with no parents; gradient is discarded.
+        # Recorded like any var, with no parents, so backward leaves its
+        # gradient in .grad as it does a leaf's.
         return self.var(value)
 
 
@@ -293,31 +295,26 @@ def sum_all(tape: Tape, a: Var) -> Var:
 SCATTER_BINS = 1 << 15
 
 
-def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
-    """A new array: float64 base (..., V, d) with vals (..., *idx.shape, d)
-    summed in at [..., idx, :], duplicates accumulating in index order; idx
-    in [0, V) and base free of -0.0. Bit for bit np.add.at(base.copy(),
-    (..., idx, slice(None)), vals).
+def scatter_add(shape: tuple[int, ...], idx: Array, vals: Array) -> Array:
+    """A new float64 array of `shape` (..., V, d) with vals (..., *idx.shape,
+    d) summed from +0.0 at [..., idx, :], duplicates accumulating in index
+    order; idx in [0, V). Bit for bit np.add.at(np.zeros(shape), (...,
+    idx, slice(None)), vals).
 
-    Each leading slice has V*d bins. The terms of a slice are its base
-    entries, then its vals in index order, and one np.bincount sums a chunk
-    of slices; bincount adds weights in input order, as np.add.at does.
-    Its sums start from +0.0, so a base of all zeros (every VJP, the first
-    scatter of a layer) is left out of the terms."""
-    V, d = base.shape[-2:]
+    Each leading slice has V*d bins, and one np.bincount sums a chunk of
+    slices. bincount starts every bin at +0.0 and adds its weights in input
+    order, as np.add.at does into zeros."""
+    V, d = shape[-2:]
     n = V * d
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and not (0 <= idx.min() and idx.max() < V):
         raise IndexError(f"scatter index outside [0, {V})")  # a bin of the next slice
     m = idx.size * d
-    count = math.prod(base.shape[:-2])
-    base_s = base.reshape(count, n)
+    count = math.prod(shape[:-2])
     vals_s = vals.reshape(count, m)
-    head = n if base_s.any() else 0  # base terms per slice
     chunk = max(1, min(count, SCATTER_BINS // max(n, 1)))
-    bins = np.empty((chunk, head + m), dtype=np.intp)  # row q: bin of each term of slice q
-    bins[0, :head] = np.arange(head)
-    cols = bins[0, head:].reshape(-1, d)
+    bins = np.empty((chunk, m), dtype=np.intp)  # row q: bin of each value of slice q
+    cols = bins[0].reshape(-1, d)
     np.multiply(idx.reshape(-1, 1), d, out=cols)
     cols += np.arange(d)
     if chunk > 1:
@@ -325,18 +322,16 @@ def scatter_add(base: Array, idx: Array, vals: Array) -> Array:
     parts = []
     for lo in range(0, count, chunk):
         c = min(chunk, count - lo)
-        terms = vals_s[lo : lo + c]
-        if head:
-            terms = np.concatenate((base_s[lo : lo + c], terms), axis=1)
-        parts.append(np.bincount(bins[:c].reshape(-1), weights=terms.reshape(-1), minlength=c * n))
+        terms = vals_s[lo : lo + c].reshape(-1)
+        parts.append(np.bincount(bins[:c].reshape(-1), weights=terms, minlength=c * n))
     out = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return out.reshape(base.shape).astype(base.dtype, copy=False)  # bincount of no terms is int64
+    return out.reshape(shape).astype(np.float64, copy=False)  # bincount of no terms is int64
 
 
 def gather_nodes(tape: Tape, h: Var, idx: Array) -> Var:
     """h (..., V, d) indexed on the node axis: out = h[..., idx, :]."""
     return tape.var(
-        h.value[..., idx, :], ((h, lambda g: scatter_add(np.zeros_like(h.value), idx, g)),)
+        h.value[..., idx, :], ((h, lambda g: scatter_add(h.value.shape, idx, g)),)
     )
 
 
@@ -344,18 +339,18 @@ def take_rows(tape: Tape, table: Var, idx: Array) -> Var:
     """Row lookup in a 2-D parameter table."""
     return tape.var(
         table.value[idx],
-        ((table, lambda g: scatter_add(np.zeros_like(table.value), idx, g)),),
+        ((table, lambda g: scatter_add(table.value.shape, idx, g)),),
     )
 
 
 def index_add(tape: Tape, base: Var, idx: Array, vals: Var) -> Var:
-    """out = base with vals accumulated at [..., idx, :] (duplicates sum).
-    No model calls it since `relation_messages` took over its scatter; the
-    benchmark's tracer (`perfbench/tracer.py`) still patches it by name."""
-    return tape.var(
-        scatter_add(base.value, idx, vals.value),
-        ((base, lambda g: g), (vals, lambda g: g[..., idx, :])),
-    )
+    """out = base with vals accumulated at [..., idx, :] by np.add.at
+    (duplicates sum). No model calls it since `relation_messages` took over
+    its scatter; the benchmark's tracer (`perfbench/tracer.py`) still
+    patches it by name."""
+    out = base.value.copy()
+    np.add.at(out, (Ellipsis, idx, slice(None)), vals.value)
+    return tape.var(out, ((base, lambda g: g), (vals, lambda g: g[..., idx, :])))
 
 
 # --- the message kernel ------------------------------------------------------
@@ -415,9 +410,9 @@ def _relation_grads(
     del hn
     rows = np.arange(1, nodes.shape[1] + 1)[:, None]
     gpk = _unbroadcast(gb * one_minus.value, pk.shape)
-    out.append(scatter_add(np.zeros_like(pe.value), rows, gpk))
+    out.append(scatter_add(pe.value.shape, rows, gpk))
     ghn = _unbroadcast(gf * alpha.value, gf.shape)
-    out.append(scatter_add(np.zeros_like(h.value), nodes.T, ghn))
+    out.append(scatter_add(h.value.shape, nodes.T, ghn))
     return out
 
 
@@ -438,7 +433,7 @@ def relation_messages(
         h.value, alpha.value, one_minus.value, pe.value,
         {rel: g.value for rel, g in gates.items()}, groups,
     )
-    out = scatter_add(np.zeros_like(h.value), dest, msgs)
+    out = scatter_add(h.value.shape, dest, msgs)
 
     def relation_vjp(rel: int, nodes: Array) -> Callable[[Array], Array]:
         pending: list[Array] = []
@@ -459,15 +454,12 @@ def relation_messages(
     return tape.var(out, tuple(parents))
 
 
-def index_add_2d(tape: Tape, base: Var, rows: Array, cols: Array, vals: Var) -> Var:
-    """out = base with vals (M, d) accumulated at [rows, cols, :]."""
-    shape = base.value.shape
-    flat = base.value.reshape(-1, shape[-1])
+def index_add_2d(tape: Tape, shape: tuple[int, ...], rows: Array, cols: Array, vals: Var) -> Var:
+    """A new array of `shape` (Q, V, d) with vals (M, d) summed from zero at
+    [rows, cols, :]."""
     idx = np.ravel_multi_index((rows, cols), shape[:2])
-    return tape.var(
-        scatter_add(flat, idx, vals.value).reshape(shape),
-        ((base, lambda g: g), (vals, lambda g: g[rows, cols])),
-    )
+    out = scatter_add((shape[0] * shape[1], shape[2]), idx, vals.value)
+    return tape.var(out.reshape(shape), ((vals, lambda g: g[rows, cols]),))
 
 
 def gather_2d(tape: Tape, x: Var, rows: Array, cols: Array) -> Var:
@@ -475,7 +467,7 @@ def gather_2d(tape: Tape, x: Var, rows: Array, cols: Array) -> Var:
 
     def vjp(g: Array) -> Array:
         idx = np.ravel_multi_index((rows, cols), x.value.shape)
-        return scatter_add(np.zeros((x.value.size, 1)), idx, g[..., None]).reshape(x.value.shape)
+        return scatter_add((x.value.size, 1), idx, g[..., None]).reshape(x.value.shape)
 
     return tape.var(x.value[rows, cols], ((x, vjp),))
 

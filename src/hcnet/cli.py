@@ -15,18 +15,27 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
-
 from .errors import ConfigError, EngineError
 from .evalrank import evaluate_model
 from .hypergraph import Query, load_dataset
 from .logic import LogicSignature, compile_hgml_r, eval_formula_c, parse_formula
-from .nn import ModelConfig, grad_check, init_params
-from .randgen import random_hypergraph, random_query
 from .refine import conditional_run, hrwl1_run, uniform_coloring
-from .suites import run_all
+from .suites import gradient_suite, run_all
 from .synth import hypercycle, write_hypercycle_dataset
 from .train import TrainConfig, fit, load_checkpoint, save_checkpoint
+
+
+def _at_least(low: int):
+    """An argparse type: an integer >= low. argparse reports the ValueError
+    of a non-integer as an invalid `integer` value."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}: {text!r}")
+        return value
+
+    return integer
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -71,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ns", type=_ints, default="8,12,16,20")
     g.add_argument("--ks", type=_ints, default="3,4,5,6,7")
     g.add_argument("--ratio", type=float, default=0.7)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_at_least(0), default=0)
 
     r = sub.add_parser("refine", help="emit per-round color partitions")
     src = r.add_mutually_exclusive_group(required=True)
@@ -79,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--hypercycle", type=_cycle_spec, metavar="N,K", help="generate a cycle instead"
     )
-    r.add_argument("--rounds", type=int, default=5)
+    r.add_argument("--rounds", type=_at_least(0), default=5)
     r.add_argument("--query", type=_query_spec, help="REL:u1,u2,...:t — run the conditioned test")
 
     lo = sub.add_parser("logic", help="evaluate or compile formulas")
@@ -106,11 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
 
     gc = sub.add_parser("gradcheck")
-    gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--instances", type=int, default=5)
+    gc.add_argument("--seed", type=_at_least(0), default=0)
+    gc.add_argument("--instances", type=_at_least(1), default=5)
 
     ts = sub.add_parser("theorem-suite", help="run every exact property suite")
-    ts.add_argument("--seed", type=int, default=0)
+    ts.add_argument("--seed", type=_at_least(0), default=0)
     return ap
 
 
@@ -215,19 +224,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for i in range(args.instances):
-        g = random_hypergraph(rng, max_nodes=10, max_relations=3, max_arity=4)
-        q = random_query(rng, g)
-        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=2), rng)
-        worst = max(worst, grad_check(g, q, params, seed=args.seed + i))
-    ok = worst < 1e-4
-    print(f"{'PASS' if ok else 'FAIL'} max relative error {worst:.3e}")
-    return 0 if ok else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -250,7 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
+            result = gradient_suite(seed=args.seed, instances=args.instances)
+            print(result.line())
+            return 0 if result.passed else 1
         if args.command == "theorem-suite":
             results = run_all(seed=args.seed)
             for res in results:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import (
+    ArityMismatch,
     ColorOutOfSignature,
     FormulaParseError,
     InvalidConstants,
@@ -114,6 +115,11 @@ class LogicSignature:
     colors: list[str]
     relations: list[tuple[str, int]]  # (name, arity)
     constants: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, k in self.relations:
+            if k < 1:
+                raise ArityMismatch(f"relation {name!r} has arity {k}; it must be at least 1")
 
     def relation_arity(self, name: str) -> int:
         for n, k in self.relations:

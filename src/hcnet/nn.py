@@ -33,7 +33,7 @@ the empty product (arity-1 relations) is the all-ones vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .refine import _canonical_ordinals
 
 Array = np.ndarray
 
-PE_KINDS = ("sinusoidal", "one-hot", "constant", "learnable")
 INIT_VARIANTS = ("pos+rel", "pos", "rel", "ones")
 MODEL_KINDS = ("hcnet", "hrnet")
 MESSAGE_MODES = ("query-dependent", "query-independent")
@@ -54,8 +53,9 @@ MESSAGE_MODES = ("query-dependent", "query-independent")
 # --- positional encodings --------------------------------------------------
 
 
-def positional_encoding(kind: str, i: int, d: int, table: Array | None = None) -> Array:
-    """One encoding vector for position i (1-based; i=0 allowed)."""
+def positional_encoding(kind: str, i: int, d: int) -> Array:
+    """One encoding vector for position i (1-based; i=0 allowed) of a
+    closed-form kind; `pe_table` draws the "learnable" kind."""
     if kind == "sinusoidal":
         if d % 2 != 0:
             raise DimensionTooSmall("sinusoidal encoding needs even d")
@@ -74,10 +74,6 @@ def positional_encoding(kind: str, i: int, d: int, table: Array | None = None) -
         return out
     if kind == "constant":
         return np.ones(d)
-    if kind == "learnable":
-        if table is None:
-            raise ShapeMismatch("learnable encoding needs its table")
-        return table[i]
     raise ShapeMismatch(f"unknown encoding kind {kind!r}")
 
 
@@ -101,17 +97,12 @@ class ModelConfig:
     mode: str = "query-dependent"  # "query-dependent" | "query-independent"
     pe_kind: str = "sinusoidal"
     variant: str = "pos+rel"  # initialization: "pos+rel" | "pos" | "rel" | "ones"
-    use_layernorm: bool = True
-    use_skip: bool = True
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
         # hrnet has no query, so there is nothing for W_r z_q to read.
         if self.kind == "hrnet" and self.mode == "query-dependent":
             raise ConfigError("hrnet needs mode 'query-independent'")
-
-    def bare(self) -> "ModelConfig":
-        return replace(self, use_layernorm=False, use_skip=False, dropout=0.0)
 
 
 @dataclass
@@ -160,9 +151,8 @@ def init_params(
         tensors[f"W_l{ell}"] = rng.uniform(-bound, bound, (d, 2 * d))
         tensors[f"b_l{ell}"] = np.zeros(d)
         tensors[f"alpha_l{ell}"] = np.asarray(0.5)
-        if config.use_layernorm:
-            tensors[f"ln_g_l{ell}"] = np.ones(d)
-            tensors[f"ln_b_l{ell}"] = np.zeros(d)
+        tensors[f"ln_g_l{ell}"] = np.ones(d)
+        tensors[f"ln_b_l{ell}"] = np.zeros(d)
     for r in range(num_rel):
         if config.mode == "query-dependent":
             tensors[f"W_rel{r}"] = rng.uniform(-bound, bound, (d, d))
@@ -205,14 +195,12 @@ def edges_by_relation(
     return {r: np.asarray(rows, dtype=np.intp) for r, rows in groups.items()}
 
 
-def hcnet_init(
-    graph: RelationalHypergraph, query: Query, params: ModelParams, variant: str | None = None
-) -> Array:
+def hcnet_init(graph: RelationalHypergraph, query: Query, params: ModelParams) -> Array:
     """One query's initial features (V, d), as the batched path builds them
     (`_query_init`)."""
     tape = Tape(record=False)
     bound = bind_params(tape, params)
-    h0, _ = _query_init(tape, bound, graph, [query], variant or params.config.variant)
+    h0, _ = _query_init(tape, bound, graph, [query], params.config.variant)
     return h0.value[0]
 
 
@@ -239,7 +227,7 @@ def forward_exact(
     Messages come from the same kernel as the batched path. Each node's
     messages are summed in lexicographic order, so two nodes receiving
     equal multisets of messages end up with bitwise-identical features.
-    Runs the bare layer form regardless of the config's norm/skip flags.
+    Runs the bare layer form: no layer norm, dropout or skip connection.
     """
     cfg = params.config
     L = cfg.layers if layers is None else layers
@@ -254,7 +242,7 @@ def forward_exact(
         gates = {rel: _g_vector(params, rel, query_rel) for rel in edge_groups}
         msgs, dest = ad.incidence_messages(h, alpha, 1.0 - alpha, pe, gates, edge_groups)
         order = np.lexsort((*msgs.T[::-1], dest))
-        acc = ad.scatter_add(np.zeros_like(h), dest[order], msgs[order])
+        acc = ad.scatter_add(h.shape, dest[order], msgs[order])
         # Row by row, so equal input rows give bitwise-equal output rows
         # whatever blocking a BLAS matrix product would use.
         x = np.concatenate([h, acc], axis=1)
@@ -280,11 +268,10 @@ def hcnet_features_exact(
     return forward_exact(graph, h0, params, layers, query_rel=query.relation)
 
 
-def feature_partition(features: Array, decimals: int | None = None) -> list[int]:
+def feature_partition(features: Array) -> list[int]:
     """Exact-equality partition of feature rows as dense class ids, interned
     like the WL engines' colors."""
-    rows = np.round(features, decimals) if decimals is not None else features
-    return _canonical_ordinals([tuple(r) for r in rows.tolist()])
+    return _canonical_ordinals([tuple(r) for r in features.tolist()])
 
 
 # --- forward: batched tape path -------------------------------------------
@@ -295,7 +282,6 @@ class ForwardTrace:
     tape: Tape
     bound: dict[str, Var]
     features: Var  # (Q, V, d)
-    scores: Var | None = None  # (Q, V) logits, set by decoding
     zq_batch: Var | None = None  # (Q, d), hcnet batches only
 
 
@@ -322,14 +308,10 @@ def _message_layer(
     msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, edge_groups)
     z = ad.concat_last(tape, [h, msgs])
     z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
-    if cfg.use_layernorm:
-        z = ad.layer_norm(tape, z, bound[f"ln_g_l{ell}"], bound[f"ln_b_l{ell}"])
+    z = ad.layer_norm(tape, z, bound[f"ln_g_l{ell}"], bound[f"ln_b_l{ell}"])
     if train and cfg.dropout > 0.0:
         z = ad.dropout(tape, z, cfg.dropout, rng)
-    z = ad.relu(tape, z)
-    if cfg.use_skip:
-        z = ad.add(tape, z, h)
-    return z
+    return ad.add(tape, ad.relu(tape, z), h)
 
 
 def _g_vars(
@@ -382,7 +364,7 @@ def _query_init(
     for p in parts[1:]:
         vals = ad.add(tape, vals, p)
     shape = (len(queries), graph.node_count, d)
-    h0 = ad.index_add_2d(tape, tape.constant(np.zeros(shape)), rows_a, cols_a, vals)
+    h0 = ad.index_add_2d(tape, shape, rows_a, cols_a, vals)
     return h0, zq_batch
 
 
@@ -390,66 +372,51 @@ def hcnet_forward_batch(
     graph: RelationalHypergraph,
     queries: list[Query],
     params: ModelParams,
-    layers: int | None = None,
     train: bool = False,
     rng: np.random.Generator | None = None,
     masked_edges: set[int] | None = None,
-    variant: str | None = None,
     record: bool = True,
 ) -> ForwardTrace:
     """Conditional features (Q, V, d) for a batch of queries in one pass.
     With record=False the tape records nothing, so the pass cannot be
     differentiated and holds only the arrays still in use."""
     cfg = params.config
-    L = cfg.layers if layers is None else layers
     tape = Tape(record=record)
     bound = bind_params(tape, params)
-    h, zq_batch = _query_init(tape, bound, graph, queries, variant or cfg.variant)
+    h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, zq_batch)
-    for ell in range(L):
+    for ell in range(cfg.layers):
         h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, train, rng)
     return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
 
 
 def hrnet_forward_batch(
-    graph: RelationalHypergraph,
-    params: ModelParams,
-    layers: int | None = None,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-    masked_edges: set[int] | None = None,
-    record: bool = True,
+    graph: RelationalHypergraph, params: ModelParams, record: bool = True
 ) -> ForwardTrace:
-    """Query-agnostic features (1, V, d) from the all-ones initialization;
-    `record` as in `hcnet_forward_batch`."""
+    """Query-agnostic features (1, V, d) from the all-ones initialization,
+    without dropout; `record` as in `hcnet_forward_batch`."""
     cfg = params.config
-    L = cfg.layers if layers is None else layers
     tape = Tape(record=record)
     bound = bind_params(tape, params)
     h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
-    edge_groups = edges_by_relation(graph, masked_edges)
+    edge_groups = edges_by_relation(graph)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, None)
-    for ell in range(L):
-        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, train, rng)
+    for ell in range(cfg.layers):
+        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, False, None)
     return ForwardTrace(tape, bound, h)
 
 
 def hcnet_forward(
-    graph: RelationalHypergraph,
-    query: Query,
-    params: ModelParams,
-    layers: int | None = None,
+    graph: RelationalHypergraph, query: Query, params: ModelParams
 ) -> tuple[Array, ForwardTrace]:
     """Single-query convenience wrapper: final (V, d) features plus trace."""
-    trace = hcnet_forward_batch(graph, [query], params, layers)
+    trace = hcnet_forward_batch(graph, [query], params)
     return trace.features.value[0], trace
 
 
-def hrnet_forward(
-    graph: RelationalHypergraph, params: ModelParams, layers: int | None = None
-) -> tuple[Array, ForwardTrace]:
-    trace = hrnet_forward_batch(graph, params, layers)
+def hrnet_forward(graph: RelationalHypergraph, params: ModelParams) -> tuple[Array, ForwardTrace]:
+    trace = hrnet_forward_batch(graph, params)
     return trace.features.value[0], trace
 
 
@@ -472,9 +439,7 @@ def decode_unary_batch(trace: ForwardTrace) -> Var:
     z3 = ad.reshape(tape, trace.zq_batch, (Q, 1, d))
     zb = ad.broadcast_middle(tape, z3, V)
     x = ad.concat_last(tape, [h, zb])
-    logits = _mlp_logits(tape, bound, "dec", x)
-    trace.scores = logits
-    return logits
+    return _mlp_logits(tape, bound, "dec", x)
 
 
 def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
@@ -492,9 +457,7 @@ def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     ]
     parts.append(ad.take_rows(tape, bound["z_q"], qrel))
     x = ad.concat_last(tape, parts)
-    logits = _mlp_logits(tape, bound, f"dec{k}", x)
-    trace.scores = logits
-    return logits
+    return _mlp_logits(tape, bound, f"dec{k}", x)
 
 
 def decode_unary(h_v: Array, z_q: Array, params: ModelParams) -> float:
@@ -521,10 +484,10 @@ def decode_kary(h_tuple: list[Array], z_q: Array, params: ModelParams) -> float:
 # --- gradients -------------------------------------------------------------
 
 
-def backward(trace: ForwardTrace, loss_grad: Array, root: Var | None = None) -> dict[str, Array]:
-    """Parameter gradients from a recorded forward pass."""
-    root = root if root is not None else (trace.scores or trace.features)
-    ad.backward(trace.tape, root, loss_grad)
+def backward(trace: ForwardTrace, root: Var, seed: Array | float = 1.0) -> dict[str, Array]:
+    """Parameter gradients of root, seeded with `seed`, from a recorded
+    forward pass."""
+    ad.backward(trace.tape, root, seed)
     return {
         name: (var.grad if var.grad is not None else np.zeros_like(var.value))
         for name, var in trace.bound.items()
@@ -558,7 +521,7 @@ def grad_check(
         logits = decode_unary_batch(trace)
         tape = trace.tape
         loss = ad.sum_all(tape, ad.sigmoid(tape, logits))
-        grads = backward(trace, 1.0, root=loss)
+        grads = backward(trace, loss)
         return float(loss.value), grads
 
     _, grads = loss_of(params)

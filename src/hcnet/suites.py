@@ -58,7 +58,7 @@ class SuiteResult:
 
 
 def _bare_params(graph, kind: str, d: int, rng) -> "object":
-    cfg = ModelConfig(kind=kind, d=d, layers=5, mode="query-independent").bare()
+    cfg = ModelConfig(kind=kind, d=d, layers=5, mode="query-independent")
     return init_params(graph, cfg, rng)
 
 

@@ -297,7 +297,7 @@ def train_step(
     tape = trace.tape
     loss = adversarial_loss_from_logits(tape, pos, neg, config.adv_temperature)
     loss = ad.scale(tape, loss, 1.0 / pos.value.shape[0])
-    grads = backward(trace, 1.0, root=loss)
+    grads = backward(trace, loss)
     bad = [name for name in params.tensors if not np.isfinite(grads[name]).all()]
     if not np.isfinite(loss.value) or bad:
         raise NonFiniteValue(f"loss {float(loss.value)}; non-finite gradient in {bad}")
@@ -342,7 +342,9 @@ def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None =
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Inverse of save_checkpoint; raises CheckpointError on a malformed
     header (an unknown model kind too) or a tensor whose bytes are missing
-    or whose sizes are not non-negative integers."""
+    or whose sizes are not non-negative integers. Older headers carry
+    `use_layernorm` and `use_skip`; they load when both are true, as in
+    every checkpoint `hcnet train` wrote."""
     with open(path, "rb") as fh:
         data = fh.read()
     hlen = int.from_bytes(data[:8], "little")
@@ -350,11 +352,15 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[8 : 8 + hlen].decode("utf-8"))
-        cfg = ModelConfig(**header["model"])
+        model = dict(header["model"])
+        switches = [model.pop(key, True) for key in ("use_layernorm", "use_skip")]
+        cfg = ModelConfig(**model)
         specs = [(s["name"], list(s["shape"]), s["nbytes"]) for s in header["tensors"]]
         meta = (header["num_relations"], header["max_arity"], tuple(header["decoder_arities"]))
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
+    if any(on is not True for on in switches):
+        raise CheckpointError(f"{path}: models without layer norm and skip are not supported")
     if cfg.kind not in MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {cfg.kind!r}")
     tensors = {}

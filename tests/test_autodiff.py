@@ -151,13 +151,14 @@ class TestIndexingOps:
 
     def test_index_add_2d(self):
         tape = ad.Tape()
-        base = tape.constant(np.zeros((2, 3, 2)))
         vals = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         rows = np.array([0, 0, 1])
         cols = np.array([2, 2, 0])
-        out = ad.index_add_2d(tape, base, rows, cols, vals)
+        out = ad.index_add_2d(tape, (2, 3, 2), rows, cols, vals)
+        assert out.value.shape == (2, 3, 2) and [p for p, _ in out.parents] == [vals]
         np.testing.assert_allclose(out.value[0, 2], [4.0, 6.0])
         np.testing.assert_allclose(out.value[1, 0], [5.0, 6.0])
+        assert out.value.sum() == 21.0
         ad.backward(tape, ad.sum_all(tape, out), 1.0)
         np.testing.assert_allclose(vals.grad, np.ones((3, 2)))
 
@@ -280,6 +281,13 @@ def _add_at(base, idx, vals):
     return out
 
 
+IDX_CASES = [
+    np.array([4, 0, 4, 4, 2, 0]),
+    np.array([[1, 1, 3], [3, 0, 1]]),
+    np.array([], dtype=np.intp),
+]
+
+
 def _bitwise_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
@@ -287,62 +295,82 @@ def _bitwise_equal(a, b):
 class TestScatterAdd:
     # 20 bins per slice: all slices in one bincount, two per call with a
     # shorter last chunk, or one per call.
-    @pytest.mark.parametrize("zero_base", [False, True])
+    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("chunk_bins", [1 << 15, 40, 1])
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
-    @pytest.mark.parametrize("idx", [
-        np.array([4, 0, 4, 4, 2, 0]),
-        np.array([[1, 1, 3], [3, 0, 1]]),
-        np.array([], dtype=np.intp),
-    ])
-    def test_equals_add_at_bitwise(self, lead, idx, chunk_bins, zero_base, monkeypatch):
+    @pytest.mark.parametrize("idx", IDX_CASES)
+    def test_equals_add_at_bitwise(self, lead, idx, chunk_bins, strided, monkeypatch):
         # Values of very different magnitudes make the sum depend on the
         # order of the terms, so only the same order gives the same bits.
-        # A zero base is left out of the terms; -0.0 values must stay
-        # +0.0 there.
+        # -0.0 values must give +0.0 in an otherwise empty bin. Strided
+        # vals are every other row of a wider array, as a gather returns.
         monkeypatch.setattr(ad, "SCATTER_BINS", chunk_bins)
         rng = np.random.default_rng(len(lead) + idx.size)
-        base = np.zeros(lead + (5, 4)) if zero_base else rng.standard_normal(lead + (5, 4))
+        shape = lead + (5, 4)
+        vals = rng.standard_normal(lead + idx.shape + (8,)) * 10.0 ** rng.integers(-8, 8, 8)
+        vals = vals[..., ::2] if strided else np.ascontiguousarray(vals[..., :4])
+        vals[..., 0] = -0.0
+        assert vals.flags.c_contiguous != strided or not vals.size
+        assert _bitwise_equal(ad.scatter_add(shape, idx, vals),
+                              _add_at(np.zeros(shape), idx, vals))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    @pytest.mark.parametrize("idx", IDX_CASES)
+    def test_index_add_equals_add_at_bitwise(self, lead, idx):
+        # index_add keeps the non-zero base, summed into in index order.
+        rng = np.random.default_rng(len(lead) + idx.size)
+        base = rng.standard_normal(lead + (5, 4))
         vals = rng.standard_normal(lead + idx.shape + (4,)) * 10.0 ** rng.integers(-8, 8, 4)
         vals[..., 0] = -0.0
-        assert _bitwise_equal(ad.scatter_add(base, idx, vals), _add_at(base, idx, vals))
+        tape = ad.Tape()
+        out = ad.index_add(tape, tape.constant(base), idx, tape.constant(vals))
+        assert _bitwise_equal(out.value, _add_at(base, idx, vals))
 
     def test_non_contiguous_vals_and_chained_calls(self):
+        # A scatter into zeros, then index_add onto its result, as the
+        # per-relation chain of index_adds starts from a zero array.
         rng = np.random.default_rng(3)
         h = rng.standard_normal((4, 6, 3))
         idx = np.array([[5, 0, 5], [2, 2, 5]])
         vals = h[..., idx, :]  # a gather's output is not C-contiguous
         assert not vals.flags.c_contiguous
-        got = ad.scatter_add(ad.scatter_add(h, idx, vals), idx[::-1], vals * 3.0)
-        want = _add_at(_add_at(h, idx, vals), idx[::-1], vals * 3.0)
+        tape = ad.Tape()
+        first = tape.constant(ad.scatter_add(h.shape, idx, vals))
+        got = ad.index_add(tape, first, idx[::-1], tape.constant(vals * 3.0)).value
+        want = _add_at(_add_at(np.zeros_like(h), idx, vals), idx[::-1], vals * 3.0)
         assert _bitwise_equal(got, want)
 
     def test_negative_zero(self):
-        # -0.0 vals summed into a +0.0 base give +0.0, as under np.add.at.
-        base = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-        idx = np.array([0, 1, 1, 2])
-        vals = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -1.0], [-1.0, -0.0]])
-        assert _bitwise_equal(ad.scatter_add(base, idx, vals), _add_at(base, idx, vals))
-        assert _bitwise_equal(ad.scatter_add(np.zeros_like(base), idx, vals),
+        # -0.0 vals summed from +0.0 give +0.0, as np.add.at into zeros;
+        # index_add keeps a base's signed zeros as np.add.at does.
+        base = np.array([[-0.0, 0.0], [0.0, 2.0], [1.0, -0.0]])
+        idx = np.array([0, 1, 1])
+        vals = np.array([[-0.0, -0.0], [-0.0, 1.0], [-0.0, -1.0]])
+        assert _bitwise_equal(ad.scatter_add(base.shape, idx, vals),
                               _add_at(np.zeros_like(base), idx, vals))
+        tape = ad.Tape()
+        out = ad.index_add(tape, tape.constant(base), idx, tape.constant(vals))
+        assert _bitwise_equal(out.value, _add_at(base, idx, vals))
+        assert np.signbit(out.value[0, 0]) and np.signbit(out.value[2, 1])
 
     @pytest.mark.parametrize("bad", [3, -1])
     def test_index_out_of_range(self, bad):
         with pytest.raises(IndexError):
-            ad.scatter_add(np.zeros((2, 3, 2)), np.array([0, bad]), np.ones((2, 2, 2)))
+            ad.scatter_add((2, 3, 2), np.array([0, bad]), np.ones((2, 2, 2)))
 
     @pytest.mark.parametrize("lead", [(), (3,)])
     def test_no_terms_keeps_the_float_dtype(self, lead):
         # bincount of no terms returns int64; a backward adding a float
         # gradient into it raised UFuncTypeError.
-        for base in (np.zeros(lead + (4, 2)), np.ones(lead + (4, 2))):
-            out = ad.scatter_add(base, np.array([], dtype=np.intp), np.zeros(lead + (0, 2)))
-            assert out.dtype == np.float64 and _bitwise_equal(out, base)
+        out = ad.scatter_add(lead + (4, 2), np.array([], dtype=np.intp), np.zeros(lead + (0, 2)))
+        assert out.dtype == np.float64 and _bitwise_equal(out, np.zeros(lead + (4, 2)))
 
     def test_leaves_base_untouched(self):
+        tape = ad.Tape()
         base = np.ones((2, 3, 2))
-        ad.scatter_add(base, np.array([0, 0]), np.ones((2, 2, 2)))
-        assert (base == 1.0).all()
+        out = ad.index_add(tape, tape.constant(base), np.array([0, 0]),
+                           tape.constant(np.ones((2, 2, 2))))
+        assert (base == 1.0).all() and (out.value[:, 0] == 3.0).all()
 
 
 class TestTapeSemantics:

@@ -79,10 +79,10 @@ def test_traced_forward_backward_and_evaluation(tracer):
     with tracer.Tracer() as t:
         trace = nn.hcnet_forward_batch(g, queries, params, train=True)
         logits = nn.decode_unary_batch(trace)
-        grads = nn.backward(trace, np.ones_like(logits.value))
-        hr_trace = nn.hrnet_forward_batch(g, hr_params, train=True)
+        grads = nn.backward(trace, logits, np.ones_like(logits.value))
+        hr_trace = nn.hrnet_forward_batch(g, hr_params)
         hr_logits = nn.decode_kary_batch(hr_trace, tuples, np.zeros(2, dtype=np.intp))
-        hr_grads = nn.backward(hr_trace, np.ones_like(hr_logits.value))
+        hr_grads = nn.backward(hr_trace, hr_logits, np.ones_like(hr_logits.value))
         report = evalrank.evaluate_model(g, [hg.HyperEdge(0, (0, 4))], params, "hcnet")
     assert report.count == 2
     assert all(np.isfinite(v).all() for v in [*grads.values(), *hr_grads.values()])

@@ -119,6 +119,15 @@ class TestLogic:
         assert "r" in payload["Wr"] and "r" in payload["ar"]
         assert all(x in (1, 3) for row in payload["p"] for x in row)
 
+    @pytest.mark.parametrize("arity", ["-1", "0"])
+    def test_compile_rejects_arity_below_one(self, arity, capsys):
+        code = main([
+            "logic", "compile", "--formula", "color(c0)", "--relations", f"r:{arity}",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "arity" in err
+
 
 class TestMalformedFlags:
     @pytest.mark.parametrize("argv", [
@@ -129,6 +138,12 @@ class TestMalformedFlags:
         ["generate-hypercycle", "--out", "unused", "--ns", "8,a"],
         ["logic", "compile", "--formula", "color(c0)", "--relations", "r:x"],
         ["logic", "compile", "--formula", "color(c0)", "--relations", "r"],
+        ["refine", "--hypercycle", "8,3", "--rounds", "-2"],
+        ["generate-hypercycle", "--out", "unused", "--seed", "-1"],
+        ["gradcheck", "--seed", "-1"],
+        ["gradcheck", "--instances", "-2"],
+        ["gradcheck", "--instances", "0"],
+        ["theorem-suite", "--seed", "-1"],
     ], ids=" ".join)
     def test_usage_error_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -288,7 +303,10 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err.startswith("error: loss nan")
         assert not (tmp_path / "m.ckpt").exists()
 
-    @pytest.mark.parametrize("cut", ["empty", "header", "body", "negative", "non-integer"])
+    @pytest.mark.parametrize(
+        "cut",
+        ["empty", "header", "body", "negative", "non-integer", "layernorm-off", "skip-off"],
+    )
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, cut):
         data = _tiny_dataset(tmp_path)
         graph, _, _, _ = load_dataset(str(data))
@@ -301,10 +319,15 @@ class TestTrainEvaluate:
         hlen = int.from_bytes(raw[:8], "little")
         # A shape of [-1] with nbytes -4 passes the size equation, and a
         # count of -1 would read the rest of the file; a dimension "a" is
-        # no number at all.
+        # no number at all. Older headers carry `use_layernorm` and
+        # `use_skip`; the model now always applies both.
         header = json.loads(raw[8 : 8 + hlen])
         spec = next(s for s in header["tensors"] if s["name"] == "W_l0")
-        spec["shape"], spec["nbytes"] = {"negative": ([-1], -4)}.get(cut, (["a"], 4))
+        if cut.endswith("-off"):
+            header["model"].update(use_layernorm=cut != "layernorm-off",
+                                   use_skip=cut != "skip-off")
+        else:
+            spec["shape"], spec["nbytes"] = {"negative": ([-1], -4)}.get(cut, (["a"], 4))
         blob = json.dumps(header).encode("utf-8")
         resized = len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :]
         ckpt.write_bytes({"empty": b"", "header": raw[: 8 + hlen // 2],
@@ -327,7 +350,7 @@ class TestGradcheck:
         code = main(["gradcheck", "--instances", "2", "--seed", "0"])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.startswith("PASS")
+        assert out.startswith("PASS gradient-check: 2 checked, 0 failed")
 
 
 class TestUsage:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from hcnet.errors import (
+    EngineError,
     FormulaParseError,
     InvalidConstants,
     NotRestricted,
@@ -197,6 +198,13 @@ class TestCompiler:
     def test_rejects_constants(self):
         with pytest.raises(NotRestricted):
             compile_hgml_r(ConstAtom("b"), self.SIG)
+
+    @pytest.mark.parametrize("arity", [-1, 0])
+    def test_rejects_arity_below_one(self, arity):
+        # An arity of 0 or -1 compiled into weights for no edge position.
+        with pytest.raises(EngineError, match="arity"):
+            compile_hgml_r(ColorAtom("a"), LogicSignature(
+                colors=["a"], relations=[("r", 2), ("s", arity)]))
 
     def test_edgeless_graph_color_atom(self):
         g = build_graph([Relation(0, "r", 2)], [], 3, [0, 1, 0])

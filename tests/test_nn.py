@@ -59,7 +59,8 @@ class TestPositionalEncoding:
         np.testing.assert_allclose(positional_encoding("constant", 7, 3), [1, 1, 1])
 
     def test_learnable_needs_table(self):
-        with pytest.raises(ShapeMismatch):
+        # A learnable encoding is a drawn table (`pe_table`), not a formula.
+        with pytest.raises(ShapeMismatch, match="unknown"):
             positional_encoding("learnable", 1, 4)
 
     def test_table_rows_match_closed_form(self):
@@ -102,12 +103,11 @@ class TestInit:
 
     def test_variants(self):
         g = hypercycle(8, 3)
-        params = _params(g)
-        zq = params.tensors["z_q"][0]
         q = Query(0, (3,), 2)
-        np.testing.assert_allclose(hcnet_init(g, q, params, "pos")[3], params.pe_row(1))
-        np.testing.assert_allclose(hcnet_init(g, q, params, "rel")[3], zq)
-        np.testing.assert_allclose(hcnet_init(g, q, params, "ones")[3], np.ones(8))
+        for variant, want in (("pos", "pe"), ("rel", "zq"), ("ones", "ones")):
+            params = _params(g, variant=variant)
+            row = {"pe": params.pe_row(1), "zq": params.tensors["z_q"][0], "ones": np.ones(8)}
+            np.testing.assert_allclose(hcnet_init(g, q, params)[3], row[want])
 
     def test_arity_mismatch(self):
         g = hypercycle(8, 3)
@@ -125,11 +125,11 @@ class TestInit:
 
     def test_unknown_variant_in_both_paths(self):
         g = hypercycle(8, 3)
-        params = _params(g)
+        params = _params(g, variant="pos-rel")
         with pytest.raises(ShapeMismatch):
-            hcnet_init(g, Query(0, (1,), 2), params, "pos-rel")
+            hcnet_init(g, Query(0, (1,), 2), params)
         with pytest.raises(ShapeMismatch):
-            hcnet_forward_batch(g, [Query(0, (1,), 2)], params, variant="pos-rel")
+            hcnet_forward_batch(g, [Query(0, (1,), 2)], params)
 
     @pytest.mark.parametrize("pe_kind", ["sinusoidal", "one-hot", "constant", "learnable"])
     def test_is_the_batched_path_at_layer_zero(self, pe_kind):
@@ -137,10 +137,11 @@ class TestInit:
         for _ in range(5):
             g = random_hypergraph(rng, max_nodes=12)
             q = random_query(rng, g)
-            params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=1, pe_kind=pe_kind), rng)
             for variant in INIT_VARIANTS:
-                trace = hcnet_forward_batch(g, [q], params, layers=0, variant=variant)
-                assert np.array_equal(hcnet_init(g, q, params, variant), trace.features.value[0])
+                cfg = ModelConfig(kind="hcnet", d=8, layers=0, pe_kind=pe_kind, variant=variant)
+                params = init_params(g, cfg, rng)
+                trace = hcnet_forward_batch(g, [q], params)
+                assert np.array_equal(hcnet_init(g, q, params), trace.features.value[0])
 
     @pytest.mark.parametrize("typo", [{"kind": "hcnett"}, {"mode": "query-dependant"}])
     def test_params_reject_unknown_kind_or_mode(self, typo):
@@ -178,7 +179,7 @@ class TestExactForward:
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 2)
         cfg = ModelConfig(
             kind="hrnet", d=1, layers=1, mode="query-independent",
-            pe_kind="constant", use_layernorm=False, use_skip=False,
+            pe_kind="constant",
         )
         params = init_params(g, cfg, np.random.default_rng(0))
         params.tensors["W_l0"][:] = 1.0
@@ -196,7 +197,7 @@ class TestExactForward:
         rng = np.random.default_rng(13)
         g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=4)
         q = random_query(rng, g)
-        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3).bare(), rng)
+        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3), rng)
         h = hcnet_init(g, q, params)
         t = params.tensors
         for ell, got in enumerate(forward_exact(g, h, params, query_rel=q.relation)[1:]):
@@ -249,17 +250,34 @@ class TestExactForward:
 
 
 class TestBatchedForward:
-    def test_matches_exact_path_in_bare_form(self):
+    def test_matches_per_edge_loop_with_norm_and_skip(self):
+        # The layer rule edge by edge and position by position, then layer
+        # norm, ReLU and the skip connection, with trained-looking norm
+        # parameters; the batched path sums in another order, hence rtol.
         rng = np.random.default_rng(7)
-        g = random_hypergraph(rng, max_nodes=12)
+        g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=4)
         q = random_query(rng, g)
-        cfg = ModelConfig(kind="hcnet", d=8, layers=2).bare()
-        params = init_params(g, cfg, rng)
-        from hcnet.nn import hcnet_features_exact
-
-        exact = hcnet_features_exact(g, q, params)[-1]
+        params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=2), rng)
+        t = params.tensors
+        for ell in range(2):
+            t[f"ln_g_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
+            t[f"ln_b_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
+        h = hcnet_init(g, q, params)
+        for ell in range(2):
+            alpha = float(t[f"alpha_l{ell}"])
+            acc = np.zeros_like(h)
+            for ed in g.edges:
+                gate = t[f"W_rel{ed.relation}"] @ t["z_q"][q.relation]
+                factors = [alpha * h[u] + (1 - alpha) * params.pe_row(j + 1)
+                           for j, u in enumerate(ed.nodes)]
+                for i, v in enumerate(ed.nodes):
+                    acc[v] += gate * np.prod([f for j, f in enumerate(factors) if j != i], axis=0)
+            z = np.concatenate([h, acc], axis=1) @ t[f"W_l{ell}"].T + t[f"b_l{ell}"]
+            mu, var = z.mean(axis=1, keepdims=True), z.var(axis=1, keepdims=True)
+            z = t[f"ln_g_l{ell}"] * (z - mu) / np.sqrt(var + 1e-5) + t[f"ln_b_l{ell}"]
+            h = np.maximum(z, 0.0) + h
         batched, _ = hcnet_forward(g, q, params)
-        np.testing.assert_allclose(batched, exact, atol=1e-9)
+        np.testing.assert_allclose(batched, h, rtol=1e-9, atol=1e-12)
 
     def test_batch_rows_match_single_queries(self):
         rng = np.random.default_rng(8)
@@ -373,13 +391,11 @@ class TestDecoders:
 
 class TestGradients:
     def test_zero_loss_grad_gives_zero_param_grads(self):
-        from hcnet.nn import backward
-
         g = hypercycle(8, 3)
         params = _params(g)
         trace = hcnet_forward_batch(g, [Query(0, (0,), 2)], params)
-        decode_unary_batch(trace)
-        grads = backward(trace, np.zeros_like(trace.scores.value))
+        logits = decode_unary_batch(trace)
+        grads = backward(trace, logits, np.zeros_like(logits.value))
         assert all(np.all(v == 0.0) for v in grads.values())
 
     def test_grad_check_small_instance(self):
@@ -479,7 +495,6 @@ class TestRelationMessages:
         dict(kind="hcnet", arities=(3, 2, 2), mode="query-dependent", masked_relation=1),
         dict(kind="hcnet", arities=(1, 1, 2), mode="query-independent", pe_kind="one-hot"),
         dict(kind="hrnet", arities=(1, 3, 2), mode="query-independent"),
-        dict(kind="hrnet", arities=(2, 4), mode="query-independent", masked_relation=0),
     ])
     def test_models_equal_the_chain_bitwise(self, case, monkeypatch):
         case = dict(case)
@@ -500,13 +515,12 @@ class TestRelationMessages:
                                             masked_edges=masked, record=record)
                 logits = decode_unary_batch(trace)
             else:
-                trace = hrnet_forward_batch(g, params, train=True, rng=rng,
-                                            masked_edges=masked, record=record)
+                trace = hrnet_forward_batch(g, params, record=record)
                 logits = decode_kary_batch(trace, tuples, qrel)
             out = [trace.features.value, logits.value]
             if record:
                 seed = np.random.default_rng(4).standard_normal(logits.value.shape)
-                out += list(backward(trace, seed).values())
+                out += list(backward(trace, logits, seed).values())
             return out
 
         fused = run(True) + run(False)

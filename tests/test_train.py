@@ -405,6 +405,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
+    @staticmethod
+    def _with_model_keys(raw, **keys):
+        hlen = int.from_bytes(raw[:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["model"].update(keys)
+        blob = json.dumps(header).encode("utf-8")
+        return len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :]
+
+    def test_header_with_both_layer_switches_on_loads(self, tmp_path):
+        # While ModelConfig had `use_layernorm` and `use_skip`, every header
+        # carried them, as true for every model `fit` trained.
+        path, raw = self._saved(tmp_path)
+        want, _ = load_checkpoint(str(path))
+        path.write_bytes(self._with_model_keys(raw, use_layernorm=True, use_skip=True))
+        got, header = load_checkpoint(str(path))
+        assert header["model"]["use_layernorm"] is True
+        assert got.config == want.config
+        assert (got.num_relations, got.max_arity, got.decoder_arities) == (
+            want.num_relations, want.max_arity, want.decoder_arities)
+        for part in ("tensors", "fixed"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert set(a) == set(b)
+            assert all(a[n].tobytes() == b[n].tobytes() for n in a), part
+
     def test_save_replaces_and_leaves_no_temp_file(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(b"stale")
