@@ -18,7 +18,7 @@ from dataclasses import asdict, fields, replace
 from .errors import ConfigError, EngineError
 from .evalrank import evaluate_model
 from .hypergraph import Query, load_dataset
-from .logic import LogicSignature, compile_hgml_r, eval_formula_c, parse_formula
+from .logic import LogicSignature, compile_hgml_r, eval_formula, parse_formula
 from .refine import conditional_run, hrwl1_run, uniform_coloring
 from .suites import gradient_suite, run_all
 from .synth import hypercycle, write_hypercycle_dataset
@@ -181,7 +181,7 @@ def _cmd_logic(args) -> int:
             name, _, entity = item.partition("=")
             sig.constants[name] = _names_to_ids(graph, [entity])[0]
         node = _names_to_ids(graph, [args.node])[0]
-        result = eval_formula_c(graph, sig, parse_formula(args.formula), node)
+        result = eval_formula(graph, sig, parse_formula(args.formula), node)
         print("true" if result else "false")
         return 0
     sig = LogicSignature(colors=colors, relations=args.relations)

@@ -92,10 +92,6 @@ class NoCandidate(EngineError):
     pass
 
 
-class ProbabilityOutOfRange(EngineError):
-    pass
-
-
 class FactNotFound(EngineError):
     pass
 

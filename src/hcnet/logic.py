@@ -6,7 +6,7 @@ remaining entries satisfy the guards". Guards may be arbitrary Boolean
 combinations over the bound positions (evaluator), but the compiler accepts
 only the restricted fragment where each modality carries a per-position
 conjunction of unary guards. Constant atoms is(b) extend the logic for the
-evaluator only.
+evaluator only, which resolves them through the signature's constants.
 
 The compiler turns a restricted formula into fixed message-passing
 parameters whose rounds compute formula truth values exactly, in integer
@@ -131,27 +131,19 @@ class LogicSignature:
 # --- Evaluator -------------------------------------------------------------
 
 
-def _eval(
-    graph: RelationalHypergraph,
-    sig: LogicSignature,
-    formula: Formula,
-    node: int,
-    constants: dict[str, int] | None,
-) -> bool:
+def _eval(graph: RelationalHypergraph, sig: LogicSignature, formula: Formula, node: int) -> bool:
     if isinstance(formula, ColorAtom):
         if formula.color not in sig.colors:
             raise UnknownColor(formula.color)
         return graph.node_color[node] == sig.colors.index(formula.color)
     if isinstance(formula, ConstAtom):
-        if constants is None or formula.const not in constants:
+        if formula.const not in sig.constants:
             raise UnknownConstant(formula.const)
-        return node == constants[formula.const]
+        return node == sig.constants[formula.const]
     if isinstance(formula, Not):
-        return not _eval(graph, sig, formula.sub, node, constants)
+        return not _eval(graph, sig, formula.sub, node)
     if isinstance(formula, And):
-        return _eval(graph, sig, formula.left, node, constants) and _eval(
-            graph, sig, formula.right, node, constants
-        )
+        return _eval(graph, sig, formula.left, node) and _eval(graph, sig, formula.right, node)
     if isinstance(formula, ExistsGeq):
         arity = sig.relation_arity(formula.relation)
         if not (1 <= formula.position <= arity):
@@ -167,9 +159,7 @@ def _eval(
             ed = graph.edges[e]
             if ed.relation != rel_id or i != formula.position:
                 continue
-            if formula.guard is None or _eval_guard(
-                graph, sig, formula.guard, ed.nodes, constants
-            ):
+            if formula.guard is None or _eval_guard(graph, sig, formula.guard, ed.nodes):
                 count += 1
         return count >= formula.count
     raise FormulaParseError(f"not a formula: {formula!r}")
@@ -198,19 +188,15 @@ def _check_guard_positions(guard: Guard | None, arity: int, own: int) -> None:
 
 
 def _eval_guard(
-    graph: RelationalHypergraph,
-    sig: LogicSignature,
-    guard: Guard,
-    nodes: tuple[int, ...],
-    constants: dict[str, int] | None,
+    graph: RelationalHypergraph, sig: LogicSignature, guard: Guard, nodes: tuple[int, ...]
 ) -> bool:
     if isinstance(guard, GuardAt):
-        return _eval(graph, sig, guard.formula, nodes[guard.position - 1], constants)
+        return _eval(graph, sig, guard.formula, nodes[guard.position - 1])
     if isinstance(guard, GuardNot):
-        return not _eval_guard(graph, sig, guard.sub, nodes, constants)
+        return not _eval_guard(graph, sig, guard.sub, nodes)
     if isinstance(guard, GuardAnd):
-        return _eval_guard(graph, sig, guard.left, nodes, constants) and _eval_guard(
-            graph, sig, guard.right, nodes, constants
+        return _eval_guard(graph, sig, guard.left, nodes) and _eval_guard(
+            graph, sig, guard.right, nodes
         )
     raise FormulaParseError(f"not a guard: {guard!r}")
 
@@ -218,19 +204,12 @@ def _eval_guard(
 def eval_formula(
     graph: RelationalHypergraph, sig: LogicSignature, formula: Formula, node: int
 ) -> bool:
-    """Exact satisfaction of a constant-free formula at `node`."""
-    return _eval(graph, sig, formula, node, None)
-
-
-def eval_formula_c(
-    graph: RelationalHypergraph, sig: LogicSignature, formula: Formula, node: int
-) -> bool:
-    """As eval_formula, with is(b) atoms resolved through the signature's
-    constant interpretations (which must be pairwise distinct)."""
-    interp = sig.constants
-    if len(set(interp.values())) != len(interp):
+    """Exact satisfaction of `formula` at `node`, with is(b) atoms resolved
+    through the signature's constant interpretations (which must be
+    pairwise distinct)."""
+    if len(set(sig.constants.values())) != len(sig.constants):
         raise InvalidConstants("constant interpretations collide")
-    return _eval(graph, sig, formula, node, interp)
+    return _eval(graph, sig, formula, node)
 
 
 # --- Restricted fragment ---------------------------------------------------

@@ -16,11 +16,12 @@ array of per-incidence messages.
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
   features — required by the refinement-and-matching checks against the
-  WL engines.
+  WL engines. It takes a query or none, as the batched paths do.
 
 The compiled logic networks (`logic.run_compiled`) run its products in
-int64. Both conditional paths start from one query initialization
-(`_query_init`), which also checks every query.
+int64. Every path with a query starts from one query initialization
+(`_query_init`), which also checks every query; without one, features
+start as all ones. Every model field is checked once, in `ModelConfig`.
 
 The layer rule, for each node v with incidence pairs (e,i):
 
@@ -33,7 +34,9 @@ the empty product (arity-1 relations) is the all-ones vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -46,8 +49,17 @@ from .refine import _canonical_ordinals
 Array = np.ndarray
 
 INIT_VARIANTS = ("pos+rel", "pos", "rel", "ones")
+PE_KINDS = ("sinusoidal", "one-hot", "constant", "learnable")
 MODEL_KINDS = ("hcnet", "hrnet")
 MESSAGE_MODES = ("query-dependent", "query-independent")
+
+
+def need(fields: dict, name: str, kind: type, ok, want: str) -> None:
+    """Raise ConfigError unless fields[name] is a `kind` (never a bool) for
+    which ok holds."""
+    value = fields[name]
+    if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+        raise ConfigError(f"config {name!r} must be {want}, got {value!r}")
 
 
 # --- positional encodings --------------------------------------------------
@@ -55,7 +67,7 @@ MESSAGE_MODES = ("query-dependent", "query-independent")
 
 def positional_encoding(kind: str, i: int, d: int) -> Array:
     """One encoding vector for position i (1-based; i=0 allowed) of a
-    closed-form kind; `pe_table` draws the "learnable" kind."""
+    closed-form kind; `init_params` draws the "learnable" kind."""
     if kind == "sinusoidal":
         if d % 2 != 0:
             raise DimensionTooSmall("sinusoidal encoding needs even d")
@@ -77,12 +89,8 @@ def positional_encoding(kind: str, i: int, d: int) -> Array:
     raise ShapeMismatch(f"unknown encoding kind {kind!r}")
 
 
-def pe_table(kind: str, max_pos: int, d: int, rng: np.random.Generator | None = None) -> Array:
-    """Rows 0..max_pos of the chosen encoding (row 0 present for indexing)."""
-    if kind == "learnable":
-        if rng is None:
-            raise ShapeMismatch("learnable table needs an rng")
-        return rng.standard_normal((max_pos + 1, d)) / np.sqrt(d)
+def pe_table(kind: str, max_pos: int, d: int) -> Array:
+    """Rows 0..max_pos of a closed-form encoding (row 0 present for indexing)."""
     return np.stack([positional_encoding(kind, i, d) for i in range(max_pos + 1)])
 
 
@@ -100,6 +108,19 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        """Reject a field of the wrong type, out of range or not among its
+        choices with ConfigError."""
+        for name, label, choices in (
+            ("kind", "model kind", MODEL_KINDS),
+            ("mode", "message mode", MESSAGE_MODES),
+            ("variant", "init variant", INIT_VARIANTS),
+            ("pe_kind", "encoding kind", PE_KINDS),
+        ):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {label} {getattr(self, name)!r}")
+        need(vars(self), "d", Integral, lambda x: x >= 1, "an integer >= 1")
+        need(vars(self), "layers", Integral, lambda x: x >= 0, "an integer >= 0")
+        need(vars(self), "dropout", Real, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
         # hrnet has no query, so there is nothing for W_r z_q to read.
         if self.kind == "hrnet" and self.mode == "query-dependent":
             raise ConfigError("hrnet needs mode 'query-independent'")
@@ -115,18 +136,41 @@ class ModelParams:
     fixed: dict[str, Array] = field(default_factory=dict)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.config,
-            self.num_relations,
-            self.max_arity,
-            self.decoder_arities,
-            {k: v.copy() for k, v in self.tensors.items()},
-            dict(self.fixed),
-        )
+        tensors = {k: v.copy() for k, v in self.tensors.items()}
+        return replace(self, tensors=tensors, fixed=dict(self.fixed))
 
     def pe_row(self, i: int | Array) -> Array:
         table = self.tensors.get("pe", self.fixed.get("pe"))
         return table[i]
+
+
+def param_layout(
+    config: ModelConfig, num_relations: int, max_arity: int, decoder_arities: tuple[int, ...]
+) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """Name, shape and initializer of every trainable tensor, in the order
+    `init_params` draws them. Yields one at a time, so a caller can stop
+    after as many as it has to compare."""
+    d = config.d
+    for ell in range(config.layers):
+        yield f"W_l{ell}", (d, 2 * d), "uniform"
+        yield f"b_l{ell}", (d,), "zeros"
+        yield f"alpha_l{ell}", (), "half"
+        yield f"ln_g_l{ell}", (d,), "ones"
+        yield f"ln_b_l{ell}", (d,), "zeros"
+    for r in range(num_relations):
+        if config.mode == "query-dependent":
+            yield f"W_rel{r}", (d, d), "uniform"
+        else:
+            yield f"w_rel{r}", (d,), "uniform"
+    yield "z_q", (num_relations, d), "normal"
+    if config.pe_kind == "learnable":
+        yield "pe", (max_arity + 1, d), "normal"
+    mlps = [("dec", 2)] if config.kind == "hcnet" else [(f"dec{k}", k + 1) for k in decoder_arities]
+    for prefix, inputs in mlps:
+        yield f"{prefix}_W1", (d, inputs * d), "uniform"
+        yield f"{prefix}_b1", (d,), "zeros"
+        yield f"{prefix}_W2", (1, d), "uniform"
+        yield f"{prefix}_b2", (1,), "zeros"
 
 
 def init_params(
@@ -135,48 +179,22 @@ def init_params(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Fresh parameters: U[-1/sqrt(d), 1/sqrt(d)] matrices, zero biases,
-    N(0,1)/sqrt(d) query embeddings, alpha = 0.5."""
-    if config.kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {config.kind!r}")
-    if config.mode not in MESSAGE_MODES:
-        raise ConfigError(f"unknown message mode {config.mode!r}")
+    N(0,1)/sqrt(d) query embeddings (and learnable encodings), alpha = 0.5."""
     d = config.d
     bound = 1.0 / np.sqrt(d)
     num_rel = len(graph.relations)
     max_arity = max(graph.max_arity, 2)
-    tensors: dict[str, Array] = {}
-    fixed: dict[str, Array] = {}
-
-    for ell in range(config.layers):
-        tensors[f"W_l{ell}"] = rng.uniform(-bound, bound, (d, 2 * d))
-        tensors[f"b_l{ell}"] = np.zeros(d)
-        tensors[f"alpha_l{ell}"] = np.asarray(0.5)
-        tensors[f"ln_g_l{ell}"] = np.ones(d)
-        tensors[f"ln_b_l{ell}"] = np.zeros(d)
-    for r in range(num_rel):
-        if config.mode == "query-dependent":
-            tensors[f"W_rel{r}"] = rng.uniform(-bound, bound, (d, d))
-        else:
-            tensors[f"w_rel{r}"] = rng.uniform(-bound, bound, d)
-    tensors["z_q"] = rng.standard_normal((num_rel, d)) / np.sqrt(d)
-    if config.pe_kind == "learnable":
-        tensors["pe"] = pe_table("learnable", max_arity, d, rng)
-    else:
-        fixed["pe"] = pe_table(config.pe_kind, max_arity, d)
-
-    def mlp(prefix: str, din: int) -> None:
-        tensors[f"{prefix}_W1"] = rng.uniform(-bound, bound, (d, din))
-        tensors[f"{prefix}_b1"] = np.zeros(d)
-        tensors[f"{prefix}_W2"] = rng.uniform(-bound, bound, (1, d))
-        tensors[f"{prefix}_b2"] = np.zeros(1)
-
-    if config.kind == "hcnet":
-        decoder_arities: tuple[int, ...] = ()
-        mlp("dec", 2 * d)
-    else:
+    decoder_arities: tuple[int, ...] = ()
+    if config.kind == "hrnet":
         decoder_arities = tuple(sorted({r.arity for r in graph.relations}))
-        for k in decoder_arities:
-            mlp(f"dec{k}", (k + 1) * d)
+    draw = {"uniform": lambda shape: rng.uniform(-bound, bound, shape),
+            "normal": lambda shape: rng.standard_normal(shape) / np.sqrt(d),
+            "zeros": np.zeros, "ones": np.ones, "half": lambda shape: np.full(shape, 0.5)}
+    tensors = {
+        name: draw[how](shape)
+        for name, shape, how in param_layout(config, num_rel, max_arity, decoder_arities)
+    }
+    fixed = {} if config.pe_kind == "learnable" else {"pe": pe_table(config.pe_kind, max_arity, d)}
     return ModelParams(config, num_rel, max_arity, decoder_arities, tensors, fixed)
 
 
@@ -195,51 +213,45 @@ def edges_by_relation(
     return {r: np.asarray(rows, dtype=np.intp) for r, rows in groups.items()}
 
 
-def hcnet_init(graph: RelationalHypergraph, query: Query, params: ModelParams) -> Array:
-    """One query's initial features (V, d), as the batched path builds them
-    (`_query_init`)."""
-    tape = Tape(record=False)
-    bound = bind_params(tape, params)
-    h0, _ = _query_init(tape, bound, graph, [query], params.config.variant)
-    return h0.value[0]
-
-
 # --- forward: exact theorem path ------------------------------------------
 
 
-def _g_vector(params: ModelParams, rel: int, query_rel: int | None) -> Array:
+def _g_vector(params: ModelParams, rel: int, query: Query | None) -> Array:
     if params.config.mode == "query-dependent":
-        if query_rel is None:
-            raise ShapeMismatch("query-dependent mode needs a query relation")
-        return params.tensors[f"W_rel{rel}"] @ params.tensors["z_q"][query_rel]
+        if query is None:
+            raise ShapeMismatch("query-dependent mode needs a query")
+        return params.tensors[f"W_rel{rel}"] @ params.tensors["z_q"][query.relation]
     return params.tensors[f"w_rel{rel}"]
 
 
 def forward_exact(
     graph: RelationalHypergraph,
-    h0: Array,
     params: ModelParams,
-    layers: int | None = None,
-    query_rel: int | None = None,
+    query: Query | None,
+    rounds: int,
 ) -> list[Array]:
-    """Feature maps for rounds 0..L with multiset-order-independent sums.
+    """Feature maps for rounds 0..`rounds` with multiset-order-independent sums.
 
-    Messages come from the same kernel as the batched path. Each node's
-    messages are summed in lexicographic order, so two nodes receiving
+    Round 0 is the batched paths' start: the query's initialization, or
+    all ones without a query. Messages come from the same kernel, and
+    each node's are summed in lexicographic order, so two nodes receiving
     equal multisets of messages end up with bitwise-identical features.
     Runs the bare layer form: no layer norm, dropout or skip connection.
     """
-    cfg = params.config
-    L = cfg.layers if layers is None else layers
-    out = [h0.astype(np.float64)]
-    h = out[0]
+    if query is None:
+        h = np.ones((graph.node_count, params.config.d))
+    else:
+        tape = Tape(record=False)
+        h0, _ = _query_init(tape, bind_params(tape, params), graph, [query], params.config.variant)
+        h = h0.value[0]
+    out = [h]
     edge_groups = edges_by_relation(graph)
     pe = params.pe_row(slice(None))
-    for ell in range(L):
+    for ell in range(rounds):
         alpha = params.tensors[f"alpha_l{ell}"]
         W = params.tensors[f"W_l{ell}"]
         b = params.tensors[f"b_l{ell}"]
-        gates = {rel: _g_vector(params, rel, query_rel) for rel in edge_groups}
+        gates = {rel: _g_vector(params, rel, query) for rel in edge_groups}
         msgs, dest = ad.incidence_messages(h, alpha, 1.0 - alpha, pe, gates, edge_groups)
         order = np.lexsort((*msgs.T[::-1], dest))
         acc = ad.scatter_add(h.shape, dest[order], msgs[order])
@@ -249,23 +261,6 @@ def forward_exact(
         h = np.maximum(np.stack([W @ row for row in x]) + b, 0.0)
         out.append(h)
     return out
-
-
-def hrnet_features_exact(
-    graph: RelationalHypergraph, params: ModelParams, layers: int | None = None
-) -> list[Array]:
-    h0 = np.ones((graph.node_count, params.config.d))
-    return forward_exact(graph, h0, params, layers)
-
-
-def hcnet_features_exact(
-    graph: RelationalHypergraph,
-    query: Query,
-    params: ModelParams,
-    layers: int | None = None,
-) -> list[Array]:
-    h0 = hcnet_init(graph, query, params)
-    return forward_exact(graph, h0, params, layers, query_rel=query.relation)
 
 
 def feature_partition(features: Array) -> list[int]:
@@ -342,8 +337,6 @@ def _query_init(
     batch: h0_v = sum over given positions i with u_i = v of (p_i + z_q);
     zero elsewhere. Ablation variants drop either addend or use a bare
     indicator."""
-    if variant not in INIT_VARIANTS:
-        raise ShapeMismatch(f"unknown init variant {variant!r}")
     incidences: list[tuple[int, int, int]] = []  # (query, given node, its position)
     for b, q in enumerate(queries):
         arity = graph.relations[q.relation].arity

@@ -18,10 +18,9 @@ from .nn import (
     ModelConfig,
     decode_unary_batch,
     feature_partition,
+    forward_exact,
     grad_check,
-    hcnet_features_exact,
     hcnet_forward_batch,
-    hrnet_features_exact,
     hrnet_forward_batch,
     init_params,
 )
@@ -74,14 +73,14 @@ def refinement_suite(seed: int = 0, count: int = 100, rounds: int = 5, d: int = 
 
         params = _bare_params(g, "hrnet", d, rng)
         wl = hrwl1_run(g, uniform_coloring(g), rounds)
-        feats = hrnet_features_exact(g, params, rounds)
+        feats = forward_exact(g, params, None, rounds)
         for ell in range(rounds + 1):
             if not refines(wl[ell].colors, feature_partition(feats[ell])):
                 failures += 1
 
         params_c = _bare_params(g, "hcnet", d, rng)
         wl_c = conditional_run(g, q, rounds)
-        feats_c = hcnet_features_exact(g, q, params_c, rounds)
+        feats_c = forward_exact(g, params_c, q, rounds)
         for ell in range(rounds + 1):
             if not refines(wl_c[ell].colors, feature_partition(feats_c[ell])):
                 failures += 1
@@ -101,12 +100,12 @@ def matching_suite(seed: int = 0, count: int = 100, rounds: int = 3, d: int = 64
 
         params = _bare_params(g, "hrnet", d, rng)
         wl = hrwl1_run(g, uniform_coloring(g), rounds)
-        feats = hrnet_features_exact(g, params, rounds)
+        feats = forward_exact(g, params, None, rounds)
         ok &= equivalent(wl[rounds].colors, feature_partition(feats[rounds]))
 
         params_c = _bare_params(g, "hcnet", d, rng)
         wl_c = conditional_run(g, q, rounds)
-        feats_c = hcnet_features_exact(g, q, params_c, rounds)
+        feats_c = forward_exact(g, params_c, q, rounds)
         ok &= equivalent(wl_c[rounds].colors, feature_partition(feats_c[rounds]))
         matched += bool(ok)
     return SuiteResult(
@@ -208,7 +207,7 @@ def gradient_suite(seed: int = 0, instances: int = 10, threshold: float = 1e-4) 
         g = random_hypergraph(rng, max_nodes=10, max_relations=3, max_arity=4)
         q = random_query(rng, g)
         params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=2), rng)
-        err = grad_check(g, q, params, eps=1e-5, samples_per_tensor=3, seed=seed + i)
+        err = float(grad_check(g, q, params, eps=1e-5, samples_per_tensor=3, seed=seed + i))
         worst = max(worst, err)
         if err >= threshold:
             failures += 1

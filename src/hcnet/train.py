@@ -6,8 +6,11 @@ against the training fact set. During message passing the batch's positive
 edges are masked out, so a query never sees the edge it is asked to
 predict. The loss weights negatives by a softmax of their own scores
 (temperature alpha_adv); the weights are treated as constants in the
-gradient. `fit` and the hypercycle experiment share one step function,
-`train_step`.
+gradient. It is computed once, on the tape, from raw scores
+(`adversarial_loss_from_logits`). `fit` and the hypercycle experiment
+share one step function, `train_step`. A checkpoint loads only when its
+header describes a valid model and its body holds exactly that model's
+tensors.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -27,13 +31,11 @@ from .errors import (
     FactNotFound,
     NoCandidate,
     NonFiniteValue,
-    ProbabilityOutOfRange,
     ShapeMismatch,
 )
 from .evalrank import evaluate_model, filtered_candidates
 from .hypergraph import HyperEdge, Query, RelationalHypergraph
 from .nn import (
-    MODEL_KINDS,
     ForwardTrace,
     ModelConfig,
     ModelParams,
@@ -41,6 +43,8 @@ from .nn import (
     decode_unary_batch,
     hcnet_forward_batch,
     init_params,
+    need,
+    param_layout,
     pe_table,
 )
 
@@ -62,23 +66,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        """Reject a field of the wrong type or out of range with ConfigError.
-        `mode`, `variant` and `pe_kind` are checked where they are used."""
-
-        def need(name: str, kind: type, ok, want: str) -> None:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-                raise ConfigError(f"config {name!r} must be {want}, got {value!r}")
-
-        for name in ("d", "batch_size", "negatives"):
-            need(name, Integral, lambda x: x >= 1, "an integer >= 1")
-        for name in ("layers", "epochs", "seed"):
-            need(name, Integral, lambda x: x >= 0, "an integer >= 0")
+        """Reject a field of the wrong type or out of range with ConfigError;
+        the model's fields are checked by the `ModelConfig` they build."""
+        for name in ("batch_size", "negatives"):
+            need(vars(self), name, Integral, lambda x: x >= 1, "an integer >= 1")
+        for name in ("epochs", "seed"):
+            need(vars(self), name, Integral, lambda x: x >= 0, "an integer >= 0")
         if self.steps_per_epoch is not None:
-            need("steps_per_epoch", Integral, lambda x: x >= 1, "null or an integer >= 1")
+            need(vars(self), "steps_per_epoch", Integral, lambda x: x >= 1,
+                 "null or an integer >= 1")
         for name in ("lr", "adv_temperature"):
-            need(name, Real, lambda x: 0.0 < x < math.inf, "a finite number > 0")
-        need("dropout", Real, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
+            need(vars(self), name, Real, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+        self.model_config()
 
     def model_config(self, kind: str = "hcnet") -> ModelConfig:
         # The query-agnostic baseline carries per-relation weight vectors;
@@ -114,16 +113,6 @@ def corrupt(
     if not legal:
         raise NoCandidate(f"no legal corruption at position {t}")
     return [legal[i] for i in rng.integers(0, len(legal), size=n)]
-
-
-def self_adversarial_loss(p_pos: float, p_negs: list[float], alpha_adv: float) -> float:
-    """-log p  -  sum_i w_i log(1 - p'_i), w = Softmax(log(1-p')/alpha)."""
-    probs = [p_pos, *p_negs]
-    if any(not (0.0 < p < 1.0) for p in probs):
-        raise ProbabilityOutOfRange(str(probs))
-    logs = np.log1p(-np.asarray(p_negs))
-    w = np.exp(logs / alpha_adv - np.logaddexp.reduce(logs / alpha_adv))
-    return float(-np.log(p_pos) - np.sum(w * logs))
 
 
 def mask_positives(
@@ -340,11 +329,12 @@ def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None =
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Inverse of save_checkpoint; raises CheckpointError on a malformed
-    header (an unknown model kind too) or a tensor whose bytes are missing
-    or whose sizes are not non-negative integers. Older headers carry
-    `use_layernorm` and `use_skip`; they load when both are true, as in
-    every checkpoint `hcnet train` wrote."""
+    """Inverse of save_checkpoint. Raises CheckpointError on a malformed
+    header, one that does not describe a valid model, a body whose tensor
+    names and shapes are not the ones `init_params` builds for that model
+    and the header's graph sizes, or a tensor whose bytes are missing.
+    Older headers carry `use_layernorm` and `use_skip`; they load when both
+    are true, as in every checkpoint `hcnet train` wrote."""
     with open(path, "rb") as fh:
         data = fh.read()
     hlen = int.from_bytes(data[:8], "little")
@@ -356,13 +346,19 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         switches = [model.pop(key, True) for key in ("use_layernorm", "use_skip")]
         cfg = ModelConfig(**model)
         specs = [(s["name"], list(s["shape"]), s["nbytes"]) for s in header["tensors"]]
+        body = {name: shape for name, shape, _ in specs}
         meta = (header["num_relations"], header["max_arity"], tuple(header["decoder_arities"]))
-    except (ValueError, KeyError, TypeError) as exc:
+        need(header, "max_arity", Integral, lambda x: x >= 2, "an integer >= 2")
+        # Drawn lazily: a header asking for more tensors than its body
+        # lists stops one past the body's count.
+        expected = islice(param_layout(cfg, *meta), len(specs) + 1)
+        layout = {name: list(shape) for name, shape, _ in expected}
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     if any(on is not True for on in switches):
         raise CheckpointError(f"{path}: models without layer norm and skip are not supported")
-    if cfg.kind not in MODEL_KINDS:
-        raise CheckpointError(f"{path}: unknown model kind {cfg.kind!r}")
+    if layout != body or len(body) != len(specs):
+        raise CheckpointError(f"{path}: tensors do not match the header's model")
     tensors = {}
     pos = 8 + hlen
     for name, shape, nbytes in specs:

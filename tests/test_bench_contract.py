@@ -1,7 +1,8 @@
-"""The benchmark's tracer patches hcnet by name from outside the package.
+"""The benchmark's tracer and workloads use hcnet by name from outside
+the package.
 
-A rename or deletion under src/ that the tracer still names would only
-fail a traced benchmark run; these checks make it fail the test suite.
+A rename or deletion under src/ that the tracer or a workload still names
+would only fail a benchmark run; these checks make it fail the test suite.
 """
 
 import ast
@@ -40,6 +41,31 @@ def _workload_suite_names() -> tuple[str, ...]:
         ):
             return ast.literal_eval(node.value)
     raise AssertionError("workloads.py defines no SUITES")
+
+
+def _workload_attributes() -> set[tuple[str, str]]:
+    """(module, attribute) for each `<alias>.<attr>` in workloads.py whose
+    alias is one of its `import hcnet.<module> as <alias>` imports."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.asname and alias.name.startswith("hcnet.")
+    }
+    return {
+        (aliases[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+
+
+def test_workload_attributes_resolve():
+    used = _workload_attributes()
+    assert ("hcnet.nn", "decode_kary") in used
+    missing = [f"{mod}.{attr}" for mod, attr in sorted(used)
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing
 
 
 def test_function_spans_resolve(tracer):

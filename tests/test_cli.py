@@ -1,6 +1,5 @@
 """End-to-end command-line interface behavior via main(argv)."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -186,9 +185,16 @@ class TestTrainEvaluate:
         params = init_params(
             graph, TrainConfig(d=4, layers=1).model_config(), np.random.default_rng(0)
         )
-        params.config = dataclasses.replace(params.config, kind="other")
         ckpt = tmp_path / "other.ckpt"
         save_checkpoint(str(ckpt), params)
+        # A ModelConfig of an unknown kind cannot be built, so write it
+        # into the header.
+        raw = ckpt.read_bytes()
+        hlen = int.from_bytes(raw[:8], "little")
+        header = json.loads(raw[8 : 8 + hlen])
+        header["model"]["kind"] = "other"
+        blob = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :])
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
         assert code == 1
         assert "unknown model kind" in capsys.readouterr().err
@@ -264,6 +270,7 @@ class TestTrainEvaluate:
         {"layers": -1},
         {"steps_per_epoch": 0},
         {"adv_temperature": 0},
+        {"pe_kind": "learned"},
     ])
     def test_config_typo_exits_1(self, tmp_path, capsys, values):
         data = _tiny_dataset(tmp_path)
@@ -305,7 +312,9 @@ class TestTrainEvaluate:
 
     @pytest.mark.parametrize(
         "cut",
-        ["empty", "header", "body", "negative", "non-integer", "layernorm-off", "skip-off"],
+        ["empty", "header", "body", "negative", "non-integer", "layernorm-off", "skip-off",
+         "layers-x", "layers-5", "layers-negative", "dropout-2", "mode-bogus", "relations-9",
+         "max-arity-x"],
     )
     def test_bad_checkpoint_exits_1(self, tmp_path, capsys, cut):
         data = _tiny_dataset(tmp_path)
@@ -320,12 +329,23 @@ class TestTrainEvaluate:
         # A shape of [-1] with nbytes -4 passes the size equation, and a
         # count of -1 would read the rest of the file; a dimension "a" is
         # no number at all. Older headers carry `use_layernorm` and
-        # `use_skip`; the model now always applies both.
+        # `use_skip`; the model now always applies both. The last seven cuts
+        # give a header that describes no valid model, or not the 1-layer
+        # model of the body.
         header = json.loads(raw[8 : 8 + hlen])
         spec = next(s for s in header["tensors"] if s["name"] == "W_l0")
+        model_edits = {"layers-x": {"layers": "x"}, "layers-5": {"layers": 5},
+                       "layers-negative": {"layers": -1}, "dropout-2": {"dropout": 2.0},
+                       "mode-bogus": {"mode": "bogus"}}
         if cut.endswith("-off"):
             header["model"].update(use_layernorm=cut != "layernorm-off",
                                    use_skip=cut != "skip-off")
+        elif cut in model_edits:
+            header["model"].update(model_edits[cut])
+        elif cut == "relations-9":
+            header["num_relations"] = 9
+        elif cut == "max-arity-x":
+            header["max_arity"] = "x"
         else:
             spec["shape"], spec["nbytes"] = {"negative": ([-1], -4)}.get(cut, (["a"], 4))
         blob = json.dumps(header).encode("utf-8")
@@ -334,7 +354,8 @@ class TestTrainEvaluate:
                           "body": raw[:-3]}.get(cut, resized))
         code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_missing_data_dir(self, tmp_path, capsys):
         code = main([
@@ -351,6 +372,7 @@ class TestGradcheck:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("PASS gradient-check: 2 checked, 0 failed")
+        assert "np.float64" not in out
 
 
 class TestUsage:

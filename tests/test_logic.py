@@ -29,7 +29,6 @@ from hcnet.logic import (
     Or,
     compile_hgml_r,
     eval_formula,
-    eval_formula_c,
     guards_from_map,
     is_hgml_r,
     parse_formula,
@@ -89,15 +88,15 @@ class TestEvaluator:
                 ),
             ),
         )
-        assert eval_formula_c(degree_graph, sig, psi, 0)
-        assert not eval_formula_c(degree_graph, sig, psi, 1)
+        assert eval_formula(degree_graph, sig, psi, 0)
+        assert not eval_formula(degree_graph, sig, psi, 1)
 
     def test_const_atom_basic(self, degree_graph):
         sig = LogicSignature(
             colors=DEGREE_SIG.colors, relations=DEGREE_SIG.relations, constants={"b": 3}
         )
-        assert eval_formula_c(degree_graph, sig, ConstAtom("b"), 3)
-        assert not eval_formula_c(degree_graph, sig, ConstAtom("b"), 2)
+        assert eval_formula(degree_graph, sig, ConstAtom("b"), 3)
+        assert not eval_formula(degree_graph, sig, ConstAtom("b"), 2)
 
     def test_colliding_constants(self, degree_graph):
         sig = LogicSignature(
@@ -106,7 +105,7 @@ class TestEvaluator:
             constants={"a": 1, "b": 1},
         )
         with pytest.raises(InvalidConstants):
-            eval_formula_c(degree_graph, sig, ConstAtom("a"), 1)
+            eval_formula(degree_graph, sig, ConstAtom("a"), 1)
 
     def test_constant_needs_interpretation(self, degree_graph):
         with pytest.raises(UnknownConstant):

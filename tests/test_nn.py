@@ -19,8 +19,6 @@ from hcnet.nn import (
     grad_check,
     hcnet_forward,
     hcnet_forward_batch,
-    hcnet_init,
-    hrnet_features_exact,
     hrnet_forward,
     hrnet_forward_batch,
     init_params,
@@ -84,20 +82,20 @@ class TestInit:
     def test_non_source_nodes_zero(self):
         g = hypercycle(8, 3)
         params = _params(g)
-        h0 = hcnet_init(g, Query(0, (3,), 2), params)
+        h0 = forward_exact(g, params, Query(0, (3,), 2), 0)[0]
         assert np.all(h0[[v for v in range(8) if v != 3]] == 0.0)
         assert np.any(h0[3] != 0.0)
 
     def test_source_is_pe_plus_zq(self):
         g = hypercycle(8, 3)
         params = _params(g)
-        h0 = hcnet_init(g, Query(0, (3,), 2), params)
+        h0 = forward_exact(g, params, Query(0, (3,), 2), 0)[0]
         np.testing.assert_allclose(h0[3], params.pe_row(1) + params.tensors["z_q"][0])
 
     def test_repeated_given_node_sums(self):
         g = build_graph([Relation(0, "r", 3)], [], 4)
         params = _params(g)
-        h0 = hcnet_init(g, Query(0, (1, 1), 3), params)
+        h0 = forward_exact(g, params, Query(0, (1, 1), 3), 0)[0]
         zq = params.tensors["z_q"][0]
         np.testing.assert_allclose(h0[1], params.pe_row(1) + params.pe_row(2) + 2 * zq)
 
@@ -107,29 +105,26 @@ class TestInit:
         for variant, want in (("pos", "pe"), ("rel", "zq"), ("ones", "ones")):
             params = _params(g, variant=variant)
             row = {"pe": params.pe_row(1), "zq": params.tensors["z_q"][0], "ones": np.ones(8)}
-            np.testing.assert_allclose(hcnet_init(g, q, params)[3], row[want])
+            np.testing.assert_allclose(forward_exact(g, params, q, 0)[0][3], row[want])
 
     def test_arity_mismatch(self):
         g = hypercycle(8, 3)
         with pytest.raises(QueryArityMismatch):
-            hcnet_init(g, Query(0, (1, 2), 2), _params(g))
+            forward_exact(g, _params(g), Query(0, (1, 2), 2), 0)
 
     @pytest.mark.parametrize("target", [0, 3])
     def test_target_out_of_range_in_both_paths(self, target):
         g = hypercycle(8, 3)  # r0 is binary
         params = _params(g)
         with pytest.raises(QueryArityMismatch):
-            hcnet_init(g, Query(0, (1,), target), params)
+            forward_exact(g, params, Query(0, (1,), target), 0)
         with pytest.raises(QueryArityMismatch):
             hcnet_forward_batch(g, [Query(0, (1,), 2), Query(0, (1,), target)], params)
 
     def test_unknown_variant_in_both_paths(self):
-        g = hypercycle(8, 3)
-        params = _params(g, variant="pos-rel")
-        with pytest.raises(ShapeMismatch):
-            hcnet_init(g, Query(0, (1,), 2), params)
-        with pytest.raises(ShapeMismatch):
-            hcnet_forward_batch(g, [Query(0, (1,), 2)], params)
+        # Both paths read the variant from a ModelConfig, which rejects it.
+        with pytest.raises(ConfigError, match="unknown init variant"):
+            _params(hypercycle(8, 3), variant="pos-rel")
 
     @pytest.mark.parametrize("pe_kind", ["sinusoidal", "one-hot", "constant", "learnable"])
     def test_is_the_batched_path_at_layer_zero(self, pe_kind):
@@ -141,13 +136,29 @@ class TestInit:
                 cfg = ModelConfig(kind="hcnet", d=8, layers=0, pe_kind=pe_kind, variant=variant)
                 params = init_params(g, cfg, rng)
                 trace = hcnet_forward_batch(g, [q], params)
-                assert np.array_equal(hcnet_init(g, q, params), trace.features.value[0])
+                assert np.array_equal(forward_exact(g, params, q, 0)[0], trace.features.value[0])
 
     @pytest.mark.parametrize("typo", [{"kind": "hcnett"}, {"mode": "query-dependant"}])
     def test_params_reject_unknown_kind_or_mode(self, typo):
         with pytest.raises(ConfigError):
             init_params(hypercycle(8, 3), ModelConfig(d=8, layers=1, **typo),
                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"kind": "hcnett"}, "unknown model kind"),
+        ({"mode": "query-dependant"}, "unknown message mode"),
+        ({"variant": "pos-rel"}, "unknown init variant"),
+        ({"pe_kind": "learned"}, "unknown encoding kind"),
+        ({"d": 0}, "config 'd' must be an integer >= 1"),
+        ({"layers": -1}, "config 'layers' must be an integer >= 0"),
+        ({"layers": "x"}, "config 'layers' must be an integer >= 0"),
+        ({"dropout": 1.0}, "config 'dropout' must be a number in"),
+        ({"dropout": True}, "config 'dropout' must be a number in"),
+    ], ids=["kind", "mode", "variant", "pe_kind", "d-0", "layers-negative", "layers-x",
+            "dropout-1", "dropout-bool"])
+    def test_config_rejects_a_bad_field(self, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**bad)
 
     def test_hrnet_rejects_query_dependent_messages(self):
         with pytest.raises(ConfigError, match="query-independent"):
@@ -163,7 +174,7 @@ class TestInit:
             g = random_hypergraph(rng, max_nodes=12)
             q = random_query(rng, g)
             params = init_params(g, ModelConfig(kind="hcnet", d=16, layers=1), rng)
-            h0 = hcnet_init(g, q, params)
+            h0 = forward_exact(g, params, q, 0)[0]
             rows = {u: h0[u] for u in set(q.given)}
             for u, row in rows.items():
                 assert np.abs(row).max() > 1e-9
@@ -173,12 +184,14 @@ class TestInit:
 
 class TestExactForward:
     def test_single_edge_hand_oracle(self):
-        # d=1, one binary edge r(a,b), alpha=1, zero encodings, W=[1 1],
-        # b=0, query-independent w_r: message into b is h_a * w_r, so the
-        # layer computes ReLU(h_b + h_a * w_r) (and symmetrically for a).
+        # d=1, one binary edge r(a,b), alpha=1, constant encodings p=1,
+        # W=[1 1], b=0, query-independent w_r: message into b is h_a * w_r,
+        # so the layer computes ReLU(h_b + h_a * w_r) (and symmetrically
+        # for a). The query r(a, ?) with z_q = 1 starts a at p_1 + z_q = 2
+        # and b at 0.
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 2)
         cfg = ModelConfig(
-            kind="hrnet", d=1, layers=1, mode="query-independent",
+            kind="hcnet", d=1, layers=1, mode="query-independent",
             pe_kind="constant",
         )
         params = init_params(g, cfg, np.random.default_rng(0))
@@ -186,10 +199,11 @@ class TestExactForward:
         params.tensors["b_l0"][:] = 0.0
         params.tensors["alpha_l0"][()] = 1.0
         params.tensors["w_rel0"][:] = 0.5
-        h0 = np.array([[2.0], [3.0]])
-        out = forward_exact(g, h0, params, layers=1)
-        np.testing.assert_allclose(out[1][1], [3.0 + 2.0 * 0.5])
-        np.testing.assert_allclose(out[1][0], [2.0 + 3.0 * 0.5])
+        params.tensors["z_q"][0] = 1.0
+        out = forward_exact(g, params, Query(0, (0,), 2), 1)
+        np.testing.assert_array_equal(out[0], [[2.0], [0.0]])
+        np.testing.assert_allclose(out[1][1], [0.0 + 2.0 * 0.5])
+        np.testing.assert_allclose(out[1][0], [2.0 + 0.0 * 0.5])
 
     def test_matches_per_edge_loop_reference(self):
         # The layer rule written out edge by edge and position by position;
@@ -198,9 +212,9 @@ class TestExactForward:
         g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=4)
         q = random_query(rng, g)
         params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3), rng)
-        h = hcnet_init(g, q, params)
+        h = forward_exact(g, params, q, 0)[0]
         t = params.tensors
-        for ell, got in enumerate(forward_exact(g, h, params, query_rel=q.relation)[1:]):
+        for ell, got in enumerate(forward_exact(g, params, q, 3)[1:]):
             alpha = float(t[f"alpha_l{ell}"])
             acc = np.zeros_like(h)
             for ed in g.edges:
@@ -218,10 +232,15 @@ class TestExactForward:
             h = np.maximum(z, 0.0)
             np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12)
 
+    def test_query_dependent_mode_needs_a_query(self):
+        g = hypercycle(8, 3)
+        with pytest.raises(ShapeMismatch, match="needs a query"):
+            forward_exact(g, _params(g), None, 1)
+
     def test_layer_zero_is_init(self):
         g = hypercycle(8, 3)
         params = _params(g, kind="hrnet", mode="query-independent")
-        out = hrnet_features_exact(g, params, layers=0)
+        out = forward_exact(g, params, None, 0)
         np.testing.assert_allclose(out[0], np.ones((8, params.config.d)))
 
     def test_equal_message_multisets_bitwise_equal(self):
@@ -229,7 +248,7 @@ class TestExactForward:
         # accumulation makes their features bitwise identical.
         g = hypercycle(8, 3)
         params = _params(g, kind="hrnet", d=16, layers=4, mode="query-independent")
-        feats = hrnet_features_exact(g, params)
+        feats = forward_exact(g, params, None, 4)
         for layer in feats:
             assert (layer[2] == layer[4]).all()
 
@@ -238,14 +257,14 @@ class TestExactForward:
         g = random_hypergraph(rng)
         params = init_params(g, ModelConfig(kind="hrnet", d=8, layers=3,
                                             mode="query-independent"), rng)
-        for layer in hrnet_features_exact(g, params):
+        for layer in forward_exact(g, params, None, 3):
             assert np.isfinite(layer).all()
 
     def test_feature_partition_refined_by_wl_init(self):
         g = hypercycle(8, 3)
         q = Query(0, (0,), 2)
         params = _params(g, d=16)
-        h0 = hcnet_init(g, q, params)
+        h0 = forward_exact(g, params, q, 0)[0]
         assert equivalent(conditional_init(g, q).colors, feature_partition(h0))
 
 
@@ -262,7 +281,7 @@ class TestBatchedForward:
         for ell in range(2):
             t[f"ln_g_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
             t[f"ln_b_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
-        h = hcnet_init(g, q, params)
+        h = forward_exact(g, params, q, 0)[0]
         for ell in range(2):
             alpha = float(t[f"alpha_l{ell}"])
             acc = np.zeros_like(h)

@@ -15,10 +15,10 @@ import hcnet
 from hcnet import autodiff as ad
 from hcnet.errors import (
     CheckpointError,
+    ConfigError,
     FactNotFound,
     NoCandidate,
     NonFiniteValue,
-    ProbabilityOutOfRange,
     ShapeMismatch,
 )
 from hcnet.evalrank import filtered_candidates
@@ -36,9 +36,31 @@ from hcnet.train import (
     load_checkpoint,
     mask_positives,
     save_checkpoint,
-    self_adversarial_loss,
     train_step,
 )
+
+
+def self_adversarial_loss(p_pos: float, p_negs: list[float], alpha_adv: float) -> float:
+    """Reference for `adversarial_loss_from_logits`, in probability space:
+    -log p  -  sum_i w_i log(1 - p'_i), w = Softmax(log(1-p')/alpha)."""
+    logs = np.log1p(-np.asarray(p_negs))
+    w = np.exp(logs / alpha_adv - np.logaddexp.reduce(logs / alpha_adv))
+    return float(-np.log(p_pos) - np.sum(w * logs))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad, message", [
+        ({"mode": "query-dependant"}, "unknown message mode"),
+        ({"variant": "pos-rel"}, "unknown init variant"),
+        ({"pe_kind": "learned"}, "unknown encoding kind"),
+        ({"d": 0}, "config 'd' must be an integer >= 1"),
+        ({"layers": "x"}, "config 'layers' must be an integer >= 0"),
+        ({"dropout": 1.0}, "config 'dropout' must be a number in"),
+    ], ids=["mode", "variant", "pe_kind", "d", "layers", "dropout"])
+    def test_rejects_a_bad_model_field(self, bad, message):
+        # The model's fields are checked by the ModelConfig they build.
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**bad)
 
 
 class TestCorrupt:
@@ -107,12 +129,6 @@ class TestSelfAdversarialLoss:
         for alpha in (0.1, 0.5, 2.0):
             expected = -np.log(0.7) - np.log(1 - 0.4)
             assert self_adversarial_loss(0.7, [0.4], alpha) == pytest.approx(expected)
-
-    def test_probability_out_of_range(self):
-        with pytest.raises(ProbabilityOutOfRange):
-            self_adversarial_loss(1.0, [0.5], 0.5)
-        with pytest.raises(ProbabilityOutOfRange):
-            self_adversarial_loss(0.5, [0.0], 0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -406,10 +422,11 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @staticmethod
-    def _with_model_keys(raw, **keys):
+    def _with_header(raw, model=(), **top):
         hlen = int.from_bytes(raw[:8], "little")
         header = json.loads(raw[8 : 8 + hlen])
-        header["model"].update(keys)
+        header["model"].update(model)
+        header.update(top)
         blob = json.dumps(header).encode("utf-8")
         return len(blob).to_bytes(8, "little") + blob + raw[8 + hlen :]
 
@@ -418,7 +435,7 @@ class TestCheckpoint:
         # carried them, as true for every model `fit` trained.
         path, raw = self._saved(tmp_path)
         want, _ = load_checkpoint(str(path))
-        path.write_bytes(self._with_model_keys(raw, use_layernorm=True, use_skip=True))
+        path.write_bytes(self._with_header(raw, {"use_layernorm": True, "use_skip": True}))
         got, header = load_checkpoint(str(path))
         assert header["model"]["use_layernorm"] is True
         assert got.config == want.config
@@ -428,6 +445,22 @@ class TestCheckpoint:
             a, b = getattr(got, part), getattr(want, part)
             assert set(a) == set(b)
             assert all(a[n].tobytes() == b[n].tobytes() for n in a), part
+
+    @pytest.mark.parametrize("model, top, match", [
+        ({"mode": "bogus"}, {}, "malformed header .*unknown message mode"),
+        ({"dropout": 2.0}, {}, "malformed header .*'dropout'"),
+        ({}, {"max_arity": "x"}, "malformed header .*'max_arity'"),
+        ({"layers": 2}, {}, "tensors do not match"),
+        ({"d": 8}, {}, "tensors do not match"),
+        ({"kind": "hrnet", "mode": "query-independent"}, {}, "tensors do not match"),
+        ({}, {"num_relations": 9}, "tensors do not match"),
+    ], ids=["mode", "dropout", "max-arity", "layers", "d", "kind", "relations"])
+    def test_header_of_no_model_or_another_model(self, tmp_path, model, top, match):
+        # The body holds a 1-layer, d=4 hcnet of 3 relations.
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(self._with_header(raw, model, **top))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(str(path))
 
     def test_save_replaces_and_leaves_no_temp_file(self, tmp_path):
         path, raw = self._saved(tmp_path)
