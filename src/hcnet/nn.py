@@ -22,6 +22,8 @@ The compiled logic networks (`logic.run_compiled`) run its products in
 int64. Every path with a query starts from one query initialization
 (`_query_init`), which also checks every query; without one, features
 start as all ones. Every model field is checked once, in `ModelConfig`.
+`ModelParams` holds only the trained tensors; a closed-form encoding
+table is built for the graph being run when `bind_params` binds them.
 
 The layer rule, for each node v with incidence pairs (e,i):
 
@@ -35,7 +37,7 @@ the empty product (arity-1 relations) is the all-ones vector.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -132,16 +134,10 @@ class ModelParams:
     num_relations: int
     max_arity: int
     decoder_arities: tuple[int, ...]
-    tensors: dict[str, Array]
-    fixed: dict[str, Array] = field(default_factory=dict)
+    tensors: dict[str, Array]  # the trained tensors only
 
     def copy(self) -> "ModelParams":
-        tensors = {k: v.copy() for k, v in self.tensors.items()}
-        return replace(self, tensors=tensors, fixed=dict(self.fixed))
-
-    def pe_row(self, i: int | Array) -> Array:
-        table = self.tensors.get("pe", self.fixed.get("pe"))
-        return table[i]
+        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
 def param_layout(
@@ -194,8 +190,7 @@ def init_params(
         name: draw[how](shape)
         for name, shape, how in param_layout(config, num_rel, max_arity, decoder_arities)
     }
-    fixed = {} if config.pe_kind == "learnable" else {"pe": pe_table(config.pe_kind, max_arity, d)}
-    return ModelParams(config, num_rel, max_arity, decoder_arities, tensors, fixed)
+    return ModelParams(config, num_rel, max_arity, decoder_arities, tensors)
 
 
 # --- forward: shared pieces -----------------------------------------------
@@ -238,15 +233,15 @@ def forward_exact(
     equal multisets of messages end up with bitwise-identical features.
     Runs the bare layer form: no layer norm, dropout or skip connection.
     """
+    tape = Tape(record=False)
+    bound = bind_params(tape, params, graph)
     if query is None:
         h = np.ones((graph.node_count, params.config.d))
     else:
-        tape = Tape(record=False)
-        h0, _ = _query_init(tape, bind_params(tape, params), graph, [query], params.config.variant)
-        h = h0.value[0]
+        h = _query_init(tape, bound, graph, [query], params.config.variant)[0].value[0]
     out = [h]
     edge_groups = edges_by_relation(graph)
-    pe = params.pe_row(slice(None))
+    pe = bound["pe"].value
     for ell in range(rounds):
         alpha = params.tensors[f"alpha_l{ell}"]
         W = params.tensors[f"W_l{ell}"]
@@ -280,10 +275,13 @@ class ForwardTrace:
     zq_batch: Var | None = None  # (Q, d), hcnet batches only
 
 
-def bind_params(tape: Tape, params: ModelParams) -> dict[str, Var]:
+def bind_params(tape: Tape, params: ModelParams, graph: RelationalHypergraph) -> dict[str, Var]:
+    """The trained tensors as leaves and, for a closed-form encoding, its
+    table for the positions of `graph` as a constant."""
     bound = {name: tape.leaf(value) for name, value in params.tensors.items()}
-    for name, value in params.fixed.items():
-        bound[name] = tape.constant(value)
+    cfg = params.config
+    if cfg.pe_kind != "learnable":
+        bound["pe"] = tape.constant(pe_table(cfg.pe_kind, max(graph.max_arity, 2), cfg.d))
     return bound
 
 
@@ -295,7 +293,6 @@ def _message_layer(
     h: Var,
     edge_groups: dict[int, Array],
     g_by_rel: dict[int, Var],
-    train: bool,
     rng: np.random.Generator | None,
 ) -> Var:
     alpha = bound[f"alpha_l{ell}"]
@@ -304,7 +301,7 @@ def _message_layer(
     z = ad.concat_last(tape, [h, msgs])
     z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
     z = ad.layer_norm(tape, z, bound[f"ln_g_l{ell}"], bound[f"ln_b_l{ell}"])
-    if train and cfg.dropout > 0.0:
+    if rng is not None and cfg.dropout > 0.0:
         z = ad.dropout(tape, z, cfg.dropout, rng)
     return ad.add(tape, ad.relu(tape, z), h)
 
@@ -365,22 +362,22 @@ def hcnet_forward_batch(
     graph: RelationalHypergraph,
     queries: list[Query],
     params: ModelParams,
-    train: bool = False,
     rng: np.random.Generator | None = None,
     masked_edges: set[int] | None = None,
     record: bool = True,
 ) -> ForwardTrace:
-    """Conditional features (Q, V, d) for a batch of queries in one pass.
-    With record=False the tape records nothing, so the pass cannot be
-    differentiated and holds only the arrays still in use."""
+    """Conditional features (Q, V, d) for a batch of queries in one pass,
+    with dropout drawn from `rng` when one is given. With record=False the
+    tape records nothing, so the pass cannot be differentiated and holds
+    only the arrays still in use."""
     cfg = params.config
     tape = Tape(record=record)
-    bound = bind_params(tape, params)
+    bound = bind_params(tape, params, graph)
     h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, zq_batch)
     for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, train, rng)
+        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, rng)
     return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
 
 
@@ -391,12 +388,12 @@ def hrnet_forward_batch(
     without dropout; `record` as in `hcnet_forward_batch`."""
     cfg = params.config
     tape = Tape(record=record)
-    bound = bind_params(tape, params)
+    bound = bind_params(tape, params, graph)
     h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
     edge_groups = edges_by_relation(graph)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, None)
     for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, False, None)
+        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, None)
     return ForwardTrace(tape, bound, h)
 
 
@@ -494,20 +491,18 @@ def grad_check(
     eps: float = 1e-5,
     samples_per_tensor: int = 4,
     seed: int = 0,
-    jitter: float = 0.05,
 ) -> float:
     """Max relative error of backward vs central finite differences on a
     subsample of entries of every trainable tensor (64-bit).
 
-    Parameters are first nudged to a generic point (small uniform jitter):
-    zero-initialized biases put entire feature rows exactly on the ReLU
-    kink and at zero layer-norm variance, where the loss is genuinely
+    Parameters are first nudged to a generic point (uniform jitter of
+    +-0.05): zero-initialized biases put entire feature rows exactly on the
+    ReLU kink and at zero layer-norm variance, where the loss is genuinely
     non-differentiable and finite differences are meaningless."""
     rng = np.random.default_rng(seed)
     params = params.copy()
-    if jitter > 0.0:
-        for tensor in params.tensors.values():
-            tensor += rng.uniform(-jitter, jitter, tensor.shape)
+    for tensor in params.tensors.values():
+        tensor += rng.uniform(-0.05, 0.05, tensor.shape)
 
     def loss_of(p: ModelParams) -> tuple[float, dict[str, Array]]:
         trace = hcnet_forward_batch(graph, [query], p)

@@ -56,34 +56,34 @@ class SuiteResult:
         return f"{status} {self.name}: {self.checked} checked, {self.failures} failed {self.detail}"
 
 
-def _bare_params(graph, kind: str, d: int, rng) -> "object":
-    cfg = ModelConfig(kind=kind, d=d, layers=5, mode="query-independent")
-    return init_params(graph, cfg, rng)
+def _wl_and_features(seed: int, count: int, rounds: int, d: int):
+    """For each of `count` random graphs with a random query, the WL runs
+    and exact feature maps of rounds 0..`rounds`, as (WL, features) pairs:
+    the query-agnostic model from the uniform coloring, then the
+    conditional model from the query, each with random width-d
+    parameters."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = random_hypergraph(rng, max_nodes=30, max_relations=4, max_arity=4)
+        q = random_query(rng, g)
+        pairs = []
+        for kind, query, wl in (("hrnet", None, hrwl1_run(g, uniform_coloring(g), rounds)),
+                                ("hcnet", q, conditional_run(g, q, rounds))):
+            cfg = ModelConfig(kind=kind, d=d, layers=5, mode="query-independent")
+            pairs.append((wl, forward_exact(g, init_params(g, cfg, rng), query, rounds)))
+        yield pairs
 
 
 def refinement_suite(seed: int = 0, count: int = 100, rounds: int = 5, d: int = 16) -> SuiteResult:
     """WL round-l partitions refine exact-equality feature partitions, for
     the query-agnostic model (uniform init) and the conditional model
     (query init), on every round l <= `rounds`."""
-    rng = np.random.default_rng(seed)
     failures = 0
-    for _ in range(count):
-        g = random_hypergraph(rng, max_nodes=30, max_relations=4, max_arity=4)
-        q = random_query(rng, g)
-
-        params = _bare_params(g, "hrnet", d, rng)
-        wl = hrwl1_run(g, uniform_coloring(g), rounds)
-        feats = forward_exact(g, params, None, rounds)
-        for ell in range(rounds + 1):
-            if not refines(wl[ell].colors, feature_partition(feats[ell])):
-                failures += 1
-
-        params_c = _bare_params(g, "hcnet", d, rng)
-        wl_c = conditional_run(g, q, rounds)
-        feats_c = forward_exact(g, params_c, q, rounds)
-        for ell in range(rounds + 1):
-            if not refines(wl_c[ell].colors, feature_partition(feats_c[ell])):
-                failures += 1
+    for pairs in _wl_and_features(seed, count, rounds, d):
+        for wl, feats in pairs:
+            for ell in range(rounds + 1):
+                if not refines(wl[ell].colors, feature_partition(feats[ell])):
+                    failures += 1
     return SuiteResult("wl-refines-features", failures == 0, count, failures)
 
 
@@ -91,23 +91,10 @@ def matching_suite(seed: int = 0, count: int = 100, rounds: int = 3, d: int = 64
                    required: int = 95) -> SuiteResult:
     """With random width-64 parameters the layer-3 feature partition equals
     the WL partition on at least `required` of `count` graphs."""
-    rng = np.random.default_rng(seed)
-    matched = 0
-    for _ in range(count):
-        g = random_hypergraph(rng, max_nodes=30, max_relations=4, max_arity=4)
-        q = random_query(rng, g)
-        ok = True
-
-        params = _bare_params(g, "hrnet", d, rng)
-        wl = hrwl1_run(g, uniform_coloring(g), rounds)
-        feats = forward_exact(g, params, None, rounds)
-        ok &= equivalent(wl[rounds].colors, feature_partition(feats[rounds]))
-
-        params_c = _bare_params(g, "hcnet", d, rng)
-        wl_c = conditional_run(g, q, rounds)
-        feats_c = forward_exact(g, params_c, q, rounds)
-        ok &= equivalent(wl_c[rounds].colors, feature_partition(feats_c[rounds]))
-        matched += bool(ok)
+    matched = sum(
+        all(equivalent(wl[rounds].colors, feature_partition(feats[rounds])) for wl, feats in pairs)
+        for pairs in _wl_and_features(seed, count, rounds, d)
+    )
     return SuiteResult(
         "features-match-wl", matched >= required, count, count - matched,
         {"matched": matched, "required": required},

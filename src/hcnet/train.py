@@ -8,9 +8,9 @@ predict. The loss weights negatives by a softmax of their own scores
 (temperature alpha_adv); the weights are treated as constants in the
 gradient. It is computed once, on the tape, from raw scores
 (`adversarial_loss_from_logits`). `fit` and the hypercycle experiment
-share one step function, `train_step`. A checkpoint loads only when its
-header describes a valid model and its body holds exactly that model's
-tensors.
+share one step function, `train_step`. A checkpoint holds the trained
+tensors; it loads only when its header describes a valid model and the
+rest of the file is exactly that model's tensors, no byte more or less.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .nn import (
     init_params,
     need,
     param_layout,
-    pe_table,
 )
 
 
@@ -102,12 +101,11 @@ def corrupt(
     graph: RelationalHypergraph,
     n: int,
     rng: np.random.Generator,
-    fact_set: set[tuple[int, tuple[int, ...]]] | None = None,
+    fact_set: set[tuple[int, tuple[int, ...]]],
 ) -> list[int]:
     """n corruptions of position t, uniform over nodes, excluding the true
-    entity and any substitution forming a known training fact."""
-    if fact_set is None:
-        fact_set = graph.fact_set()
+    entity and any substitution forming a known training fact of
+    `fact_set` (`graph.fact_set()`, built once per run)."""
     true = fact.nodes[t - 1]
     legal = [v for v in filtered_candidates(fact, t, graph.node_count, fact_set) if v != true]
     if not legal:
@@ -140,14 +138,14 @@ def mask_positives(
 # --- optimizer -------------------------------------------------------------
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(
@@ -155,7 +153,7 @@ def adam_step(
 ) -> None:
     """In-place bias-corrected Adam update."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.tensors.items():
         g = grads.get(name)
         if g is None:
@@ -170,7 +168,7 @@ def adam_step(
         v += (1 - b2) * g * g
         mhat = m / (1 - b1**state.step)
         vhat = v / (1 - b2**state.step)
-        tensor -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        tensor -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # --- tape-side loss --------------------------------------------------------
@@ -260,9 +258,7 @@ def _batch_step(
         neg_nodes.append(corrupt(fact, t, graph, config.negatives, rng, fact_set))
 
     masked = mask_positives(graph, batch)
-    trace = hcnet_forward_batch(
-        graph, queries, params, train=True, rng=rng, masked_edges=masked
-    )
+    trace = hcnet_forward_batch(graph, queries, params, rng=rng, masked_edges=masked)
     logits = decode_unary_batch(trace)  # (Q, V)
     tape = trace.tape
     rows = np.arange(len(queries), dtype=np.intp)
@@ -330,9 +326,9 @@ def save_checkpoint(path: str, params: ModelParams, config: TrainConfig | None =
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Inverse of save_checkpoint. Raises CheckpointError on a malformed
-    header, one that does not describe a valid model, a body whose tensor
-    names and shapes are not the ones `init_params` builds for that model
-    and the header's graph sizes, or a tensor whose bytes are missing.
+    header, one that does not describe a valid model, tensor names and
+    shapes other than the ones `init_params` builds for that model and the
+    header's graph sizes, or a body that is not exactly those tensors.
     Older headers carry `use_layernorm` and `use_skip`; they load when both
     are true, as in every checkpoint `hcnet train` wrote."""
     with open(path, "rb") as fh:
@@ -345,33 +341,27 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
         model = dict(header["model"])
         switches = [model.pop(key, True) for key in ("use_layernorm", "use_skip")]
         cfg = ModelConfig(**model)
-        specs = [(s["name"], list(s["shape"]), s["nbytes"]) for s in header["tensors"]]
-        body = {name: shape for name, shape, _ in specs}
-        meta = (header["num_relations"], header["max_arity"], tuple(header["decoder_arities"]))
+        names = [s["name"] for s in header["tensors"]]
+        body = {s["name"]: list(s["shape"]) for s in header["tensors"]}
+        arities = tuple(header["decoder_arities"])
+        meta = (header["num_relations"], header["max_arity"], arities)
         need(header, "max_arity", Integral, lambda x: x >= 2, "an integer >= 2")
+        if arities != (tuple(sorted(set(arities))) if cfg.kind == "hrnet" else ()):
+            raise ValueError(f"decoder arities {list(arities)}: strictly ascending, none for hcnet")
         # Drawn lazily: a header asking for more tensors than its body
         # lists stops one past the body's count.
-        expected = islice(param_layout(cfg, *meta), len(specs) + 1)
+        expected = islice(param_layout(cfg, *meta), len(names) + 1)
         layout = {name: list(shape) for name, shape, _ in expected}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from exc
     if any(on is not True for on in switches):
         raise CheckpointError(f"{path}: models without layer norm and skip are not supported")
-    if layout != body or len(body) != len(specs):
+    if layout != body or len(body) != len(names):
         raise CheckpointError(f"{path}: tensors do not match the header's model")
-    tensors = {}
-    pos = 8 + hlen
-    for name, shape, nbytes in specs:
-        if (
-            not all(isinstance(n, int) and n >= 0 for n in (nbytes, *shape))
-            or nbytes != 4 * int(np.prod(shape, dtype=np.int64))
-            or pos + nbytes > len(data)
-        ):
-            raise CheckpointError(f"{path}: tensor {name!r} is truncated or mis-sized")
-        raw = np.frombuffer(data, dtype="<f4", count=nbytes // 4, offset=pos)
-        tensors[name] = raw.astype(np.float64).reshape(shape)
-        pos += nbytes
-    params = ModelParams(cfg, *meta, tensors)
-    if cfg.pe_kind != "learnable":
-        params.fixed["pe"] = pe_table(cfg.pe_kind, meta[1], cfg.d)
-    return params, header
+    sizes = [math.prod(layout[name]) for name in names]
+    if len(data) != 8 + hlen + 4 * sum(sizes):
+        raise CheckpointError(f"{path}: body truncated or too long for the header's model")
+    flat = np.frombuffer(data, dtype="<f4", count=sum(sizes), offset=8 + hlen).astype(np.float64)
+    parts = np.split(flat, np.cumsum(sizes[:-1], dtype=np.intp))
+    tensors = {name: part.reshape(layout[name]) for name, part in zip(names, parts)}
+    return ModelParams(cfg, *meta, tensors), header

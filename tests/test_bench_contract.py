@@ -8,6 +8,7 @@ would only fail a benchmark run; these checks make it fail the test suite.
 import ast
 import importlib
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -103,7 +104,7 @@ def test_traced_forward_backward_and_evaluation(tracer):
     )
     tuples = np.array([[0, 4], [3, 7]], dtype=np.intp)
     with tracer.Tracer() as t:
-        trace = nn.hcnet_forward_batch(g, queries, params, train=True)
+        trace = nn.hcnet_forward_batch(g, queries, params)
         logits = nn.decode_unary_batch(trace)
         grads = nn.backward(trace, logits, np.ones_like(logits.value))
         hr_trace = nn.hrnet_forward_batch(g, hr_params)
@@ -122,3 +123,23 @@ def test_traced_forward_backward_and_evaluation(tracer):
                  "autodiff.gather_nodes.mb"):
         assert metrics[name] > 0.0, name
     assert not hasattr(ad.gather_nodes, "__wrapped__")  # patches undone on exit
+
+
+@pytest.mark.parametrize("name", ["train", "rank", "hypercycle"])
+def test_workload_outputs_pass_their_checks(name, tmp_path, monkeypatch):
+    """Operation 0 of the workload at seed 0, checked against the recorded
+    references as a benchmark run checks it, then the final cross-check."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    w = workloads.WORKLOADS[name](0, reference)
+    assert w.reference is not None
+    w.prepare(str(tmp_path))
+    state = w.setup(str(tmp_path))
+    items, output = w.op(state, 0)
+    assert items > 0
+    assert w.check(state, 0, output) is None
+    assert w.final_check(state) == []

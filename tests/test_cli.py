@@ -271,6 +271,8 @@ class TestTrainEvaluate:
         {"steps_per_epoch": 0},
         {"adv_temperature": 0},
         {"pe_kind": "learned"},
+        {"d": 3},
+        {"d": 1, "pe_kind": "one-hot"},
     ])
     def test_config_typo_exits_1(self, tmp_path, capsys, values):
         data = _tiny_dataset(tmp_path)

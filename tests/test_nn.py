@@ -1,5 +1,7 @@
 """Numeric models: encodings, initialization, layers, decoders, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hcnet.nn import (
     INIT_VARIANTS,
     ModelConfig,
     backward,
+    bind_params,
     decode_kary,
     decode_kary_batch,
     decode_unary,
@@ -78,6 +81,11 @@ def _params(graph, kind="hcnet", d=8, layers=2, seed=0, **kw):
     return init_params(graph, ModelConfig(kind=kind, d=d, layers=layers, **kw), rng)
 
 
+def _pe(graph, params):
+    """The encoding table a forward on `graph` reads."""
+    return bind_params(ad.Tape(record=False), params, graph)["pe"].value
+
+
 class TestInit:
     def test_non_source_nodes_zero(self):
         g = hypercycle(8, 3)
@@ -90,21 +98,22 @@ class TestInit:
         g = hypercycle(8, 3)
         params = _params(g)
         h0 = forward_exact(g, params, Query(0, (3,), 2), 0)[0]
-        np.testing.assert_allclose(h0[3], params.pe_row(1) + params.tensors["z_q"][0])
+        np.testing.assert_allclose(h0[3], _pe(g, params)[1] + params.tensors["z_q"][0])
 
     def test_repeated_given_node_sums(self):
         g = build_graph([Relation(0, "r", 3)], [], 4)
         params = _params(g)
         h0 = forward_exact(g, params, Query(0, (1, 1), 3), 0)[0]
         zq = params.tensors["z_q"][0]
-        np.testing.assert_allclose(h0[1], params.pe_row(1) + params.pe_row(2) + 2 * zq)
+        pe = _pe(g, params)
+        np.testing.assert_allclose(h0[1], pe[1] + pe[2] + 2 * zq)
 
     def test_variants(self):
         g = hypercycle(8, 3)
         q = Query(0, (3,), 2)
         for variant, want in (("pos", "pe"), ("rel", "zq"), ("ones", "ones")):
             params = _params(g, variant=variant)
-            row = {"pe": params.pe_row(1), "zq": params.tensors["z_q"][0], "ones": np.ones(8)}
+            row = {"pe": _pe(g, params)[1], "zq": params.tensors["z_q"][0], "ones": np.ones(8)}
             np.testing.assert_allclose(forward_exact(g, params, q, 0)[0][3], row[want])
 
     def test_arity_mismatch(self):
@@ -120,6 +129,28 @@ class TestInit:
             forward_exact(g, params, Query(0, (1,), target), 0)
         with pytest.raises(QueryArityMismatch):
             hcnet_forward_batch(g, [Query(0, (1,), 2), Query(0, (1,), target)], params)
+
+    def test_closed_form_table_is_built_for_the_graph(self):
+        # Parameters hold only trained tensors; each forward binds the
+        # table for the positions of the graph it runs on.
+        small, wide = hypercycle(8, 3), build_graph([Relation(0, "r", 5)], [], 4)
+        params = _params(small)
+        assert "pe" not in params.tensors
+        np.testing.assert_array_equal(_pe(small, params), pe_table("sinusoidal", 3, 8))
+        np.testing.assert_array_equal(_pe(wide, params), pe_table("sinusoidal", 5, 8))
+        learnable = _params(small, pe_kind="learnable")
+        assert _pe(wide, learnable) is learnable.tensors["pe"]
+
+    @pytest.mark.parametrize("cfg", [{"d": 3}, {"d": 2, "pe_kind": "one-hot"}],
+                             ids=["sinusoidal-odd-d", "one-hot-below-arity"])
+    def test_encoding_that_cannot_fit_raises_at_the_forward(self, cfg):
+        g = hypercycle(8, 3)  # arity 3
+        params = _params(g, **cfg)
+        q = Query(0, (1,), 2)
+        with pytest.raises(DimensionTooSmall):
+            hcnet_forward_batch(g, [q], params)
+        with pytest.raises(DimensionTooSmall):
+            forward_exact(g, params, q, 1)
 
     def test_unknown_variant_in_both_paths(self):
         # Both paths read the variant from a ModelConfig, which rejects it.
@@ -213,14 +244,14 @@ class TestExactForward:
         q = random_query(rng, g)
         params = init_params(g, ModelConfig(kind="hcnet", d=8, layers=3), rng)
         h = forward_exact(g, params, q, 0)[0]
-        t = params.tensors
+        t, pe = params.tensors, _pe(g, params)
         for ell, got in enumerate(forward_exact(g, params, q, 3)[1:]):
             alpha = float(t[f"alpha_l{ell}"])
             acc = np.zeros_like(h)
             for ed in g.edges:
                 k = len(ed.nodes)
                 gate = t[f"W_rel{ed.relation}"] @ t["z_q"][q.relation]
-                factors = [alpha * h[u] + (1 - alpha) * params.pe_row(j + 1)
+                factors = [alpha * h[u] + (1 - alpha) * pe[j + 1]
                            for j, u in enumerate(ed.nodes)]
                 for i in range(k):
                     m = gate.copy()
@@ -282,12 +313,13 @@ class TestBatchedForward:
             t[f"ln_g_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
             t[f"ln_b_l{ell}"] += rng.uniform(-0.5, 0.5, 8)
         h = forward_exact(g, params, q, 0)[0]
+        pe = _pe(g, params)
         for ell in range(2):
             alpha = float(t[f"alpha_l{ell}"])
             acc = np.zeros_like(h)
             for ed in g.edges:
                 gate = t[f"W_rel{ed.relation}"] @ t["z_q"][q.relation]
-                factors = [alpha * h[u] + (1 - alpha) * params.pe_row(j + 1)
+                factors = [alpha * h[u] + (1 - alpha) * pe[j + 1]
                            for j, u in enumerate(ed.nodes)]
                 for i, v in enumerate(ed.nodes):
                     acc[v] += gate * np.prod([f for j, f in enumerate(factors) if j != i], axis=0)
@@ -297,6 +329,16 @@ class TestBatchedForward:
             h = np.maximum(z, 0.0) + h
         batched, _ = hcnet_forward(g, q, params)
         np.testing.assert_allclose(batched, h, rtol=1e-9, atol=1e-12)
+
+    def test_dropout_only_with_an_rng(self):
+        g = hypercycle(8, 3)
+        queries = [Query(0, (1,), 2)]
+        params = _params(g, dropout=0.5)
+        plain = replace(params, config=replace(params.config, dropout=0.0))
+        without = hcnet_forward_batch(g, queries, params).features.value
+        assert np.array_equal(without, hcnet_forward_batch(g, queries, plain).features.value)
+        dropped = hcnet_forward_batch(g, queries, params, rng=np.random.default_rng(0))
+        assert not np.array_equal(without, dropped.features.value)
 
     def test_batch_rows_match_single_queries(self):
         rng = np.random.default_rng(8)
@@ -530,8 +572,8 @@ class TestRelationMessages:
         def run(record):
             rng = np.random.default_rng(3)
             if kind == "hcnet":
-                trace = hcnet_forward_batch(g, queries, params, train=True, rng=rng,
-                                            masked_edges=masked, record=record)
+                trace = hcnet_forward_batch(g, queries, params, rng=rng, masked_edges=masked,
+                                            record=record)
                 logits = decode_unary_batch(trace)
             else:
                 trace = hrnet_forward_batch(g, params, record=record)

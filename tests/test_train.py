@@ -21,7 +21,7 @@ from hcnet.errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from hcnet.evalrank import filtered_candidates
+from hcnet.evalrank import evaluate_model, filtered_candidates
 from hcnet.hypergraph import HyperEdge, Query, Relation, build_graph
 from hcnet.nn import ModelConfig, decode_unary_batch, hcnet_forward_batch, init_params
 from hcnet.randgen import random_hypergraph
@@ -67,7 +67,7 @@ class TestCorrupt:
     def test_forced_choice(self):
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 2)
         rng = np.random.default_rng(0)
-        out = corrupt(g.edges[0], 2, g, 1, rng)
+        out = corrupt(g.edges[0], 2, g, 1, rng, g.fact_set())
         assert out == [0]
 
     def test_true_entity_never_sampled(self):
@@ -75,7 +75,7 @@ class TestCorrupt:
         rng = np.random.default_rng(1)
         fact = g.edges[0]
         for _ in range(20):
-            for v in corrupt(fact, 2, g, 5, rng):
+            for v in corrupt(fact, 2, g, 5, rng, g.fact_set()):
                 assert v != fact.nodes[1]
 
     def test_known_facts_filtered(self):
@@ -83,19 +83,19 @@ class TestCorrupt:
         edges = [HyperEdge(0, (0, v)) for v in (1, 3)]
         g = build_graph([Relation(0, "r", 2)], edges, 4)
         rng = np.random.default_rng(2)
-        samples = set(corrupt(edges[0], 2, g, 32, rng))
+        samples = set(corrupt(edges[0], 2, g, 32, rng, g.fact_set()))
         assert 3 not in samples and 1 not in samples
         assert samples <= {0, 2}
 
     def test_no_candidate(self):
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 0))], 1)
         with pytest.raises(NoCandidate):
-            corrupt(g.edges[0], 2, g, 1, np.random.default_rng(0))
+            corrupt(g.edges[0], 2, g, 1, np.random.default_rng(0), g.fact_set())
 
     def test_seeded_determinism(self):
         g = hypercycle(8, 3)
-        a = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
-        b = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
+        a = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7), g.fact_set())
+        b = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7), g.fact_set())
         assert a == b
 
     def test_draws_from_filtered_candidates_without_truth(self):
@@ -111,7 +111,7 @@ class TestCorrupt:
                 if not legal:
                     continue
                 seed = int(rng.integers(1 << 30))
-                got = corrupt(fact, t, g, 6, np.random.default_rng(seed))
+                got = corrupt(fact, t, g, 6, np.random.default_rng(seed), g.fact_set())
                 draws = np.random.default_rng(seed).integers(0, len(legal), size=6)
                 assert got == [legal[i] for i in draws]
 
@@ -369,7 +369,6 @@ class TestCheckpoint:
                 loaded.tensors[name], tensor.astype("<f4").astype(np.float64)
             )
         assert header["train_config"]["d"] == 8
-        np.testing.assert_allclose(loaded.fixed["pe"], params.fixed["pe"])
 
     def test_header_is_json_with_offsets(self, tmp_path):
         import json
@@ -441,10 +440,8 @@ class TestCheckpoint:
         assert got.config == want.config
         assert (got.num_relations, got.max_arity, got.decoder_arities) == (
             want.num_relations, want.max_arity, want.decoder_arities)
-        for part in ("tensors", "fixed"):
-            a, b = getattr(got, part), getattr(want, part)
-            assert set(a) == set(b)
-            assert all(a[n].tobytes() == b[n].tobytes() for n in a), part
+        assert set(got.tensors) == set(want.tensors)
+        assert all(got.tensors[n].tobytes() == want.tensors[n].tobytes() for n in got.tensors)
 
     @pytest.mark.parametrize("model, top, match", [
         ({"mode": "bogus"}, {}, "malformed header .*unknown message mode"),
@@ -454,13 +451,56 @@ class TestCheckpoint:
         ({"d": 8}, {}, "tensors do not match"),
         ({"kind": "hrnet", "mode": "query-independent"}, {}, "tensors do not match"),
         ({}, {"num_relations": 9}, "tensors do not match"),
-    ], ids=["mode", "dropout", "max-arity", "layers", "d", "kind", "relations"])
+        ({}, {"decoder_arities": [3]}, "malformed header .*decoder arities \\[3\\]"),
+    ], ids=["mode", "dropout", "max-arity", "layers", "d", "kind", "relations",
+            "decoder-arities"])
     def test_header_of_no_model_or_another_model(self, tmp_path, model, top, match):
         # The body holds a 1-layer, d=4 hcnet of 3 relations.
         path, raw = self._saved(tmp_path)
         path.write_bytes(self._with_header(raw, model, **top))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("arities", [[2, 3, 3], [3, 2]])
+    def test_hrnet_header_of_other_decoder_arities(self, tmp_path, arities):
+        # init_params gives hrnet the distinct arities of its graph, ascending.
+        g = hypercycle(8, 3)
+        params = init_params(g, ModelConfig(kind="hrnet", d=4, layers=1,
+                                            mode="query-independent"), np.random.default_rng(0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), params)
+        assert load_checkpoint(str(path))[0].decoder_arities == (2, 3)
+        path.write_bytes(self._with_header(path.read_bytes(), decoder_arities=arities))
+        with pytest.raises(CheckpointError, match="decoder arities"):
+            load_checkpoint(str(path))
+
+    def test_trailing_bytes(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + bytes(4))
+        with pytest.raises(CheckpointError, match="too long"):
+            load_checkpoint(str(path))
+
+    def test_header_max_arity_builds_no_table(self, tmp_path, monkeypatch):
+        # A closed-form encoding is no tensor of the body, so nothing sized
+        # by the header's max_arity is built; a forward builds the table
+        # for the graph it runs on.
+        path, raw = self._saved(tmp_path)  # sinusoidal, d=4
+        path.write_bytes(self._with_header(raw, max_arity=200_000))
+
+        def no_table(*args):
+            raise AssertionError("load_checkpoint built an encoding table")
+
+        with monkeypatch.context() as m:
+            m.setattr(hcnet.nn, "pe_table", no_table)
+            m.setattr(hcnet.train, "pe_table", no_table, raising=False)
+            edited, _ = load_checkpoint(str(path))
+        assert edited.max_arity == 200_000
+        path.write_bytes(raw)
+        unedited, _ = load_checkpoint(str(path))
+        g = hypercycle(8, 3)
+        facts = g.edges[:3]
+        assert (evaluate_model(g, facts, edited, "hcnet").as_dict()
+                == evaluate_model(g, facts, unedited, "hcnet").as_dict())
 
     def test_save_replaces_and_leaves_no_temp_file(self, tmp_path):
         path, raw = self._saved(tmp_path)
