@@ -9,9 +9,12 @@ array of per-incidence messages.
 * The batched training path runs the kernel as one tape op per layer
   (`autodiff.relation_messages`), which sums the messages with one
   scatter and keeps no per-incidence array: its VJP recomputes them from
-  the layer's input, one relation at a time. It scores Q queries against
-  all nodes at once, with layer norm / dropout / skip connections as used
-  for training.
+  the layer's input, one relation at a time. Both directions walk the
+  query axis in blocks of `autodiff.BLOCK_BYTES` per per-incidence array,
+  on scatter bins built once per pass (`autodiff.MessagePlan`), bit for
+  bit the unblocked sums. It scores Q queries against all nodes at once,
+  with layer norm / dropout / skip connections as used for training;
+  `backward` returns the gradients of the trained tensors only.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
@@ -241,13 +244,14 @@ def forward_exact(
         h = _query_init(tape, bound, graph, [query], params.config.variant)[0].value[0]
     out = [h]
     edge_groups = edges_by_relation(graph)
+    dest = ad.destinations(edge_groups)
     pe = bound["pe"].value
     for ell in range(rounds):
         alpha = params.tensors[f"alpha_l{ell}"]
         W = params.tensors[f"W_l{ell}"]
         b = params.tensors[f"b_l{ell}"]
         gates = {rel: _g_vector(params, rel, query) for rel in edge_groups}
-        msgs, dest = ad.incidence_messages(h, alpha, 1.0 - alpha, pe, gates, edge_groups)
+        msgs = ad.incidence_messages(h, alpha, 1.0 - alpha, pe, gates, edge_groups)
         order = np.lexsort((*msgs.T[::-1], dest))
         acc = ad.scatter_add(h.shape, dest[order], msgs[order])
         # Row by row, so equal input rows give bitwise-equal output rows
@@ -291,13 +295,13 @@ def _message_layer(
     cfg: ModelConfig,
     ell: int,
     h: Var,
-    edge_groups: dict[int, Array],
+    plan: ad.MessagePlan,
     g_by_rel: dict[int, Var],
     rng: np.random.Generator | None,
 ) -> Var:
     alpha = bound[f"alpha_l{ell}"]
     one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
-    msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, edge_groups)
+    msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, plan)
     z = ad.concat_last(tape, [h, msgs])
     z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
     z = ad.layer_norm(tape, z, bound[f"ln_g_l{ell}"], bound[f"ln_b_l{ell}"])
@@ -375,9 +379,10 @@ def hcnet_forward_batch(
     bound = bind_params(tape, params, graph)
     h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
+    plan = ad.MessagePlan(edge_groups, h.value.shape)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, zq_batch)
     for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, rng)
+        h = _message_layer(tape, bound, cfg, ell, h, plan, g_by_rel, rng)
     return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
 
 
@@ -391,9 +396,10 @@ def hrnet_forward_batch(
     bound = bind_params(tape, params, graph)
     h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
     edge_groups = edges_by_relation(graph)
+    plan = ad.MessagePlan(edge_groups, h.value.shape)
     g_by_rel = _g_vars(tape, bound, cfg, edge_groups, None)
     for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, edge_groups, g_by_rel, None)
+        h = _message_layer(tape, bound, cfg, ell, h, plan, g_by_rel, None)
     return ForwardTrace(tape, bound, h)
 
 
@@ -475,12 +481,13 @@ def decode_kary(h_tuple: list[Array], z_q: Array, params: ModelParams) -> float:
 
 
 def backward(trace: ForwardTrace, root: Var, seed: Array | float = 1.0) -> dict[str, Array]:
-    """Parameter gradients of root, seeded with `seed`, from a recorded
-    forward pass."""
+    """Gradients of root, seeded with `seed`, of the trained tensors of a
+    recorded forward pass (a closed-form encoding table has none)."""
     ad.backward(trace.tape, root, seed)
     return {
         name: (var.grad if var.grad is not None else np.zeros_like(var.value))
         for name, var in trace.bound.items()
+        if not isinstance(var, ad.Constant)
     }
 
 

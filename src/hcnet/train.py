@@ -113,15 +113,21 @@ def corrupt(
     return [legal[i] for i in rng.integers(0, len(legal), size=n)]
 
 
-def mask_positives(
-    graph: RelationalHypergraph, batch_facts: list[HyperEdge]
-) -> set[int]:
-    """Edge ids to exclude from message passing: one occurrence per batch
-    fact (duplicates mask distinct edges)."""
-    masked: set[int] = set()
-    index: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+EdgeIndex = dict[tuple[int, tuple[int, ...]], list[int]]
+
+
+def edge_index(graph: RelationalHypergraph) -> EdgeIndex:
+    """The ids of each fact's edges, in edge order; built once per run."""
+    index: EdgeIndex = {}
     for e, ed in enumerate(graph.edges):
         index.setdefault((ed.relation, ed.nodes), []).append(e)
+    return index
+
+
+def mask_positives(index: EdgeIndex, batch_facts: list[HyperEdge]) -> set[int]:
+    """Edge ids to exclude from message passing: one occurrence per batch
+    fact (duplicates mask distinct edges), from the graph's `edge_index`."""
+    masked: set[int] = set()
     for fact in batch_facts:
         ids = index.get((fact.relation, fact.nodes))
         if not ids:
@@ -204,6 +210,7 @@ def fit(
     train_facts = splits["train"]
     valid_facts = splits.get("valid", [])
     fact_set = graph.fact_set()
+    edge_ids = edge_index(graph)
     log: list[dict] = []
     if log_path:
         open(log_path, "w", encoding="utf-8").close()  # one run per log
@@ -218,7 +225,7 @@ def fit(
             if config.steps_per_epoch is not None and steps >= config.steps_per_epoch:
                 break
             batch = [train_facts[i] for i in order[start : start + config.batch_size]]
-            loss = _batch_step(graph, batch, params, state, config, fact_set, rng)
+            loss = _batch_step(graph, batch, params, state, config, fact_set, edge_ids, rng)
             losses.append(loss)
             steps += 1
         entry = {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0}
@@ -244,6 +251,7 @@ def _batch_step(
     state: AdamState,
     config: TrainConfig,
     fact_set: set,
+    edge_ids: EdgeIndex,
     rng: np.random.Generator,
 ) -> float:
     queries: list[Query] = []
@@ -257,7 +265,7 @@ def _batch_step(
         pos_nodes.append(fact.nodes[t - 1])
         neg_nodes.append(corrupt(fact, t, graph, config.negatives, rng, fact_set))
 
-    masked = mask_positives(graph, batch)
+    masked = mask_positives(edge_ids, batch)
     trace = hcnet_forward_batch(graph, queries, params, rng=rng, masked_edges=masked)
     logits = decode_unary_batch(trace)  # (Q, V)
     tape = trace.tape

@@ -1,5 +1,6 @@
 """Numeric models: encodings, initialization, layers, decoders, gradients."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -487,12 +488,12 @@ def _exclusive_prod(tape, f):
     return tape.var(ad.exclusive_products(x), ((f, lambda g: ad.exclusive_products_vjp(x, g)),))
 
 
-def _chained_messages(tape, h, alpha, one_minus, pe, gates, groups):
+def _chained_messages(tape, h, alpha, one_minus, pe, gates, plan):
     """The layer's messages as separate tape ops: per relation a gather,
     two muls, an add, the exclusive products, the gate mul, an index_add,
     plus the encoding lookup."""
     msgs = tape.constant(np.zeros_like(h.value))
-    for rel, nodes in groups.items():
+    for rel, nodes in plan.groups.items():
         k = nodes.shape[1]
         hn = ad.gather_nodes(tape, h, nodes.T)
         pk = ad.take_rows(tape, pe, np.arange(1, k + 1)[:, None])
@@ -515,6 +516,34 @@ def _graph(arities, nodes=7, per_relation=6, seed=0):
     return build_graph(rels, edges, nodes)
 
 
+def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset()):
+    """relation_messages and the chain agree bit for bit in value and in
+    every leaf gradient on the relations of groups not in masked."""
+    rng = np.random.default_rng(1)
+    inputs = {"h": rng.standard_normal((Q, 7, 6)) * 10.0 ** rng.integers(-3, 3, 6),
+              "alpha": np.asarray(0.3), "pe": rng.standard_normal((6, 6)),
+              **{f"g{r}": rng.standard_normal(gate_shape) for r in groups}}
+    seed = rng.standard_normal((Q, 7, 6))
+    kept = {r: nodes for r, nodes in groups.items() if r not in masked}
+    plan = ad.MessagePlan(kept, inputs["h"].shape)
+    results = []
+    for op in (ad.relation_messages, _chained_messages):
+        tape = ad.Tape()
+        leaves = {name: tape.leaf(value.copy()) for name, value in inputs.items()}
+        one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+        gates = {r: leaves[f"g{r}"] for r in groups}
+        out = op(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"], gates, plan)
+        ad.backward(tape, out, seed)
+        results.append((out.value, {n: v.grad for n, v in leaves.items()}))
+    (fused, fused_grads), (chain, chain_grads) = results
+    assert _bitwise_equal(fused, chain)
+    for name in inputs:
+        if name in {f"g{r}" for r in masked}:
+            assert fused_grads[name] is None and chain_grads[name] is None
+        else:
+            assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
+
+
 def _jittered(graph, seed=0, **kw):
     params = _params(graph, d=6, layers=3, seed=seed, **kw)
     rng = np.random.default_rng(seed + 1)
@@ -531,24 +560,25 @@ class TestRelationMessages:
         # the same bits.
         groups = {0: np.array([[1, 1, 4], [0, 2, 4]]), 1: np.array([[3], [3], [0]]),
                   2: np.array([[4, 0, 1, 2, 3]]), 3: np.array([[2, 2], [1, 0], [4, 4]])}
-        rng = np.random.default_rng(1)
-        inputs = {"h": rng.standard_normal((2, 5, 6)) * 10.0 ** rng.integers(-3, 3, 6),
-                  "alpha": np.asarray(0.3), "pe": rng.standard_normal((6, 6)),
-                  **{f"g{r}": rng.standard_normal(gate_shape) for r in groups}}
-        seed = rng.standard_normal((2, 5, 6))
-        results = []
-        for op in (ad.relation_messages, _chained_messages):
-            tape = ad.Tape()
-            leaves = {name: tape.leaf(value.copy()) for name, value in inputs.items()}
-            one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
-            gates = {r: leaves[f"g{r}"] for r in groups}
-            out = op(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"], gates, groups)
-            ad.backward(tape, out, seed)
-            results.append((out.value, {n: v.grad for n, v in leaves.items()}))
-        (fused, fused_grads), (chain, chain_grads) = results
-        assert _bitwise_equal(fused, chain)
-        for name in inputs:
-            assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
+        _assert_op_equals_the_chain(groups, 2, gate_shape)
+
+    # Arities 1 to 5 with 60 incidences each at Q=5, d=6: a query's
+    # messages are 300*6 floats, one relation's 60*6. The budgets give
+    # (forward, VJP) blocks of (1, 1), (1, 2), (2, all) and (all, all)
+    # queries; blocks of 2 leave a last block of 1.
+    @pytest.mark.parametrize("budget, sizes", [
+        (8, (1, 1)), (2 * 60 * 6 * 8, (1, 2)), (2 * 300 * 6 * 8, (2, 10)), (1 << 21, (5, 5)),
+    ], ids=["blocks-1-1", "blocks-1-2", "blocks-2-all", "one-block"])
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked-relation"])
+    def test_query_blocks_equal_the_chain_bitwise(self, budget, sizes, gate_shape, masked,
+                                                  monkeypatch):
+        rng = np.random.default_rng(7)
+        groups = {r: rng.integers(0, 7, (60 // k, k)) for r, k in enumerate((3, 1, 5, 2, 4))}
+        monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+        assert [len(ad._blocks(5, n * 6)) for n in (300, 60)] == [-(-5 // b) for b in sizes]
+        # A masked relation has no edges left, so its gate gets no gradient.
+        _assert_op_equals_the_chain(groups, 5, gate_shape, masked={2} if masked else set())
 
     @pytest.mark.parametrize("case", [
         dict(kind="hcnet", arities=(1, 2, 3, 5), mode="query-dependent", dropout=0.3),
@@ -590,6 +620,53 @@ class TestRelationMessages:
         assert len(fused) == len(chain) > 4
         for a, b in zip(fused, chain):
             assert _bitwise_equal(a, b)
+
+    def test_constants_get_no_gradient(self):
+        # A closed-form encoding table and hrnet's all-ones start are
+        # Constants: no parents of the message op, and no gradients of
+        # nn.backward, which returns the trained tensors' only.
+        groups = {0: np.array([[1, 1, 4], [0, 2, 4]]), 1: np.array([[3], [0]])}
+        tape = ad.Tape()
+        h, pe = tape.constant(np.ones((1, 5, 6))), tape.constant(pe_table("sinusoidal", 3, 6))
+        alpha = tape.leaf(np.asarray(0.3))
+        one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
+        gates = {r: tape.leaf(np.full(6, 0.5)) for r in groups}
+        out = ad.relation_messages(tape, h, alpha, one_minus, pe, gates,
+                                   ad.MessagePlan(groups, (1, 5, 6)))
+        assert [p for p, _ in out.parents] == [gates[1], gates[0], one_minus, alpha]
+        ad.backward(tape, out, np.ones((1, 5, 6)))
+        assert h.grad is None and pe.grad is None and alpha.grad is not None
+        g = hypercycle(8, 3)
+        for kind, mode in (("hcnet", "query-dependent"), ("hrnet", "query-independent")):
+            params = _params(g, kind=kind, mode=mode)
+            trace = (hcnet_forward_batch(g, [Query(0, (0,), 2)], params) if kind == "hcnet"
+                     else hrnet_forward_batch(g, params))
+            assert backward(trace, trace.features).keys() == params.tensors.keys()
+
+    def test_recorded_pass_memory(self):
+        # The train workload's layer: Q=16, V=1000, 4000 edges of arities
+        # 2/2/3/3, d=32, per-query gates. Unblocked, a forward plus
+        # backward peaked at 94 MB of arrays; query blocks leave about
+        # 48 MB, most of it the (Q, V, d) gradients and alpha's buffer.
+        rng = np.random.default_rng(0)
+        Q, V, d = 16, 1000, 32
+        groups = {r: rng.integers(0, V, (1000, k)) for r, k in enumerate((2, 2, 3, 3))}
+        tape = ad.Tape()
+        h = tape.leaf(rng.standard_normal((Q, V, d)))
+        alpha = tape.leaf(np.asarray(0.5))
+        one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
+        pe = tape.constant(pe_table("sinusoidal", 3, d))
+        gates = {r: tape.leaf(rng.standard_normal((Q, 1, 1, d))) for r in groups}
+        seed = rng.standard_normal((Q, V, d))
+        tracemalloc.start()
+        try:
+            plan = ad.MessagePlan(groups, (Q, V, d))
+            out = ad.relation_messages(tape, h, alpha, one_minus, pe, gates, plan)
+            ad.backward(tape, out, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_tape_keeps_no_per_incidence_array(self):
         # 40 edges of arity 3 on 6 nodes: a per-incidence array (Q, 3, 40, d)

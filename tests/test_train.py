@@ -32,6 +32,7 @@ from hcnet.train import (
     adam_step,
     adversarial_loss_from_logits,
     corrupt,
+    edge_index,
     fit,
     load_checkpoint,
     mask_positives,
@@ -219,24 +220,24 @@ class TestTrainStep:
 class TestMasking:
     def test_mask_everything(self):
         g = hypercycle(8, 3)
-        masked = mask_positives(g, list(g.edges))
+        masked = mask_positives(edge_index(g), list(g.edges))
         assert masked == set(range(8))
 
     def test_duplicates_mask_distinct_edges(self):
         edges = [HyperEdge(0, (0, 1)), HyperEdge(0, (0, 1))]
         g = build_graph([Relation(0, "r", 2)], edges, 2)
-        assert mask_positives(g, [edges[0], edges[0]]) == {0, 1}
+        assert mask_positives(edge_index(g), [edges[0], edges[0]]) == {0, 1}
 
     def test_missing_fact(self):
         g = hypercycle(8, 3)
         with pytest.raises(FactNotFound):
-            mask_positives(g, [HyperEdge(0, (0, 1, 2))])
+            mask_positives(edge_index(g), [HyperEdge(0, (0, 1, 2))])
 
     def test_over_masking(self):
         edges = [HyperEdge(0, (0, 1))]
         g = build_graph([Relation(0, "r", 2)], edges, 2)
         with pytest.raises(FactNotFound):
-            mask_positives(g, [edges[0], edges[0]])
+            mask_positives(edge_index(g), [edges[0], edges[0]])
 
 
 class TestAdam:
