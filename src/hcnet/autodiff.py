@@ -4,7 +4,8 @@ A Tape records every produced Var in creation order together with
 vector-Jacobian closures back to its parents; backward() replays the tape
 in reverse. The operator set is exactly what the message-passing models
 need: broadcasting arithmetic, matmul on the last axis, gather/scatter on
-the node axis, a layer's relational messages (`relation_messages`),
+the node axis, a layer's relational messages (`relation_messages`), a
+layer's tail (`layer_tail`), the unary decoder (`unary_decoder`),
 concat, layer norm, and stable sigmoid/softplus pieces.
 Accumulation order is fixed by tape order, so gradients are deterministic.
 
@@ -22,16 +23,26 @@ the order of the unblocked ops. Two sums run over all queries at once in
 the memory order of a gather h[..., idx, :], which NumPy lays out as
 (k, E, Q, d): alpha's gradient and a shared gate's. Each keeps one full
 buffer per relation with that layout; a C-ordered buffer sums them in
-another order. A Constant (such as a closed-form encoding table, or
-hrnet's all-ones start) is no parent of the op, so no gradient is
-computed for it.
+another order.
+
+A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
+plus the skip h) and the unary decoder's MLP are one tape op each. They
+run the NumPy calls of the per-op chains they replaced in order, so
+every bit is the chains', and keep only what their VJPs read (the tail
+xhat, inv and boolean masks, the decoder its hidden layer and mask),
+rebuilding a concat for a weight's gradient. A fused op computes all of
+its parents' gradients on the first VJP call and hands them out one per
+parent (`_shared_vjp`).
 
 The tape holds only what is still needed. backward() frees as it walks:
 once a var has passed its gradient on, it drops that gradient and its
-closures (and with them the arrays they captured), so only vars without
-parents, the leaves and constants, keep a gradient. A Tape(record=False)
-records nothing: its vars carry no parents and the tape keeps no list, so
-a forward pass for evaluation holds no more than the arrays still in use.
+closures (and with them the arrays they captured), so only the leaves
+keep a gradient. It calls no VJP for a Constant (a closed-form encoding
+table, hrnet's all-ones start, the loss's adversarial weights), and a
+fused op lists no Constant as a parent, so its hand-out cannot slip. A
+Tape(record=False) records nothing: its vars carry no parents and the
+tape keeps no list, so a forward pass for evaluation holds no more than
+the arrays still in use.
 Every float scatter-add is a `Bins.sum`, a bincount into a new zero
 array that reproduces np.add.at into zeros bit for bit at a fraction of
 its cost; `scatter_add` builds the bins for a single call. Importing
@@ -94,8 +105,8 @@ class Var:
 
 
 class Constant(Var):
-    """A var no gradient is wanted for: an op that knows it may leave it
-    out of its parents, so that no VJP works for it."""
+    """A var no gradient is wanted for: `backward` calls no VJP for it,
+    and a fused op leaves it out of its parents."""
 
     __slots__ = ()
 
@@ -116,8 +127,8 @@ class Tape:
         return self.var(value)
 
     def constant(self, value: Array) -> Constant:
-        # Recorded like any var, with no parents, so backward leaves a
-        # gradient it is handed in .grad, as it does a leaf's.
+        # Recorded like any var, with no parents; backward hands it no
+        # gradient.
         v = Constant(np.asarray(value))
         if self.record:
             self.vars.append(v)
@@ -125,15 +136,18 @@ class Tape:
 
 
 def backward(tape: Tape, root: Var, seed: Array | float = 1.0) -> None:
-    """Populate .grad on every leaf and constant reachable from root. A var
-    with parents drops its grad and its closures once it has propagated
-    them, so the tape can be walked only once."""
+    """Populate .grad on every leaf reachable from root; no VJP is called
+    for a Constant, which gets none. A var with parents drops its grad and
+    its closures once it has propagated them, so the tape can be walked
+    only once."""
     root.grad = np.broadcast_to(np.asarray(seed, dtype=root.value.dtype), root.value.shape).copy()
     for v in reversed(tape.vars):
         if not v.parents:
             continue
         if v.grad is not None:
             for parent, vjp in v.parents:
+                if isinstance(parent, Constant):
+                    continue
                 g = vjp(v.grad)
                 if parent.grad is None:
                     parent.grad = np.array(g, dtype=parent.value.dtype, copy=True)
@@ -152,6 +166,25 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _shared_vjp(
+    targets: list[Var], grads_of: Callable[[Array], list]
+) -> tuple[tuple[Var, Callable[[Array], Array]], ...]:
+    """(parent, vjp) pairs of a fused op for its targets that are not
+    Constants, all served by one VJP: its first call computes grads_of(g),
+    one gradient per target (None may stand for a Constant's), and each
+    call hands on the next parent's. backward calls no VJP for a Constant,
+    so listing one would shift the hand-out."""
+    keep = [not isinstance(t, Constant) for t in targets]
+    pending: list[Array] = []
+
+    def vjp(g: Array) -> Array:
+        if not pending:
+            pending.extend(reversed([x for x, k in zip(grads_of(g), keep) if k]))
+        return pending.pop()
+
+    return tuple((t, vjp) for t, k in zip(targets, keep) if k)
 
 
 def add(tape: Tape, a: Var, b: Var) -> Var:
@@ -498,8 +531,8 @@ def _relation_grads(
     rel: int,
 ) -> list[Array]:
     """Relation rel's gradient contributions to gate, one_minus, alpha, pe
-    and h (to the gate alone at arity 1, whose product is constant),
-    leaving out pe and h when they are Constants, given the gradient G
+    and h (to the gate alone at arity 1, whose product is constant), with
+    None for pe and h when they are Constants, given the gradient G
     (Q, V, d) of the summed messages.
 
     Factors and products are recomputed from the inputs, one block of
@@ -564,11 +597,12 @@ def _relation_grads(
     gb = _unbroadcast(gsum, pk.shape)
     out.append(_unbroadcast(gb * pk, c.shape))
     out.append(_unbroadcast(galpha, a.shape))
-    if not isinstance(pe, Constant):
+    if isinstance(pe, Constant):
+        out.append(None)
+    else:
         gpk = _unbroadcast(gb * c, pk.shape)
         out.append(scatter_add(pe.value.shape, np.arange(1, k + 1)[:, None], gpk))
-    if want_h:
-        out.append(gh)
+    out.append(gh)
     return out
 
 
@@ -586,9 +620,9 @@ def relation_messages(
     recomputes each relation's factors and products from the inputs, one
     relation and one block at a time. The parents are listed as (parent,
     relation) pairs in the order the per-op chain reached them: relations
-    last to first, and per relation gate, one_minus, alpha, pe, h, less pe
-    and h when they are Constants. The first pair of a relation computes
-    all of its terms, and each pair hands on one."""
+    last to first, and per relation gate, one_minus, alpha, pe, h, less
+    the Constants. The first pair of a relation computes all of its terms,
+    and each pair hands on one (`_shared_vjp`)."""
     hv = h.value
     blocks = _blocks(hv.shape[0], plan.dest.width)
     out = np.empty(hv.shape) if len(blocks) > 1 else None
@@ -605,24 +639,11 @@ def relation_messages(
     if not tape.record:
         return tape.var(out)
 
-    def relation_vjp(rel: int) -> Callable[[Array], Array]:
-        pending: list[Array] = []
-
-        def vjp(g: Array) -> Array:
-            if not pending:
-                grads = _relation_grads(g, h, alpha, one_minus, pe, gates[rel], plan, rel)
-                pending.extend(reversed(grads))
-            return pending.pop()
-
-        return vjp
-
     parents: list[tuple[Var, Callable[[Array], Array]]] = []
     for rel, nodes in reversed(plan.groups.items()):
-        targets = [gates[rel]]
-        if nodes.shape[1] > 1:
-            targets += [one_minus, alpha] + [v for v in (pe, h) if not isinstance(v, Constant)]
-        vjp = relation_vjp(rel)
-        parents += [(t, vjp) for t in targets]
+        targets = [gates[rel]] if nodes.shape[1] == 1 else [gates[rel], one_minus, alpha, pe, h]
+        parents += _shared_vjp(targets, lambda g, rel=rel: _relation_grads(
+            g, h, alpha, one_minus, pe, gates[rel], plan, rel))
     return tape.var(out, tuple(parents))
 
 
@@ -651,40 +672,116 @@ def reshape(tape: Tape, x: Var, shape: tuple[int, ...]) -> Var:
 
 
 def broadcast_middle(tape: Tape, x: Var, size: int) -> Var:
-    """(Q, 1, d) -> (Q, size, d) by repetition; backward sums the axis."""
+    """(Q, 1, d) -> (Q, size, d) by repetition; backward sums the axis. No
+    model calls it since `unary_decoder` took over the decoder; the
+    benchmark's tracer still patches it by name."""
     out = np.broadcast_to(x.value, (x.value.shape[0], size, x.value.shape[2]))
     return tape.var(
         out.copy(), ((x, lambda g: g.sum(axis=1, keepdims=True)),)
     )
 
 
-def layer_norm(tape: Tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis, then scale and shift."""
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = x.value.var(axis=-1, keepdims=True)
+def _normalize(x: Array, eps: float = 1e-5) -> tuple[Array, Array]:
+    """x normalized over its last axis, and the inverse deviation inv."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
-
-    def grad_x(g: Array) -> Array:
-        dxhat = g * gamma.value
-        return inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-
-    return tape.var(
-        gamma.value * xhat + beta.value,
-        (
-            (x, grad_x),
-            (gamma, lambda g: _unbroadcast(g * xhat, gamma.value.shape)),
-            (beta, lambda g: _unbroadcast(g, beta.value.shape)),
-        ),
-    )
+    return (x - mu) * inv, inv
 
 
-def dropout(tape: Tape, x: Var, rate: float, rng: np.random.Generator) -> Var:
-    if rate <= 0.0:
-        return x
-    keep = (rng.random(x.value.shape) >= rate) / (1.0 - rate)
-    return mul(tape, x, tape.constant(keep))
+def _layer_norm_grads(g: Array, gamma: Array, beta: Array, xhat: Array, inv: Array) -> list:
+    """Gradients of gamma * xhat + beta (xhat, inv from `_normalize`) to
+    its input, gamma and beta, given g."""
+    dxhat = g * gamma
+    gx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    gx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx *= inv
+    return [gx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)]
+
+
+def layer_norm(tape: Tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
+    """Normalize over the last axis, then scale and shift. No model calls
+    it since `layer_tail` took over the layer's norm; the benchmark's
+    tracer still patches it by name."""
+    xhat, inv = _normalize(x.value, eps)
+    return tape.var(gamma.value * xhat + beta.value, _shared_vjp(
+        [x, gamma, beta], lambda g: _layer_norm_grads(g, gamma.value, beta.value, xhat, inv)))
+
+
+def layer_tail(
+    tape: Tape, h: Var, msgs: Var, W: Var, b: Var, gamma: Var, beta: Var,
+    rate: float = 0.0, rng: np.random.Generator | None = None,
+) -> Var:
+    """A message layer's tail, relu(drop(layer_norm(W [h || msgs] + b))) + h,
+    as one tape op: the same NumPy calls in the order of the chain
+    concat_last, matmul_last, add, layer_norm, mul by dropout's keep, relu
+    and add, so every value and gradient is bitwise theirs. With rate > 0,
+    keep = (rng.random(shape) >= rate) / (1 - rate), drawn here.
+
+    It keeps xhat, inv and the ReLU and dropout masks, as booleans. The
+    VJP rebuilds [h || msgs] for W's gradient from the two inputs, which
+    stay alive anyway, and hands h its skip term and its concat slice as
+    one sum, in the order backward added them."""
+    d = h.value.shape[-1]
+
+    def concat() -> Array:
+        return np.concatenate([h.value, msgs.value], axis=-1)
+
+    z = concat() @ W.value.T
+    z += b.value
+    xhat, inv = _normalize(z)
+    z = gamma.value * xhat
+    z += beta.value
+    kept = None
+    if rate > 0.0:
+        kept = rng.random(z.shape) >= rate
+        z *= kept / (1.0 - rate)
+    pos = z > 0
+    z *= pos
+    z += h.value
+
+    def grads(g: Array) -> list:
+        gz = g * pos
+        if kept is not None:
+            gz *= kept / (1.0 - rate)
+        gy, ggamma, gbeta = _layer_norm_grads(gz, gamma.value, beta.value, xhat, inv)
+        del gz
+        gW = gy.reshape(-1, gy.shape[-1]).T @ concat().reshape(-1, W.value.shape[1])
+        gx = gy @ W.value
+        return [g + gx[..., :d], gx[..., d:], gW, _unbroadcast(gy, b.value.shape), ggamma, gbeta]
+
+    return tape.var(z, _shared_vjp([h, msgs, W, b, gamma, beta], grads))
+
+
+def unary_decoder(tape: Tape, h: Var, zq: Var, W1: Var, b1: Var, W2: Var, b2: Var) -> Var:
+    """Logits (Q, V) of the two-layer ReLU MLP over [h_v || z_q], for h
+    (Q, V, d) and zq (Q, d), as one tape op: the same NumPy calls in the
+    order of the chain reshape, broadcast_middle, concat_last, matmul_last,
+    add, relu, matmul_last, add, reshape, so every value and gradient is
+    bitwise theirs. It keeps the hidden ReLU output and its mask; the VJP
+    rebuilds the concat, and no (Q, V, d) copy of zq is made."""
+    Q, V, d = h.value.shape
+
+    def concat() -> Array:
+        zb = np.broadcast_to(zq.value[:, None, :], (Q, V, zq.value.shape[1]))
+        return np.concatenate([h.value, zb], axis=-1)
+
+    hid = concat() @ W1.value.T
+    hid += b1.value
+    pos = hid > 0
+    hid *= pos
+    out = hid @ W2.value.T
+    out += b2.value
+
+    def grads(g: Array) -> list:
+        g3 = g.reshape(out.shape)
+        gW2 = g3.reshape(-1, g3.shape[-1]).T @ hid.reshape(-1, hid.shape[-1])
+        gp = g3 @ W2.value
+        gp *= pos
+        gW1 = gp.reshape(-1, gp.shape[-1]).T @ concat().reshape(-1, W1.value.shape[1])
+        gx = gp @ W1.value
+        gz = gx[..., d:].sum(axis=1)
+        return [gx[..., :d], gz, gW1, _unbroadcast(gp, b1.value.shape), gW2,
+                _unbroadcast(g3, b2.value.shape)]
+
+    return tape.var(out.reshape(Q, V), _shared_vjp([h, zq, W1, b1, W2, b2], grads))

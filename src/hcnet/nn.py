@@ -13,7 +13,11 @@ array of per-incidence messages.
   query axis in blocks of `autodiff.BLOCK_BYTES` per per-incidence array,
   on scatter bins built once per pass (`autodiff.MessagePlan`), bit for
   bit the unblocked sums. It scores Q queries against all nodes at once,
-  with layer norm / dropout / skip connections as used for training;
+  with layer norm / dropout / skip connections as used for training.
+  A layer's tail (linear, layer norm, dropout, ReLU, skip) is one more
+  tape op (`autodiff.layer_tail`) and the unary decoder one
+  (`autodiff.unary_decoder`), each keeping only what its VJP reads, so a
+  recorded layer adds four tape vars and keeps two (Q, V, d) values.
   `backward` returns the gradients of the trained tensors only.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
@@ -302,12 +306,10 @@ def _message_layer(
     alpha = bound[f"alpha_l{ell}"]
     one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
     msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, plan)
-    z = ad.concat_last(tape, [h, msgs])
-    z = ad.add(tape, ad.matmul_last(tape, z, bound[f"W_l{ell}"]), bound[f"b_l{ell}"])
-    z = ad.layer_norm(tape, z, bound[f"ln_g_l{ell}"], bound[f"ln_b_l{ell}"])
-    if rng is not None and cfg.dropout > 0.0:
-        z = ad.dropout(tape, z, cfg.dropout, rng)
-    return ad.add(tape, ad.relu(tape, z), h)
+    return ad.layer_tail(
+        tape, h, msgs, bound[f"W_l{ell}"], bound[f"b_l{ell}"], bound[f"ln_g_l{ell}"],
+        bound[f"ln_b_l{ell}"], cfg.dropout if rng is not None else 0.0, rng,
+    )
 
 
 def _g_vars(
@@ -430,12 +432,9 @@ def _mlp_logits(tape: Tape, bound: dict[str, Var], prefix: str, x: Var) -> Var:
 
 def decode_unary_batch(trace: ForwardTrace) -> Var:
     """Logits (Q, V) of the unary decoder over [h_v || z_q]."""
-    tape, bound, h = trace.tape, trace.bound, trace.features
-    Q, V, d = h.value.shape
-    z3 = ad.reshape(tape, trace.zq_batch, (Q, 1, d))
-    zb = ad.broadcast_middle(tape, z3, V)
-    x = ad.concat_last(tape, [h, zb])
-    return _mlp_logits(tape, bound, "dec", x)
+    bound = trace.bound
+    return ad.unary_decoder(trace.tape, trace.features, trace.zq_batch,
+                            *(bound[f"dec_{n}"] for n in ("W1", "b1", "W2", "b2")))
 
 
 def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:

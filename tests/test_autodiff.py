@@ -226,19 +226,6 @@ class TestReductionsAndNorm:
                 var.grad, numeric_grad(fk, val.copy()), rtol=1e-4, atol=1e-6
             )
 
-    def test_dropout_zero_rate_is_identity(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones(5))
-        assert ad.dropout(tape, x, 0.0, np.random.default_rng(0)) is x
-
-    def test_dropout_scales_kept_entries(self):
-        tape = ad.Tape()
-        x = tape.leaf(np.ones(10_000))
-        out = ad.dropout(tape, x, 0.5, np.random.default_rng(0))
-        kept = out.value[out.value > 0]
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.4 < kept.size / 10_000 < 0.6
-
 
 def _brute_product(f, skip):
     """Product over axis -3 of f, leaving out the positions in `skip`."""
@@ -382,14 +369,14 @@ class TestTapeSemantics:
         y = ad.mul(tape, ad.matmul_last(tape, x, w), c)
         loss = ad.sum_all(tape, y)
         ad.backward(tape, loss, 1.0)
+        # Only leaves keep a gradient: backward calls no VJP for a constant.
         for v in tape.vars:
-            if v in (x, w, c):
+            if v in (x, w):
                 assert v.grad is not None
             else:
                 assert v.grad is None and v.parents == ()
         np.testing.assert_array_equal(x.grad, np.full((3, 2), 0.5) @ w_val)
         np.testing.assert_array_equal(w.grad, np.full((2, 3), 0.5) @ x_val)
-        np.testing.assert_array_equal(c.grad, (x_val @ w_val.T).sum(axis=0))
 
     def test_non_recording_tape_keeps_nothing(self):
         rng = np.random.default_rng(5)
@@ -442,7 +429,7 @@ from hcnet import autodiff as ad
 from hcnet.nn import ModelConfig, hrnet_forward_batch, init_params
 from hcnet.synth import hypercycle
 
-g = hypercycle(1000, 3)
+g = hypercycle(2000, 3)
 params = init_params(g, ModelConfig(kind="hrnet", d=32, layers=3, mode="query-independent"),
                      np.random.default_rng(0))
 faults = []
@@ -456,8 +443,9 @@ print(ad.keep_freed_memory(), *faults)
 
 class TestKeepFreedMemory:
     def test_later_passes_reuse_the_heap(self):
-        # A recorded V=1000 forward allocates about 20 MB. Under glibc's
-        # adaptive thresholds every pass faulted about 5000 pages in again.
+        # A recorded V=2000 forward allocates about 20 MB (V=1000 did while
+        # the tape kept every layer op's output). Under glibc's adaptive
+        # thresholds every pass faulted about 5000 pages in again.
         src = Path(ad.__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
         env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")

@@ -552,6 +552,57 @@ def _jittered(graph, seed=0, **kw):
     return params
 
 
+# Model cases in both message modes, with and without dropout, and hrnet,
+# whose first layer takes its all-ones start as a Constant h.
+_MODEL_CASES = [
+    dict(kind="hcnet", arities=(1, 2, 3, 5), mode="query-dependent", dropout=0.3),
+    dict(kind="hcnet", arities=(2, 1, 4), mode="query-independent", pe_kind="learnable"),
+    dict(kind="hcnet", arities=(3, 2, 2), mode="query-dependent", masked_relation=1),
+    dict(kind="hcnet", arities=(1, 1, 2), mode="query-independent", pe_kind="one-hot"),
+    dict(kind="hrnet", arities=(1, 3, 2), mode="query-independent"),
+    dict(kind="hcnet", arities=(2, 3, 1), mode="query-independent", dropout=0.3),
+]
+
+
+def _assert_models_equal_the_chains(case, monkeypatch, **chains):
+    """Features, logits and every gradient of a model case, recorded and
+    not, are bitwise equal with the `autodiff` ops named in chains replaced
+    by their test-local chains."""
+    case = dict(case)
+    kind, arities = case.pop("kind"), case.pop("arities")
+    masked_relation = case.pop("masked_relation", None)
+    g = _graph(arities)
+    params = _jittered(g, kind=kind, **case)
+    masked = {e for e, ed in enumerate(g.edges) if ed.relation == masked_relation}
+    queries = [Query(r, tuple(range(k - 1)), k) for r, k in enumerate(arities)]
+    k = max(arities)
+    tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
+    qrel = np.full(5, arities.index(k), dtype=np.intp)
+
+    def run(record):
+        rng = np.random.default_rng(3)
+        if kind == "hcnet":
+            trace = hcnet_forward_batch(g, queries, params, rng=rng, masked_edges=masked,
+                                        record=record)
+            logits = decode_unary_batch(trace)
+        else:
+            trace = hrnet_forward_batch(g, params, record=record)
+            logits = decode_kary_batch(trace, tuples, qrel)
+        out = [trace.features.value, logits.value]
+        if record:
+            seed = np.random.default_rng(4).standard_normal(logits.value.shape)
+            out += list(backward(trace, logits, seed).values())
+        return out
+
+    fused = run(True) + run(False)
+    for name, op in chains.items():
+        monkeypatch.setattr(ad, name, op)
+    chain = run(True) + run(False)
+    assert len(fused) == len(chain) > 4
+    for a, b in zip(fused, chain):
+        assert _bitwise_equal(a, b)
+
+
 class TestRelationMessages:
     @pytest.mark.parametrize("gate_shape", [(6,), (2, 1, 1, 6)])
     def test_op_equals_the_chain_bitwise(self, gate_shape):
@@ -580,46 +631,9 @@ class TestRelationMessages:
         # A masked relation has no edges left, so its gate gets no gradient.
         _assert_op_equals_the_chain(groups, 5, gate_shape, masked={2} if masked else set())
 
-    @pytest.mark.parametrize("case", [
-        dict(kind="hcnet", arities=(1, 2, 3, 5), mode="query-dependent", dropout=0.3),
-        dict(kind="hcnet", arities=(2, 1, 4), mode="query-independent", pe_kind="learnable"),
-        dict(kind="hcnet", arities=(3, 2, 2), mode="query-dependent", masked_relation=1),
-        dict(kind="hcnet", arities=(1, 1, 2), mode="query-independent", pe_kind="one-hot"),
-        dict(kind="hrnet", arities=(1, 3, 2), mode="query-independent"),
-    ])
+    @pytest.mark.parametrize("case", _MODEL_CASES)
     def test_models_equal_the_chain_bitwise(self, case, monkeypatch):
-        case = dict(case)
-        kind, arities = case.pop("kind"), case.pop("arities")
-        masked_relation = case.pop("masked_relation", None)
-        g = _graph(arities)
-        params = _jittered(g, kind=kind, **case)
-        masked = {e for e, ed in enumerate(g.edges) if ed.relation == masked_relation}
-        queries = [Query(r, tuple(range(k - 1)), k) for r, k in enumerate(arities)]
-        k = max(arities)
-        tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
-        qrel = np.full(5, arities.index(k), dtype=np.intp)
-
-        def run(record):
-            rng = np.random.default_rng(3)
-            if kind == "hcnet":
-                trace = hcnet_forward_batch(g, queries, params, rng=rng, masked_edges=masked,
-                                            record=record)
-                logits = decode_unary_batch(trace)
-            else:
-                trace = hrnet_forward_batch(g, params, record=record)
-                logits = decode_kary_batch(trace, tuples, qrel)
-            out = [trace.features.value, logits.value]
-            if record:
-                seed = np.random.default_rng(4).standard_normal(logits.value.shape)
-                out += list(backward(trace, logits, seed).values())
-            return out
-
-        fused = run(True) + run(False)
-        monkeypatch.setattr(ad, "relation_messages", _chained_messages)
-        chain = run(True) + run(False)
-        assert len(fused) == len(chain) > 4
-        for a, b in zip(fused, chain):
-            assert _bitwise_equal(a, b)
+        _assert_models_equal_the_chains(case, monkeypatch, relation_messages=_chained_messages)
 
     def test_constants_get_no_gradient(self):
         # A closed-form encoding table and hrnet's all-ones start are
@@ -670,11 +684,208 @@ class TestRelationMessages:
 
     def test_tape_keeps_no_per_incidence_array(self):
         # 40 edges of arity 3 on 6 nodes: a per-incidence array (Q, 3, 40, d)
-        # is ten times the widest per-node one, the (Q, V, 2d) concat.
+        # is twenty times the widest per-node one, a layer's (Q, V, d)
+        # output; the fused tail and decoder keep no (Q, V, 2d) concat.
         g = _graph((3, 2), nodes=6, per_relation=40)
         params = _params(g, d=4, layers=2)
         queries = [Query(0, (0, 1), 3), Query(1, (2,), 1)]
         trace = hcnet_forward_batch(g, queries, params)
         decode_unary_batch(trace)
-        widest = len(queries) * g.node_count * 2 * 4
+        widest = len(queries) * g.node_count * 4
         assert max(v.value.size for v in trace.tape.vars) == widest
+
+
+# --- the fused layer tail and unary decoder against the chains they replaced -
+
+
+def _chained_tail(tape, h, msgs, W, b, gamma, beta, rate=0.0, rng=None):
+    """A layer's tail as separate tape ops: concat, linear, bias, layer norm,
+    dropout's keep mask as a constant factor, ReLU and the skip add."""
+    z = ad.concat_last(tape, [h, msgs])
+    z = ad.layer_norm(tape, ad.add(tape, ad.matmul_last(tape, z, W), b), gamma, beta)
+    if rate > 0.0:
+        keep = (rng.random(z.value.shape) >= rate) / (1.0 - rate)
+        z = ad.mul(tape, z, tape.constant(keep))
+    return ad.add(tape, ad.relu(tape, z), h)
+
+
+def _chained_decoder(tape, h, zq, W1, b1, W2, b2):
+    """The unary decoder as separate tape ops: z_q broadcast over the
+    nodes, concatenated to h, and a two-layer ReLU MLP."""
+    Q, V, d = h.value.shape
+    zb = ad.broadcast_middle(tape, ad.reshape(tape, zq, (Q, 1, zq.value.shape[1])), V)
+    x = ad.concat_last(tape, [h, zb])
+    hdn = ad.relu(tape, ad.add(tape, ad.matmul_last(tape, x, W1), b1))
+    out = ad.add(tape, ad.matmul_last(tape, hdn, W2), b2)
+    return ad.reshape(tape, out, (Q, V))
+
+
+def _fused_against_chain(fused, chain, inputs, upstream, constants=(), record=True):
+    """Run fused and chain, op(tape, rng, *args), on leaves of `inputs`
+    (Constants for the names in constants), each behind the same upstream
+    ops and on the same rng, and backward with one seed; return both runs'
+    (value, gradients, next draw of the rng)."""
+    runs = []
+    for op in (fused, chain):
+        tape = ad.Tape(record=record)
+        vars_ = {n: (tape.constant if n in constants else tape.leaf)(v.copy())
+                 for n, v in inputs.items()}
+        rng = np.random.default_rng(5)
+        args = upstream(tape, vars_)
+        out = op(tape, rng, *args)
+        grads = {}
+        if record:
+            seed = np.random.default_rng(6).standard_normal(out.value.shape)
+            ad.backward(tape, out, seed)
+            grads = {n: v.grad for n, v in vars_.items()}
+        runs.append((out.value, grads, rng.random()))
+    return runs
+
+
+def _assert_runs_equal(runs):
+    (value, grads, draw), (chain_value, chain_grads, chain_draw) = runs
+    assert _bitwise_equal(value, chain_value) and draw == chain_draw
+    assert grads.keys() == chain_grads.keys()
+    for name, g in grads.items():
+        if g is None or chain_grads[name] is None:
+            assert g is None and chain_grads[name] is None, name
+        else:
+            assert _bitwise_equal(g, chain_grads[name]), name
+
+
+def _tail_inputs(Q=3, V=7, d=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return {"h": rng.standard_normal((Q, V, d)) * 10.0 ** rng.integers(-3, 3, d),
+            "m": rng.standard_normal((Q, V, d)), "W": rng.standard_normal((d, 2 * d)),
+            "b": rng.standard_normal(d), "gamma": rng.standard_normal(d),
+            "beta": rng.standard_normal(d)}
+
+
+def _tail_upstream(tape, v):
+    # msgs reads h, so h's gradient sums three terms: the tail's skip term
+    # and concat slice, then the messages' term.
+    msgs = ad.mul(tape, v["h"], v["m"])
+    return v["h"], msgs, v["W"], v["b"], v["gamma"], v["beta"]
+
+
+class TestLayerTail:
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("constants", [(), ("h",)], ids=["leaf-h", "constant-h"])
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "not-recorded"])
+    def test_op_equals_the_chain_bitwise(self, rate, constants, record):
+        def fused(tape, rng, *args):
+            return ad.layer_tail(tape, *args, rate, rng)
+
+        def chain(tape, rng, *args):
+            return _chained_tail(tape, *args, rate, rng)
+
+        _assert_runs_equal(_fused_against_chain(
+            fused, chain, _tail_inputs(), _tail_upstream, constants, record))
+
+    def test_constant_h_is_no_parent(self):
+        tape = ad.Tape()
+        v = _tail_inputs()
+        h = tape.constant(v["h"])
+        rest = [tape.leaf(v[n]) for n in ("m", "W", "b", "gamma", "beta")]
+        out = ad.layer_tail(tape, h, *rest)
+        assert [p for p, _ in out.parents] == rest
+
+    @pytest.mark.parametrize("case", _MODEL_CASES)
+    def test_models_equal_the_chains_bitwise(self, case, monkeypatch):
+        _assert_models_equal_the_chains(case, monkeypatch, layer_tail=_chained_tail,
+                                        unary_decoder=_chained_decoder)
+
+    def test_dropout_zero_rate_is_identity(self):
+        # A zero rate draws nothing and equals the pass without an rng.
+        tape = ad.Tape()
+        args = [tape.leaf(v) for v in _tail_inputs().values()]
+        rng = np.random.default_rng(0)
+        out = ad.layer_tail(tape, *args, 0.0, rng)
+        assert _bitwise_equal(out.value, ad.layer_tail(tape, *args).value)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_dropout_scales_kept_entries(self):
+        # With W = 0 and gamma = 0, the norm puts out beta = 1 everywhere,
+        # so the tail puts out dropout's keep factors (h = 0).
+        tape = ad.Tape()
+        d, n = 4, 2500
+        h = tape.constant(np.zeros((1, n, d)))
+        args = [tape.leaf(np.zeros(s)) for s in ((1, n, d), (d, 2 * d), (d,), (d,))]
+        out = ad.layer_tail(tape, h, *args, tape.leaf(np.ones(d)), 0.5,
+                            np.random.default_rng(0)).value
+        kept = out[out > 0]
+        np.testing.assert_array_equal(kept, 2.0)
+        assert 0.4 < kept.size / out.size < 0.6
+
+
+class TestUnaryDecoder:
+    # d=1 and V above NumPy's 8192-element buffer cover the sum over nodes
+    # that z_q's gradient takes, strided here, contiguous in the chain.
+    @pytest.mark.parametrize("Q, V, d", [(3, 7, 5), (2, 9000, 1), (16, 50, 32)])
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "not-recorded"])
+    def test_op_equals_the_chain_bitwise(self, Q, V, d, record):
+        rng = np.random.default_rng(Q + V + d)
+        inputs = {"h": rng.standard_normal((Q, V, d)), "m": rng.standard_normal((Q, V, d)),
+                  "zq": rng.standard_normal((Q, d)), "W1": rng.standard_normal((d, 2 * d)),
+                  "b1": rng.standard_normal(d), "W2": rng.standard_normal((1, d)),
+                  "b2": rng.standard_normal(1)}
+
+        def upstream(tape, v):
+            # h feeds the decoder and another op, so its gradient sums two terms.
+            h = ad.mul(tape, v["h"], v["m"])
+            return h, ad.relu(tape, v["zq"]), v["W1"], v["b1"], v["W2"], v["b2"]
+
+        _assert_runs_equal(_fused_against_chain(
+            lambda tape, rng, *args: ad.unary_decoder(tape, *args),
+            lambda tape, rng, *args: _chained_decoder(tape, *args), inputs, upstream,
+            record=record))
+
+
+def _tape_mb(tape):
+    """MB of the tape's values, each underlying buffer counted once."""
+    seen = {}
+    for v in tape.vars:
+        base = v.value
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        seen[id(base)] = base.nbytes
+    return sum(seen.values()) / 1e6
+
+
+class TestTapeMemory:
+    def test_recorded_forward_and_decoder_tape_values(self):
+        # The train workload's step: Q=16, V=1000, 4000 edges of arities
+        # 2/2/3/3, d=32, L=3. With one tape var per op, the tape held
+        # 127.5 MB of values; now each layer keeps its messages and its
+        # output, (Q, V, d) each, about 29 MB in all.
+        rng = np.random.default_rng(0)
+        arities = (2, 2, 3, 3)
+        rels = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
+        edges = [HyperEdge(r, tuple(int(v) for v in rng.integers(0, 1000, k)))
+                 for r, k in enumerate(arities) for _ in range(1000)]
+        g = build_graph(rels, edges, 1000)
+        params = _params(g, d=32, layers=3, dropout=0.2)
+        queries = [Query(r % 4, tuple(int(v) for v in rng.integers(0, 1000, arities[r % 4] - 1)),
+                         1) for r in range(16)]
+        trace = hcnet_forward_batch(g, queries, params, rng=rng)
+        decode_unary_batch(trace)
+        assert _tape_mb(trace.tape) <= 40.0
+
+    @pytest.mark.parametrize("kind, dropout", [("hcnet", 0.0), ("hcnet", 0.3), ("hrnet", 0.0)])
+    def test_a_layer_adds_at_most_four_tape_vars(self, kind, dropout):
+        # Besides its 5 parameter leaves: 1.0, one_minus, the messages and
+        # the tail. With one tape var per op it was 9, with dropout 11.
+        g = hypercycle(8, 3)
+        mode = "query-independent" if kind == "hrnet" else "query-dependent"
+
+        def tape_vars(layers):
+            params = _params(g, kind=kind, mode=mode, layers=layers, dropout=dropout)
+            if kind == "hrnet":
+                trace = hrnet_forward_batch(g, params)
+            else:
+                trace = hcnet_forward_batch(g, [Query(0, (1,), 2)], params,
+                                            rng=np.random.default_rng(0))
+            return len(trace.tape.vars) - len(trace.bound)
+
+        for layers in (1, 2, 3):
+            assert tape_vars(layers) - tape_vars(layers - 1) <= 4
