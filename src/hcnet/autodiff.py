@@ -25,6 +25,16 @@ the memory order of a gather h[..., idx, :], which NumPy lays out as
 buffer per relation with that layout; a C-ordered buffer sums them in
 another order.
 
+A pass of two or more blocks runs on two threads (`_run_blocks`): the
+calling thread takes the even blocks and one worker thread, made on first
+use when the process may run on two or more CPUs, the odd ones. No query
+reads another's rows, so each block writes only its own rows; the one sum
+that runs across blocks, the VJP's Q-sum behind one_minus's and pe's
+gradients, adds each block's rows in block order (`_Pass.in_turn`), so
+the bits are the serial pass's. A pass of one block, or on one CPU, runs
+on the calling thread alone. NumPy drops the GIL in its ufunc and `take`
+loops but not in `np.bincount`, so the scatters do not overlap.
+
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the unary decoder's MLP are one tape op each. They
 run the NumPy calls of the per-op chains they replaced in order, so
@@ -48,14 +58,17 @@ array that reproduces np.add.at into zeros bit for bit at a fraction of
 its cost; `scatter_add` builds the bins for a single call. Importing
 the module sets glibc's malloc to keep freed arrays for reuse
 (`keep_freed_memory`), so a repeated pass does not page-fault its
-arrays in again.
+arrays in again, and to serve both threads from one arena (`one_arena`).
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import ctypes
 import math
 import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -73,26 +86,43 @@ Array = np.ndarray
 # one training run and 31-34 ms (7300 faults) after a leaner one. Fixed
 # thresholds keep freed arrays in the process for the next pass.
 _MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
-def keep_freed_memory() -> bool:
-    """Have glibc serve arrays up to 32 MB from the heap and keep up to
-    2 GB of freed heap; True if both were set. A no-op, False, without
-    glibc's mallopt or when either threshold is set in the environment."""
-    if any(name in os.environ for name in _MALLOC_ENV):
+def _mallopt(env: tuple[str, ...], settings: dict[int, int]) -> bool:
+    """Set glibc malloc parameters (mallopt's, by number); True if all
+    were set. A no-op, False, without glibc's mallopt or when any variable
+    of env is set in the environment, which then wins."""
+    if any(name in os.environ for name in env):
         return False
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)) and bool(
-        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)
-    )
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, value) for param, value in settings.items())
+
+
+def keep_freed_memory() -> bool:
+    """Have glibc serve arrays up to 32 MB from the heap and keep up to
+    2 GB of freed heap; True if both were set. A no-op, False, without
+    glibc's mallopt or when either threshold is set in the environment."""
+    return _mallopt(_MALLOC_ENV, {_M_MMAP_THRESHOLD: 32 << 20, _M_TRIM_THRESHOLD: 2**31 - 1})
+
+
+def one_arena() -> bool:
+    """Have glibc serve every thread from one malloc arena; True if set. A
+    no-op, False, without glibc's mallopt or when MALLOC_ARENA_MAX is set.
+    The message kernel's second thread would otherwise get an arena of its
+    own, which keeps its freed blocks apart from the main thread's. On a
+    2-core x86 host that raised the peak RSS of a V=1000 training step
+    from 131 to 134-139 MB, and of ranking at V=2000 from 110 to 118 MB."""
+    return _mallopt(("MALLOC_ARENA_MAX",), {_M_ARENA_MAX: 1})
 
 
 keep_freed_memory()
+one_arena()
 
 
 class Var:
@@ -360,7 +390,10 @@ class Bins:
     Each leading slice has V*d bins, and one np.bincount sums a chunk of
     slices. bincount starts every bin at +0.0 and adds its weights in input
     order, as np.add.at does into zeros, so how the slices are chunked
-    does not change a bit."""
+    does not change a bit. bincount holds the GIL throughout, so the two
+    threads of a message pass do not sum at once: on a 2-core x86 host,
+    400 sums of 320000 weights into V*d = 32000 bins took 0.27-0.31 s on
+    one thread and 0.28-0.32 s split over two."""
 
     def __init__(self, idx: Array, V: int, d: int, count: int) -> None:
         idx = np.asarray(idx, dtype=np.intp)
@@ -455,6 +488,105 @@ def _blocks(count: int, floats: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
+class _Worker:
+    """A daemon thread that runs the tasks handed to `start` one at a time,
+    in the order they came."""
+
+    def __init__(self) -> None:
+        self._tasks: collections.deque[Callable[[], None]] = collections.deque()
+        self._count = threading.Semaphore(0)
+        threading.Thread(target=self._serve, name="hcnet-blocks", daemon=True).start()
+
+    def start(self, task: Callable[[], None]) -> None:
+        self._tasks.append(task)
+        self._count.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._count.acquire()
+            self._tasks.popleft()()
+
+
+# The thread that runs every other query block of a pass (`_run_blocks`).
+# Made on first use, when the process may run on two or more CPUs (on a
+# platform without sched_getaffinity, never); until then None.
+_worker: _Worker | None = None
+
+
+def _the_worker() -> _Worker | None:
+    global _worker
+    if _worker is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
+        _worker = _Worker()
+    return _worker
+
+
+class _Pass:
+    """What the two threads of a pass share: its first error, which stops
+    both, and whose turn it is at a step that runs in block order."""
+
+    def __init__(self) -> None:
+        self.error: BaseException | None = None
+        self.turn = 0
+        self.changed = threading.Condition()
+
+    def fail(self, error: BaseException) -> None:
+        with self.changed:
+            if self.error is None:
+                self.error = error
+            self.changed.notify_all()
+
+    @contextlib.contextmanager
+    def in_turn(self, j: int):
+        """Run the body once block j-1 has run its own (so block 0's first),
+        then let block j+1 run its. Raises instead once a block has
+        failed."""
+        with self.changed:
+            self.changed.wait_for(lambda: self.turn == j or self.error is not None)
+            if self.error is not None:
+                raise RuntimeError("stopped: another query block failed")
+        yield
+        with self.changed:
+            self.turn = j + 1
+            self.changed.notify_all()
+
+
+def _run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
+    """run(j, pass) for each block j < count. With two or more blocks and a
+    worker thread, the calling thread runs the even blocks and the worker
+    the odd ones, each in increasing order; otherwise the calling thread
+    runs them all in order. The first error stops both threads at their
+    next block or turn and is raised once both are done."""
+    state = _Pass()
+    worker = _the_worker() if count > 1 else None
+    if worker is None:
+        for j in range(count):
+            run(j, state)
+        return
+
+    def share(first: int) -> None:
+        try:
+            for j in range(first, count, 2):
+                if state.error is not None:
+                    return
+                run(j, state)
+        except BaseException as error:
+            state.fail(error)
+
+    done = threading.Event()
+
+    def there() -> None:
+        try:
+            share(1)
+        finally:
+            done.set()
+
+    worker.start(there)
+    share(0)
+    done.wait()
+    if state.error is not None:
+        raise state.error
+
+
 def destinations(groups: dict[int, Array]) -> Array:
     """Every incidence's destination node (T,), in `incidence_messages`'
     order: relation by relation, position-major."""
@@ -540,10 +672,12 @@ def _relation_grads(
     ops (gather, take_rows, mul, add, exclusive products, gate mul,
     index_add) summed it, so the gradients are bitwise equal to theirs.
     The Q-sum that starts one_minus's and pe's terms runs on from block to
-    block. alpha's term and a shared gate's sum over all queries at once,
-    in the memory order of those ops' gather h[..., nodes.T, :], which is
-    (k, E, Q, d): each is written into one buffer per relation laid out
-    so, and summed after the last block."""
+    block, in block order also when the blocks run on two threads
+    (`_run_blocks`); every other term fills its own rows. alpha's term and
+    a shared gate's sum over all queries at once, in the memory order of
+    those ops' gather h[..., nodes.T, :], which is (k, E, Q, d): each is
+    written into one buffer per relation laid out so, and summed after the
+    last block."""
     Q, _, d = G.shape
     nodes = plan.groups[rel]
     E, k = nodes.shape
@@ -558,12 +692,16 @@ def _relation_grads(
     ggate = gather_layout() if shared else np.empty(gv.shape)
     galpha = gather_layout() if k > 1 else None
     gh = np.empty(G.shape) if want_h and len(blocks) > 1 else None
+    bins = plan.bins(rel) if want_h else None
     gsum = None
-    for lo, hi in blocks:
+
+    def run(j: int, state: _Pass) -> None:
+        nonlocal gh, gsum
+        lo, hi = blocks[j]
         gm = np.take(G[lo:hi], nodes.T, axis=1)  # (B, k, E, d)
         if k == 1:  # the gate's term is gm times the empty product
             ggate[lo:hi] = gm if shared else _unbroadcast(gm, gv[lo:hi].shape)
-            continue
+            return
         hn = np.take(h.value[lo:hi], nodes.T, axis=1)
         f = _factors(hn, a, c, pe.value)
         t = exclusive_products(f)
@@ -576,20 +714,22 @@ def _relation_grads(
         gm *= _query_rows(gv, lo, hi)
         gf = exclusive_products_vjp(f, gm)
         del f, gm
-        if gsum is None:
-            gsum = gf.sum(axis=0)
-        else:
-            for row in gf:
-                gsum += row
+        with state.in_turn(j):
+            if gsum is None:
+                gsum = gf.sum(axis=0)
+            else:
+                for row in gf:
+                    gsum += row
         np.multiply(gf, hn, out=galpha[lo:hi])
         del hn
         if want_h:
             gf *= a
             if gh is None:  # the one block
-                gh = plan.bins(rel).sum(gf.reshape(hi - lo, -1))
+                gh = bins.sum(gf.reshape(hi - lo, -1))
             else:
-                plan.bins(rel).sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
-        del gf
+                bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
+
+    _run_blocks(run, len(blocks))
     out = [_unbroadcast(ggate, gv.shape)]
     if k == 1:
         return out
@@ -613,8 +753,9 @@ def relation_messages(
     onto their destinations with the plan's bins, bit for bit the chain of
     one index_add per relation.
 
-    The query axis is walked in blocks (`BLOCK_BYTES`): a block's messages
-    are written into one buffer and summed straight into its rows of the
+    The query axis is walked in blocks (`BLOCK_BYTES`), on two threads
+    when there are two or more (`_run_blocks`): a block's messages are
+    written into one buffer and summed straight into its rows of the
     output, so a batch that fits one block runs as one pass. One tape op
     for all relations, and it keeps no per-incidence array: its VJP
     recomputes each relation's factors and products from the inputs, one
@@ -626,7 +767,10 @@ def relation_messages(
     hv = h.value
     blocks = _blocks(hv.shape[0], plan.dest.width)
     out = np.empty(hv.shape) if len(blocks) > 1 else None
-    for lo, hi in blocks:
+
+    def run(j: int, _: _Pass) -> None:
+        nonlocal out
+        lo, hi = blocks[j]
         msgs = incidence_messages(
             hv[lo:hi], alpha.value, one_minus.value, pe.value,
             {rel: _query_rows(g.value, lo, hi) for rel, g in gates.items()}, plan.groups,
@@ -635,7 +779,8 @@ def relation_messages(
             out = plan.dest.sum(msgs.reshape(hi - lo, -1))
         else:
             plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
-        del msgs
+
+    _run_blocks(run, len(blocks))
     if not tape.record:
         return tape.var(out)
 

@@ -441,6 +441,32 @@ print(ad.keep_freed_memory(), *faults)
 """
 
 
+# Counts glibc's malloc arenas after a second thread has allocated; prints
+# "none" without glibc's malloc_info.
+_ARENAS_SCRIPT = """
+import ctypes, threading
+import numpy as np
+from hcnet import autodiff as ad
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "malloc_info"):
+    raise SystemExit(print("none"))
+kept = []
+t = threading.Thread(target=lambda: kept.extend(np.ones(64) for _ in range(1000)))
+t.start()
+t.join()
+buf, size = ctypes.c_char_p(), ctypes.c_size_t()
+libc.open_memstream.restype = ctypes.c_void_p
+libc.open_memstream.argtypes = (ctypes.POINTER(ctypes.c_char_p), ctypes.POINTER(ctypes.c_size_t))
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+stream = libc.open_memstream(ctypes.byref(buf), ctypes.byref(size))
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+print(buf.value.decode().count("<heap nr="))
+"""
+
+
 class TestKeepFreedMemory:
     def test_later_passes_reuse_the_heap(self):
         # A recorded V=2000 forward allocates about 20 MB (V=1000 did while
@@ -462,3 +488,28 @@ class TestKeepFreedMemory:
     def test_environment_setting_wins(self, name, monkeypatch):
         monkeypatch.setenv(name, "65536")
         assert ad.keep_freed_memory() is False
+
+    # The thresholds the benchmark sets leave the arena cap on; a cap set
+    # in the environment wins, so the second thread gets its own arena.
+    @pytest.mark.parametrize("env, arenas", [
+        ({}, 1),
+        ({"MALLOC_MMAP_THRESHOLD_": str(1 << 32), "MALLOC_TRIM_THRESHOLD_": str(1 << 36)}, 1),
+        ({"MALLOC_ARENA_MAX": "8"}, 2),
+    ], ids=["default", "thresholds-set", "arena-max-set"])
+    def test_threads_share_one_arena(self, env, arenas):
+        src = Path(ad.__file__).resolve().parent.parent
+        base = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        proc = subprocess.run([sys.executable, "-c", _ARENAS_SCRIPT],
+                              env={**base, **env, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "none":
+            pytest.skip("no glibc malloc_info")
+        assert int(proc.stdout) == arenas
+
+    def test_arena_cap_ignores_the_thresholds(self, monkeypatch):
+        monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", "65536")
+        if not ad.one_arena():
+            pytest.skip("no glibc mallopt")
+        monkeypatch.setenv("MALLOC_ARENA_MAX", "8")
+        assert ad.one_arena() is False

@@ -1,5 +1,10 @@
 """Numeric models: encodings, initialization, layers, decoders, gradients."""
 
+import functools
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -516,9 +521,10 @@ def _graph(arities, nodes=7, per_relation=6, seed=0):
     return build_graph(rels, edges, nodes)
 
 
-def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset()):
+def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset(), constants=()):
     """relation_messages and the chain agree bit for bit in value and in
-    every leaf gradient on the relations of groups not in masked."""
+    every leaf gradient on the relations of groups not in masked; the
+    inputs named in constants ("h", "pe") are Constants and get none."""
     rng = np.random.default_rng(1)
     inputs = {"h": rng.standard_normal((Q, 7, 6)) * 10.0 ** rng.integers(-3, 3, 6),
               "alpha": np.asarray(0.3), "pe": rng.standard_normal((6, 6)),
@@ -529,7 +535,8 @@ def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset()):
     results = []
     for op in (ad.relation_messages, _chained_messages):
         tape = ad.Tape()
-        leaves = {name: tape.leaf(value.copy()) for name, value in inputs.items()}
+        leaves = {name: (tape.constant if name in constants else tape.leaf)(value.copy())
+                  for name, value in inputs.items()}
         one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
         gates = {r: leaves[f"g{r}"] for r in groups}
         out = op(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"], gates, plan)
@@ -538,10 +545,41 @@ def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset()):
     (fused, fused_grads), (chain, chain_grads) = results
     assert _bitwise_equal(fused, chain)
     for name in inputs:
-        if name in {f"g{r}" for r in masked}:
+        if name in {f"g{r}" for r in masked} | set(constants):
             assert fused_grads[name] is None and chain_grads[name] is None
         else:
             assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
+
+
+class _CountingWorker(ad._Worker):
+    """A worker thread that counts the tasks it was handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.tasks = 0
+
+    def start(self, task):
+        self.tasks += 1
+        super().start(task)
+
+
+@functools.cache
+def _test_worker():
+    # One worker thread serves every threaded case, also on a one-CPU host.
+    return _CountingWorker()
+
+
+def _paths(monkeypatch):
+    """Set up the message kernel's serial path (one CPU, so no worker),
+    then its threaded path (the test worker), each in its own monkeypatch
+    context, and yield the path's worker: None, then the test worker."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "_worker", None)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield None
+    with monkeypatch.context() as mp:
+        mp.setattr(ad, "_worker", _test_worker())
+        yield ad._worker
 
 
 def _jittered(graph, seed=0, **kw):
@@ -613,27 +651,137 @@ class TestRelationMessages:
                   2: np.array([[4, 0, 1, 2, 3]]), 3: np.array([[2, 2], [1, 0], [4, 4]])}
         _assert_op_equals_the_chain(groups, 2, gate_shape)
 
-    # Arities 1 to 5 with 60 incidences each at Q=5, d=6: a query's
-    # messages are 300*6 floats, one relation's 60*6. The budgets give
-    # (forward, VJP) blocks of (1, 1), (1, 2), (2, all) and (all, all)
-    # queries; blocks of 2 leave a last block of 1.
+    # Arities 1 to 5 with 60 incidences each at Q=5, d=6, and a small
+    # arity-2 relation of 6: a query's messages are 306*6 floats, a large
+    # relation's 60*6 and the small one's 6*6. The budgets give (forward,
+    # VJP) blocks of (1, 1), (1, 2), (1, 3), (2, all) and (all, all)
+    # queries: 5, 3 or 2 blocks, or one; from blocks of 2 queries on, the
+    # small relation fits one block.
     @pytest.mark.parametrize("budget, sizes", [
-        (8, (1, 1)), (2 * 60 * 6 * 8, (1, 2)), (2 * 300 * 6 * 8, (2, 10)), (1 << 21, (5, 5)),
-    ], ids=["blocks-1-1", "blocks-1-2", "blocks-2-all", "one-block"])
+        (8, (1, 1)), (2 * 60 * 6 * 8, (1, 2)), (3 * 60 * 6 * 8, (1, 3)),
+        (2 * 306 * 6 * 8, (2, 10)), (1 << 21, (5, 5)),
+    ], ids=["blocks-1-1", "blocks-1-2", "blocks-1-3", "blocks-2-all", "one-block"])
     @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
     @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked-relation"])
     def test_query_blocks_equal_the_chain_bitwise(self, budget, sizes, gate_shape, masked,
                                                   monkeypatch):
+        # Each case runs on the serial and on the threaded path.
+        groups = self._block_groups()
+        monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+        assert [len(ad._blocks(5, n * 6)) for n in (306, 60)] == [-(-5 // b) for b in sizes]
+        threaded = len(ad._blocks(5, 306 * 6)) > 1  # the forward's blocks are the fewest
+        for worker in _paths(monkeypatch):
+            handed = worker and worker.tasks
+            # A masked relation has no edges left, so its gate gets no gradient.
+            _assert_op_equals_the_chain(groups, 5, gate_shape, masked={2} if masked else set())
+            assert worker is None or (worker.tasks > handed) == threaded
+
+    @staticmethod
+    def _block_groups():
         rng = np.random.default_rng(7)
         groups = {r: rng.integers(0, 7, (60 // k, k)) for r, k in enumerate((3, 1, 5, 2, 4))}
+        groups[5] = rng.integers(0, 7, (3, 2))
+        return groups
+
+    @pytest.mark.parametrize("budget", [8, 2 * 60 * 6 * 8])
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    def test_constant_h_and_pe_blocks_equal_the_chain_bitwise(self, budget, gate_shape,
+                                                              monkeypatch):
+        # hrnet's all-ones start and a closed-form encoding table are
+        # Constants: the VJP skips h's term, on either path.
         monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
-        assert [len(ad._blocks(5, n * 6)) for n in (300, 60)] == [-(-5 // b) for b in sizes]
-        # A masked relation has no edges left, so its gate gets no gradient.
-        _assert_op_equals_the_chain(groups, 5, gate_shape, masked={2} if masked else set())
+        for _ in _paths(monkeypatch):
+            _assert_op_equals_the_chain(self._block_groups(), 5, gate_shape,
+                                        constants=("h", "pe"))
 
     @pytest.mark.parametrize("case", _MODEL_CASES)
     def test_models_equal_the_chain_bitwise(self, case, monkeypatch):
+        # In one block, and in blocks of one query on both paths.
         _assert_models_equal_the_chains(case, monkeypatch, relation_messages=_chained_messages)
+        for _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                _assert_models_equal_the_chains(case, mp, relation_messages=_chained_messages)
+
+    @pytest.mark.parametrize("on_worker", [False, True], ids=["calling-thread", "worker"])
+    def test_a_failed_block_is_raised(self, on_worker, monkeypatch):
+        # The first call on one thread raises; the other thread waits in
+        # turn for the failed block's Q-sum, so it must be woken and stop.
+        worker = _test_worker()
+        monkeypatch.setattr(ad, "_worker", worker)
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        vjp, failed = ad.exclusive_products_vjp, []
+        caller = None
+
+        def failing_vjp(f, g):
+            if (threading.current_thread() is not caller) == on_worker and not failed:
+                failed.append(threading.current_thread())
+                raise FloatingPointError("block failed")
+            return vjp(f, g)
+
+        monkeypatch.setattr(ad, "exclusive_products_vjp", failing_vjp)
+        groups = self._block_groups()
+        errors = []
+
+        def pass_():
+            nonlocal caller
+            caller = threading.current_thread()
+            try:
+                _assert_op_equals_the_chain(groups, 5, (5, 1, 1, 6))
+            except FloatingPointError as e:
+                errors.append(e)
+
+        before = threading.active_count()
+        t = threading.Thread(target=pass_, daemon=True)
+        t.start()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert len(errors) == 1 and len(failed) == 1
+        assert (failed[0] is not caller) == on_worker
+        assert threading.active_count() == before
+        monkeypatch.setattr(ad, "exclusive_products_vjp", vjp)
+        handed = worker.tasks
+        _assert_op_equals_the_chain(groups, 5, (5, 1, 1, 6))
+        assert worker.tasks > handed
+
+    def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker", None)
+        before = threading.active_count()
+        _assert_op_equals_the_chain(self._block_groups(), 5, (6,))  # one block
+        assert ad._worker is None and threading.active_count() == before
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _assert_op_equals_the_chain(self._block_groups(), 5, (6,))
+        assert ad._worker is None and threading.active_count() == before
+
+    def test_concurrent_passes_share_the_worker(self, monkeypatch):
+        # Three callers hand their odd blocks to the one worker at once,
+        # with the interpreter switching threads as often as it can: every
+        # pass still adds its Q-sum in block order.
+        monkeypatch.setattr(ad, "_worker", _test_worker())
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        errors = []
+
+        def passes():
+            try:
+                for _ in range(3):
+                    _assert_op_equals_the_chain(self._block_groups(), 5, (6,))
+            except BaseException as e:  # reported below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=passes, daemon=True) for _ in range(3)]
+            for t in callers:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in callers:
+                t.join(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
 
     def test_constants_get_no_gradient(self):
         # A closed-form encoding table and hrnet's all-ones start are
