@@ -16,24 +16,25 @@ relation at a time (recomputation in backward, as in gradient
 checkpointing), so no per-incidence array outlives the op. Both
 directions walk the query axis in blocks whose per-incidence arrays fit
 `BLOCK_BYTES` (2 MB), so a block's arrays stay in cache while they are
-reused; a batch that fits one block runs as one pass. The scatter bins
-of a pass are built and range checked once (`MessagePlan`) and serve
-every block, layer and VJP. Blocking changes no bit: every sum runs in
-the order of the unblocked ops. Two sums run over all queries at once in
-the memory order of a gather h[..., idx, :], which NumPy lays out as
-(k, E, Q, d): alpha's gradient and a shared gate's. Each keeps one full
-buffer per relation with that layout; a C-ordered buffer sums them in
-another order.
+reused, and each block sums straight into its rows of the output. The
+scatter bins of a pass are built and range checked once (`MessagePlan`)
+and serve every block, layer and VJP. Blocking changes no bit: every sum
+runs in the order of the unblocked ops. Two sums run over all queries at
+once in the memory order of a gather h[..., idx, :], which NumPy lays out
+as (k, E, Q, d): alpha's gradient and a shared gate's. Each keeps one
+full buffer per relation with that layout; a C-ordered buffer sums them
+in another order.
 
-A pass of two or more blocks runs on two threads (`_run_blocks`): the
-calling thread takes the even blocks and one worker thread, made on first
-use when the process may run on two or more CPUs, the odd ones. No query
-reads another's rows, so each block writes only its own rows; the one sum
-that runs across blocks, the VJP's Q-sum behind one_minus's and pe's
-gradients, adds each block's rows in block order (`_Pass.in_turn`), so
-the bits are the serial pass's. A pass of one block, or on one CPU, runs
-on the calling thread alone. NumPy drops the GIL in its ufunc and `take`
-loops but not in `np.bincount`, so the scatters do not overlap.
+A pass of two or more blocks runs on two threads (`_run_blocks`) when the
+process may run on two or more CPUs: the calling thread takes the even
+blocks and a thread started for the pass the odd ones, and the pass
+joins that thread before it returns, so no thread outlives a pass. No
+query reads another's rows, so each block writes only its own rows; the
+one sum that runs across blocks, the VJP's Q-sum behind one_minus's and
+pe's gradients, adds each block's rows in block order (`_Pass.in_turn`),
+so the bits are the serial pass's. A pass of one block, or on one CPU,
+runs on the calling thread alone. NumPy drops the GIL in its ufunc and
+`take` loops but not in `np.bincount`, so the scatters do not overlap.
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the unary decoder's MLP are one tape op each. They
@@ -63,7 +64,6 @@ arrays in again, and to serve both threads from one arena (`one_arena`).
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import math
@@ -488,38 +488,6 @@ def _blocks(count: int, floats: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-class _Worker:
-    """A daemon thread that runs the tasks handed to `start` one at a time,
-    in the order they came."""
-
-    def __init__(self) -> None:
-        self._tasks: collections.deque[Callable[[], None]] = collections.deque()
-        self._count = threading.Semaphore(0)
-        threading.Thread(target=self._serve, name="hcnet-blocks", daemon=True).start()
-
-    def start(self, task: Callable[[], None]) -> None:
-        self._tasks.append(task)
-        self._count.release()
-
-    def _serve(self) -> None:
-        while True:
-            self._count.acquire()
-            self._tasks.popleft()()
-
-
-# The thread that runs every other query block of a pass (`_run_blocks`).
-# Made on first use, when the process may run on two or more CPUs (on a
-# platform without sched_getaffinity, never); until then None.
-_worker: _Worker | None = None
-
-
-def _the_worker() -> _Worker | None:
-    global _worker
-    if _worker is None and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2:
-        _worker = _Worker()
-    return _worker
-
-
 class _Pass:
     """What the two threads of a pass share: its first error, which stops
     both, and whose turn it is at a step that runs in block order."""
@@ -551,14 +519,15 @@ class _Pass:
 
 
 def _run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
-    """run(j, pass) for each block j < count. With two or more blocks and a
-    worker thread, the calling thread runs the even blocks and the worker
-    the odd ones, each in increasing order; otherwise the calling thread
-    runs them all in order. The first error stops both threads at their
-    next block or turn and is raised once both are done."""
+    """run(j, pass) for each block j < count. With two or more blocks, when
+    the process may run on two or more CPUs, the calling thread runs the
+    even blocks and a thread started for this pass the odd ones, each in
+    increasing order, and the pass returns once that thread has ended;
+    otherwise the calling thread runs them all in order. The first error
+    stops both threads at their next block or turn and is raised once both
+    are done."""
     state = _Pass()
-    worker = _the_worker() if count > 1 else None
-    if worker is None:
+    if count < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         for j in range(count):
             run(j, state)
         return
@@ -572,17 +541,10 @@ def _run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
         except BaseException as error:
             state.fail(error)
 
-    done = threading.Event()
-
-    def there() -> None:
-        try:
-            share(1)
-        finally:
-            done.set()
-
-    worker.start(there)
+    other = threading.Thread(target=share, args=(1,), name="hcnet-blocks")
+    other.start()
     share(0)
-    done.wait()
+    other.join()
     if state.error is not None:
         raise state.error
 
@@ -673,7 +635,7 @@ def _relation_grads(
     index_add) summed it, so the gradients are bitwise equal to theirs.
     The Q-sum that starts one_minus's and pe's terms runs on from block to
     block, in block order also when the blocks run on two threads
-    (`_run_blocks`); every other term fills its own rows. alpha's term and
+    (`_run_blocks`); every other term, h's too, fills its own rows. alpha's term and
     a shared gate's sum over all queries at once, in the memory order of
     those ops' gather h[..., nodes.T, :], which is (k, E, Q, d): each is
     written into one buffer per relation laid out so, and summed after the
@@ -691,12 +653,12 @@ def _relation_grads(
 
     ggate = gather_layout() if shared else np.empty(gv.shape)
     galpha = gather_layout() if k > 1 else None
-    gh = np.empty(G.shape) if want_h and len(blocks) > 1 else None
+    gh = np.empty(G.shape) if want_h else None
     bins = plan.bins(rel) if want_h else None
     gsum = None
 
     def run(j: int, state: _Pass) -> None:
-        nonlocal gh, gsum
+        nonlocal gsum
         lo, hi = blocks[j]
         gm = np.take(G[lo:hi], nodes.T, axis=1)  # (B, k, E, d)
         if k == 1:  # the gate's term is gm times the empty product
@@ -724,10 +686,7 @@ def _relation_grads(
         del hn
         if want_h:
             gf *= a
-            if gh is None:  # the one block
-                gh = bins.sum(gf.reshape(hi - lo, -1))
-            else:
-                bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
+            bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
 
     _run_blocks(run, len(blocks))
     out = [_unbroadcast(ggate, gv.shape)]
@@ -756,29 +715,25 @@ def relation_messages(
     The query axis is walked in blocks (`BLOCK_BYTES`), on two threads
     when there are two or more (`_run_blocks`): a block's messages are
     written into one buffer and summed straight into its rows of the
-    output, so a batch that fits one block runs as one pass. One tape op
-    for all relations, and it keeps no per-incidence array: its VJP
-    recomputes each relation's factors and products from the inputs, one
-    relation and one block at a time. The parents are listed as (parent,
-    relation) pairs in the order the per-op chain reached them: relations
-    last to first, and per relation gate, one_minus, alpha, pe, h, less
-    the Constants. The first pair of a relation computes all of its terms,
-    and each pair hands on one (`_shared_vjp`)."""
+    output. One tape op for all relations, and it keeps no per-incidence
+    array: its VJP recomputes each relation's factors and products from
+    the inputs, one relation and one block at a time. The parents are
+    listed as (parent, relation) pairs in the order the per-op chain
+    reached them: relations last to first, and per relation gate,
+    one_minus, alpha, pe, h, less the Constants. The first pair of a
+    relation computes all of its terms, and each pair hands on one
+    (`_shared_vjp`)."""
     hv = h.value
     blocks = _blocks(hv.shape[0], plan.dest.width)
-    out = np.empty(hv.shape) if len(blocks) > 1 else None
+    out = np.empty(hv.shape)
 
     def run(j: int, _: _Pass) -> None:
-        nonlocal out
         lo, hi = blocks[j]
         msgs = incidence_messages(
             hv[lo:hi], alpha.value, one_minus.value, pe.value,
             {rel: _query_rows(g.value, lo, hi) for rel, g in gates.items()}, plan.groups,
         )
-        if out is None:  # the one block
-            out = plan.dest.sum(msgs.reshape(hi - lo, -1))
-        else:
-            plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
+        plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
 
     _run_blocks(run, len(blocks))
     if not tape.record:

@@ -127,7 +127,12 @@ def _load_config(path: str | None, seed: int | None) -> TrainConfig:
     values: dict = {}
     if path:
         with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except ValueError as exc:  # malformed JSON or not UTF-8
+                raise ConfigError(f"{path}: not a JSON config: {exc}") from None
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}: expected a JSON object of config keys")
         known = {f.name for f in fields(TrainConfig)}
         unknown = set(values) - known
         if unknown:
@@ -142,7 +147,7 @@ def _names_to_ids(graph, names: list[str]) -> list[int]:
     for nm in names:
         if nm in lookup:
             out.append(lookup[nm])
-        elif nm.isdigit() and int(nm) < graph.node_count:
+        elif nm.isdecimal() and int(nm) < graph.node_count:
             out.append(int(nm))
         else:
             raise ConfigError(f"unknown entity {nm!r}")

@@ -169,6 +169,7 @@ def _parse_fact_file(path: str) -> list[tuple[str, tuple[str, ...]]]:
 
 def _read_dict(path: str) -> dict[str, int]:
     mapping: dict[str, int] = {}
+    taken: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -177,7 +178,13 @@ def _read_dict(path: str) -> dict[str, int]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected `id<TAB>name`")
-            mapping[parts[1]] = int(parts[0])
+            if not parts[0].isdecimal():
+                raise ParseError(f"{path}:{lineno}: id {parts[0]!r} is not a non-negative integer")
+            ident = int(parts[0])
+            if ident in taken:
+                raise ParseError(f"{path}:{lineno}: id {ident} is already taken")
+            taken.add(ident)
+            mapping[parts[1]] = ident
     return mapping
 
 

@@ -13,10 +13,11 @@ array of per-incidence messages.
   query axis in blocks of `autodiff.BLOCK_BYTES` per per-incidence array,
   on scatter bins built once per pass (`autodiff.MessagePlan`), bit for
   bit the unblocked sums. A pass of two or more blocks runs on two threads,
-  the calling one and one worker, alternating blocks; the VJP's Q-sum adds
-  its blocks in order, so every bit is the serial pass's, and a pass of one
-  block (hrnet's one query, the small graphs of the hypercycle grid) or
-  on one CPU runs serially. It scores Q queries against all nodes at once,
+  the calling one and one started for the pass and joined before it
+  returns, alternating blocks; the VJP's Q-sum adds its blocks in order,
+  so every bit is the serial pass's, and a pass of one block (hrnet's one
+  query, the small graphs of the hypercycle grid) or on one CPU runs
+  serially. It scores Q queries against all nodes at once,
   with layer norm / dropout / skip connections as used for training.
   A layer's tail (linear, layer norm, dropout, ReLU, skip) is one more
   tape op (`autodiff.layer_tail`) and the unary decoder one

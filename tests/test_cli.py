@@ -105,6 +105,15 @@ class TestLogic:
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    def test_superscript_digit_is_an_unknown_entity(self, tmp_path, capsys):
+        # '\u00b2'.isdigit() holds, but int() cannot read it.
+        data = _tiny_dataset(tmp_path)
+        for argv in (["refine", "--data", str(data), "--query", "r0:\u00b2:2"],
+                     ["logic", "eval", "--data", str(data),
+                      "--formula", "exists>=1 r1@1 []", "--node", "\u00b2"]):
+            assert main(argv) == 1
+            assert "unknown entity" in capsys.readouterr().err
+
     def test_compile_emits_json_weights(self, capsys):
         code = main([
             "logic", "compile",
@@ -256,6 +265,19 @@ class TestTrainEvaluate:
         ])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["{bad", '["d"]', "3", "\udcff"])
+    def test_config_not_a_json_object_exits_1(self, tmp_path, capsys, text):
+        data = _tiny_dataset(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        code = main([
+            "train", "--data", str(data), "--config", str(cfg_path),
+            "--out", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("values", [
         {"mode": "query-dependant"},

@@ -236,6 +236,21 @@ class TestDatasetIO:
         with pytest.raises(ParseError):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("bad_id", ["x", "-1", "1.0", "\u00b2", ""])
+    @pytest.mark.parametrize("name", ["entities.dict", "relations.dict"])
+    def test_dict_id_not_a_non_negative_integer(self, tmp_path, name, bad_id):
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, name, ["# ids", f"{bad_id}\ta"])
+        with pytest.raises(ParseError, match=f"{name}:2: id "):
+            load_dataset(str(tmp_path))
+
+    def test_dict_id_repeated(self, tmp_path):
+        # Two names on one id would make r(a, b) the self-loop r(0, 0).
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, "entities.dict", ["0\ta", "0\tb"])
+        with pytest.raises(ParseError, match="entities.dict:2: id 0 "):
+            load_dataset(str(tmp_path))
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))

@@ -1,6 +1,6 @@
 """Numeric models: encodings, initialization, layers, decoders, gradients."""
 
-import functools
+import contextlib
 import os
 import sys
 import threading
@@ -551,35 +551,30 @@ def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset(), const
             assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
 
 
-class _CountingWorker(ad._Worker):
-    """A worker thread that counts the tasks it was handed."""
+def _off_thread_calls(mp):
+    """Spy on `ad.exclusive_products` through mp: return a list that gains
+    one entry per call made off the calling thread. A pass's forward calls
+    it once per relation of each block."""
+    caller, calls, products = threading.current_thread(), [], ad.exclusive_products
 
-    def __init__(self):
-        super().__init__()
-        self.tasks = 0
+    def spy(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            calls.append(threading.current_thread())
+        return products(*args, **kwargs)
 
-    def start(self, task):
-        self.tasks += 1
-        super().start(task)
-
-
-@functools.cache
-def _test_worker():
-    # One worker thread serves every threaded case, also on a one-CPU host.
-    return _CountingWorker()
+    mp.setattr(ad, "exclusive_products", spy)
+    return calls
 
 
 def _paths(monkeypatch):
-    """Set up the message kernel's serial path (one CPU, so no worker),
-    then its threaded path (the test worker), each in its own monkeypatch
-    context, and yield the path's worker: None, then the test worker."""
-    with monkeypatch.context() as mp:
-        mp.setattr(ad, "_worker", None)
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0})
-        yield None
-    with monkeypatch.context() as mp:
-        mp.setattr(ad, "_worker", _test_worker())
-        yield ad._worker
+    """Set up the message kernel's serial path (one CPU), then its threaded
+    path (two CPUs, also on a one-CPU host), each in its own monkeypatch
+    context, and yield whether the path may thread and its
+    `_off_thread_calls` list."""
+    for cpus in ({0}, {0, 1}):
+        with monkeypatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            yield len(cpus) > 1, _off_thread_calls(mp)
 
 
 def _jittered(graph, seed=0, **kw):
@@ -670,11 +665,12 @@ class TestRelationMessages:
         monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
         assert [len(ad._blocks(5, n * 6)) for n in (306, 60)] == [-(-5 // b) for b in sizes]
         threaded = len(ad._blocks(5, 306 * 6)) > 1  # the forward's blocks are the fewest
-        for worker in _paths(monkeypatch):
-            handed = worker and worker.tasks
+        for two_cpus, off_thread in _paths(monkeypatch):
+            before = threading.active_count()
             # A masked relation has no edges left, so its gate gets no gradient.
             _assert_op_equals_the_chain(groups, 5, gate_shape, masked={2} if masked else set())
-            assert worker is None or (worker.tasks > handed) == threaded
+            assert bool(off_thread) == (two_cpus and threaded)
+            assert threading.active_count() == before
 
     @staticmethod
     def _block_groups():
@@ -703,18 +699,17 @@ class TestRelationMessages:
                 mp.setattr(ad, "BLOCK_BYTES", 8)
                 _assert_models_equal_the_chains(case, mp, relation_messages=_chained_messages)
 
-    @pytest.mark.parametrize("on_worker", [False, True], ids=["calling-thread", "worker"])
-    def test_a_failed_block_is_raised(self, on_worker, monkeypatch):
+    @pytest.mark.parametrize("off_caller", [False, True], ids=["calling-thread", "worker"])
+    def test_a_failed_block_is_raised(self, off_caller, monkeypatch):
         # The first call on one thread raises; the other thread waits in
         # turn for the failed block's Q-sum, so it must be woken and stop.
-        worker = _test_worker()
-        monkeypatch.setattr(ad, "_worker", worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
         vjp, failed = ad.exclusive_products_vjp, []
         caller = None
 
         def failing_vjp(f, g):
-            if (threading.current_thread() is not caller) == on_worker and not failed:
+            if (threading.current_thread() is not caller) == off_caller and not failed:
                 failed.append(threading.current_thread())
                 raise FloatingPointError("block failed")
             return vjp(f, g)
@@ -737,28 +732,56 @@ class TestRelationMessages:
         t.join(timeout=10)
         assert not t.is_alive()
         assert len(errors) == 1 and len(failed) == 1
-        assert (failed[0] is not caller) == on_worker
+        assert (failed[0] is not caller) == off_caller
         assert threading.active_count() == before
         monkeypatch.setattr(ad, "exclusive_products_vjp", vjp)
-        handed = worker.tasks
+        off_thread = _off_thread_calls(monkeypatch)
         _assert_op_equals_the_chain(groups, 5, (5, 1, 1, 6))
-        assert worker.tasks > handed
+        assert off_thread and threading.active_count() == before
 
     def test_one_cpu_or_one_block_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(ad, "_worker", None)
         before = threading.active_count()
+        off_thread = _off_thread_calls(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         _assert_op_equals_the_chain(self._block_groups(), 5, (6,))  # one block
-        assert ad._worker is None and threading.active_count() == before
+        assert not off_thread and threading.active_count() == before
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         _assert_op_equals_the_chain(self._block_groups(), 5, (6,))
-        assert ad._worker is None and threading.active_count() == before
+        assert not off_thread and threading.active_count() == before
 
-    def test_concurrent_passes_share_the_worker(self, monkeypatch):
-        # Three callers hand their odd blocks to the one worker at once,
-        # with the interpreter switching threads as often as it can: every
-        # pass still adds its Q-sum in block order.
-        monkeypatch.setattr(ad, "_worker", _test_worker())
+    @pytest.mark.parametrize("fail", [False, True], ids=["done", "failed"])
+    def test_no_thread_outlives_a_pass(self, fail, monkeypatch):
+        # The other thread's blocks are slow, so the calling thread is done
+        # with its own (or has failed on its first) while that thread is
+        # still busy: the pass must wait for it to end.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        caller, products = threading.current_thread(), ad.exclusive_products
+
+        def slow_off_caller(f, out=None):
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)
+            elif fail:
+                raise FloatingPointError("block failed")
+            return products(f, out)
+
+        monkeypatch.setattr(ad, "exclusive_products", slow_off_caller)
+        groups = self._block_groups()
+        tape = ad.Tape(record=False)
+        pe, alpha = tape.constant(np.ones((6, 6))), tape.constant(np.asarray(0.3))
+        gates = {r: tape.constant(np.ones(6)) for r in groups}
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) if fail else contextlib.nullcontext():
+            ad.relation_messages(tape, tape.constant(np.ones((5, 7, 6))), alpha, alpha, pe,
+                                 gates, ad.MessagePlan(groups, (5, 7, 6)))
+        assert threading.active_count() == before
+
+    def test_concurrent_passes_stay_bitwise(self, monkeypatch):
+        # Three callers each start a thread per pass at once, with the
+        # interpreter switching threads as often as it can: every pass
+        # still adds its Q-sum in block order, and no thread outlives it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
         errors = []
 
@@ -769,6 +792,7 @@ class TestRelationMessages:
             except BaseException as e:  # reported below
                 errors.append(e)
 
+        before = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -782,6 +806,7 @@ class TestRelationMessages:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert errors == []
+        assert threading.active_count() == before
 
     def test_constants_get_no_gradient(self):
         # A closed-form encoding table and hrnet's all-ones start are
