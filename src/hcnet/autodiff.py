@@ -5,7 +5,7 @@ vector-Jacobian closures back to its parents; backward() replays the tape
 in reverse. The operator set is exactly what the message-passing models
 need: broadcasting arithmetic, matmul on the last axis, gather/scatter on
 the node axis, a layer's relational messages (`relation_messages`), a
-layer's tail (`layer_tail`), the unary decoder (`unary_decoder`),
+layer's tail (`layer_tail`), both decoders' MLP (`mlp_decoder`),
 concat, layer norm, and stable sigmoid/softplus pieces.
 Accumulation order is fixed by tape order, so gradients are deterministic.
 
@@ -37,13 +37,15 @@ runs on the calling thread alone. NumPy drops the GIL in its ufunc and
 `take` loops but not in `np.bincount`, so the scatters do not overlap.
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
-plus the skip h) and the unary decoder's MLP are one tape op each. They
-run the NumPy calls of the per-op chains they replaced in order, so
-every bit is the chains', and keep only what their VJPs read (the tail
-xhat, inv and boolean masks, the decoder its hidden layer and mask),
-rebuilding a concat for a weight's gradient. A fused op computes all of
-its parents' gradients on the first VJP call and hands them out one per
-parent (`_shared_vjp`).
+plus the skip h) and the decoders' MLP are one tape op each. They run
+the NumPy calls of the per-op chains they replaced in order, so every
+bit is the chains', and keep only what their VJPs read (the tail xhat,
+inv and boolean masks, the decoder its hidden layer and mask),
+rebuilding a concat for a weight's gradient. The decoder's caller
+builds its input rows and spreads their gradient, so the unary and the
+k-ary decoder are one op. A fused op computes all of its parents'
+gradients on the first VJP call and hands them out one per parent
+(`_shared_vjp`).
 
 The tape holds only what is still needed. backward() frees as it walks:
 once a var has passed its gradient on, it drops that gradient and its
@@ -328,6 +330,8 @@ def matmul_last(tape: Tape, x: Var, w: Var) -> Var:
 
 
 def concat_last(tape: Tape, parts: list[Var]) -> Var:
+    """Join parts on the last axis. No model calls it since the fused ops
+    took over; the benchmark's tracer still patches it by name."""
     sizes = [p.value.shape[-1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -341,6 +345,8 @@ def concat_last(tape: Tape, parts: list[Var]) -> Var:
 
 
 def relu(tape: Tape, a: Var) -> Var:
+    """max(a, 0). No model calls it since the fused ops took over; the
+    benchmark's tracer still patches it by name."""
     mask = a.value > 0
     return tape.var(a.value * mask, ((a, lambda g: g * mask),))
 
@@ -444,7 +450,9 @@ def scatter_add(shape: tuple[int, ...], idx: Array, vals: Array) -> Array:
 
 
 def gather_nodes(tape: Tape, h: Var, idx: Array) -> Var:
-    """h (..., V, d) indexed on the node axis: out = h[..., idx, :]."""
+    """h (..., V, d) indexed on the node axis: out = h[..., idx, :]. No
+    model calls it since `mlp_decoder` took over the k-ary decoder; the
+    benchmark's tracer still patches it by name."""
     return tape.var(
         h.value[..., idx, :], ((h, lambda g: scatter_add(h.value.shape, idx, g)),)
     )
@@ -773,7 +781,7 @@ def reshape(tape: Tape, x: Var, shape: tuple[int, ...]) -> Var:
 
 def broadcast_middle(tape: Tape, x: Var, size: int) -> Var:
     """(Q, 1, d) -> (Q, size, d) by repetition; backward sums the axis. No
-    model calls it since `unary_decoder` took over the decoder; the
+    model calls it since `mlp_decoder` took over the decoder; the
     benchmark's tracer still patches it by name."""
     out = np.broadcast_to(x.value, (x.value.shape[0], size, x.value.shape[2]))
     return tape.var(
@@ -853,19 +861,18 @@ def layer_tail(
     return tape.var(z, _shared_vjp([h, msgs, W, b, gamma, beta], grads))
 
 
-def unary_decoder(tape: Tape, h: Var, zq: Var, W1: Var, b1: Var, W2: Var, b2: Var) -> Var:
-    """Logits (Q, V) of the two-layer ReLU MLP over [h_v || z_q], for h
-    (Q, V, d) and zq (Q, d), as one tape op: the same NumPy calls in the
-    order of the chain reshape, broadcast_middle, concat_last, matmul_last,
-    add, relu, matmul_last, add, reshape, so every value and gradient is
-    bitwise theirs. It keeps the hidden ReLU output and its mask; the VJP
-    rebuilds the concat, and no (Q, V, d) copy of zq is made."""
-    Q, V, d = h.value.shape
-
-    def concat() -> Array:
-        zb = np.broadcast_to(zq.value[:, None, :], (Q, V, zq.value.shape[1]))
-        return np.concatenate([h.value, zb], axis=-1)
-
+def mlp_decoder(
+    tape: Tape, inputs: list[Var], concat: Callable[[], Array],
+    spread: Callable[[Array], list], W1: Var, b1: Var, W2: Var, b2: Var,
+) -> Var:
+    """Logits (...) of the two-layer ReLU MLP over the rows (..., n) that
+    concat() builds from the values of inputs, as one tape op; spread(gx)
+    turns the gradient of those rows into one gradient per entry of inputs
+    (an input may be listed more than once). The same NumPy calls in the
+    order of the chain concat_last, matmul_last, add, relu, matmul_last,
+    add, reshape, so every value and gradient is bitwise theirs. It keeps
+    the hidden ReLU output and its mask; the VJP calls concat() again for
+    W1's gradient."""
     hid = concat() @ W1.value.T
     hid += b1.value
     pos = hid > 0
@@ -879,9 +886,7 @@ def unary_decoder(tape: Tape, h: Var, zq: Var, W1: Var, b1: Var, W2: Var, b2: Va
         gp = g3 @ W2.value
         gp *= pos
         gW1 = gp.reshape(-1, gp.shape[-1]).T @ concat().reshape(-1, W1.value.shape[1])
-        gx = gp @ W1.value
-        gz = gx[..., d:].sum(axis=1)
-        return [gx[..., :d], gz, gW1, _unbroadcast(gp, b1.value.shape), gW2,
+        return [*spread(gp @ W1.value), gW1, _unbroadcast(gp, b1.value.shape), gW2,
                 _unbroadcast(g3, b2.value.shape)]
 
-    return tape.var(out.reshape(Q, V), _shared_vjp([h, zq, W1, b1, W2, b2], grads))
+    return tape.var(out.reshape(out.shape[:-1]), _shared_vjp([*inputs, W1, b1, W2, b2], grads))

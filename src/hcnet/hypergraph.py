@@ -168,6 +168,8 @@ def _parse_fact_file(path: str) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _read_dict(path: str) -> dict[str, int]:
+    """Name -> id from `id<TAB>name` lines; ParseError unless each name is
+    listed once and the ids are exactly 0..n-1, before anything is sized."""
     mapping: dict[str, int] = {}
     taken: set[int] = set()
     with open(path, encoding="utf-8") as fh:
@@ -183,8 +185,13 @@ def _read_dict(path: str) -> dict[str, int]:
             ident = int(parts[0])
             if ident in taken:
                 raise ParseError(f"{path}:{lineno}: id {ident} is already taken")
+            if parts[1] in mapping:
+                raise ParseError(f"{path}:{lineno}: name {parts[1]!r} is already listed")
             taken.add(ident)
             mapping[parts[1]] = ident
+    if taken and max(taken) >= len(taken):
+        missing = min(set(range(len(taken))) - taken)
+        raise ParseError(f"{path}: ids must be 0..{len(taken) - 1}, but {missing} is missing")
     return mapping
 
 

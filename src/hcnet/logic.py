@@ -120,6 +120,10 @@ class LogicSignature:
         for name, k in self.relations:
             if k < 1:
                 raise ArityMismatch(f"relation {name!r} has arity {k}; it must be at least 1")
+        for what, names in (("relation", [n for n, _ in self.relations]), ("color", self.colors)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ArityMismatch(f"{what} {name!r} is listed twice")
 
     def relation_arity(self, name: str) -> int:
         for n, k in self.relations:

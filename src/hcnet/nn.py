@@ -6,24 +6,22 @@ kernel, `autodiff.incidence_messages`: per relation, one gather of the
 factors (`autodiff.exclusive_products`), gated, all written into one
 array of per-incidence messages.
 
-* The batched training path runs the kernel as one tape op per layer
-  (`autodiff.relation_messages`), which sums the messages with one
-  scatter and keeps no per-incidence array: its VJP recomputes them from
-  the layer's input, one relation at a time. Both directions walk the
-  query axis in blocks of `autodiff.BLOCK_BYTES` per per-incidence array,
-  on scatter bins built once per pass (`autodiff.MessagePlan`), bit for
-  bit the unblocked sums. A pass of two or more blocks runs on two threads,
-  the calling one and one started for the pass and joined before it
-  returns, alternating blocks; the VJP's Q-sum adds its blocks in order,
-  so every bit is the serial pass's, and a pass of one block (hrnet's one
-  query, the small graphs of the hypercycle grid) or on one CPU runs
-  serially. It scores Q queries against all nodes at once,
-  with layer norm / dropout / skip connections as used for training.
-  A layer's tail (linear, layer norm, dropout, ReLU, skip) is one more
-  tape op (`autodiff.layer_tail`) and the unary decoder one
-  (`autodiff.unary_decoder`), each keeping only what its VJP reads, so a
-  recorded layer adds four tape vars and keeps two (Q, V, d) values.
-  `backward` returns the gradients of the trained tensors only.
+* The batched training path, one body for both model kinds
+  (`_forward_batch`, given the queries or none), runs the kernel as one
+  tape op per layer (`autodiff.relation_messages`), which sums the
+  messages with one scatter and keeps no per-incidence array: its VJP
+  recomputes them from the layer's input, one relation at a time. Both
+  directions walk the query axis in blocks of `autodiff.BLOCK_BYTES` per
+  per-incidence array, on scatter bins built once per pass
+  (`autodiff.MessagePlan`), on two threads when there are two or more
+  blocks, bit for bit the unblocked serial sums. It scores Q queries
+  against all nodes at once, with layer norm / dropout / skip
+  connections as used for training. A layer's tail (linear, layer norm,
+  dropout, ReLU, skip) is one more tape op (`autodiff.layer_tail`), and
+  the unary and k-ary decoders are one op (`autodiff.mlp_decoder`), each
+  keeping only what its VJP reads, so a recorded layer adds four tape
+  vars and keeps two (Q, V, d) values. `backward` returns the gradients
+  of the trained tensors only.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
@@ -298,42 +296,6 @@ def bind_params(tape: Tape, params: ModelParams, graph: RelationalHypergraph) ->
     return bound
 
 
-def _message_layer(
-    tape: Tape,
-    bound: dict[str, Var],
-    cfg: ModelConfig,
-    ell: int,
-    h: Var,
-    plan: ad.MessagePlan,
-    g_by_rel: dict[int, Var],
-    rng: np.random.Generator | None,
-) -> Var:
-    alpha = bound[f"alpha_l{ell}"]
-    one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
-    msgs = ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], g_by_rel, plan)
-    return ad.layer_tail(
-        tape, h, msgs, bound[f"W_l{ell}"], bound[f"b_l{ell}"], bound[f"ln_g_l{ell}"],
-        bound[f"ln_b_l{ell}"], cfg.dropout if rng is not None else 0.0, rng,
-    )
-
-
-def _g_vars(
-    tape: Tape,
-    bound: dict[str, Var],
-    cfg: ModelConfig,
-    edge_groups: dict[int, Array],
-    zq_batch: Var | None,
-) -> dict[int, Var]:
-    out: dict[int, Var] = {}
-    for rel in edge_groups:
-        if cfg.mode == "query-dependent":
-            g = ad.matmul_last(tape, zq_batch, bound[f"W_rel{rel}"])  # (Q, d)
-            out[rel] = ad.reshape(tape, g, (g.value.shape[0], 1, 1, g.value.shape[1]))
-        else:
-            out[rel] = bound[f"w_rel{rel}"]
-    return out
-
-
 def _query_init(
     tape: Tape,
     bound: dict[str, Var],
@@ -369,6 +331,42 @@ def _query_init(
     return h0, zq_batch
 
 
+def _forward_batch(
+    graph: RelationalHypergraph, params: ModelParams, queries: list[Query] | None,
+    rng: np.random.Generator | None, masked_edges: set[int] | None, record: bool,
+) -> ForwardTrace:
+    """Features (Q, V, d) from the queries' initialization, or (1, V, d)
+    from all ones without queries, through every layer. Only this frame
+    holds the initial features, so a pass that records nothing frees them
+    after the first layer."""
+    cfg = params.config
+    tape = Tape(record=record)
+    bound = bind_params(tape, params, graph)
+    zq_batch = None
+    if queries is None:
+        h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
+    else:
+        h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
+    edge_groups = edges_by_relation(graph, masked_edges)
+    plan = ad.MessagePlan(edge_groups, h.value.shape)
+    gates: dict[int, Var] = {}
+    for rel in edge_groups:
+        if cfg.mode == "query-dependent":
+            g = ad.matmul_last(tape, zq_batch, bound[f"W_rel{rel}"])  # (Q, d)
+            gates[rel] = ad.reshape(tape, g, (g.value.shape[0], 1, 1, g.value.shape[1]))
+        else:
+            gates[rel] = bound[f"w_rel{rel}"]
+    rate = cfg.dropout if rng is not None else 0.0
+    for ell in range(cfg.layers):
+        alpha = bound[f"alpha_l{ell}"]
+        one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
+        h = ad.layer_tail(
+            tape, h, ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], gates, plan),
+            *(bound[f"{name}_l{ell}"] for name in ("W", "b", "ln_g", "ln_b")), rate, rng,
+        )
+    return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
+
+
 def hcnet_forward_batch(
     graph: RelationalHypergraph,
     queries: list[Query],
@@ -381,16 +379,7 @@ def hcnet_forward_batch(
     with dropout drawn from `rng` when one is given. With record=False the
     tape records nothing, so the pass cannot be differentiated and holds
     only the arrays still in use."""
-    cfg = params.config
-    tape = Tape(record=record)
-    bound = bind_params(tape, params, graph)
-    h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
-    edge_groups = edges_by_relation(graph, masked_edges)
-    plan = ad.MessagePlan(edge_groups, h.value.shape)
-    g_by_rel = _g_vars(tape, bound, cfg, edge_groups, zq_batch)
-    for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, plan, g_by_rel, rng)
-    return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
+    return _forward_batch(graph, params, queries, rng, masked_edges, record)
 
 
 def hrnet_forward_batch(
@@ -398,16 +387,7 @@ def hrnet_forward_batch(
 ) -> ForwardTrace:
     """Query-agnostic features (1, V, d) from the all-ones initialization,
     without dropout; `record` as in `hcnet_forward_batch`."""
-    cfg = params.config
-    tape = Tape(record=record)
-    bound = bind_params(tape, params, graph)
-    h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
-    edge_groups = edges_by_relation(graph)
-    plan = ad.MessagePlan(edge_groups, h.value.shape)
-    g_by_rel = _g_vars(tape, bound, cfg, edge_groups, None)
-    for ell in range(cfg.layers):
-        h = _message_layer(tape, bound, cfg, ell, h, plan, g_by_rel, None)
-    return ForwardTrace(tape, bound, h)
+    return _forward_batch(graph, params, None, None, None, record)
 
 
 def hcnet_forward(
@@ -426,59 +406,61 @@ def hrnet_forward(graph: RelationalHypergraph, params: ModelParams) -> tuple[Arr
 # --- decoders --------------------------------------------------------------
 
 
-def _mlp_logits(tape: Tape, bound: dict[str, Var], prefix: str, x: Var) -> Var:
-    hdn = ad.relu(
-        tape,
-        ad.add(tape, ad.matmul_last(tape, x, bound[f"{prefix}_W1"]), bound[f"{prefix}_b1"]),
-    )
-    out = ad.add(tape, ad.matmul_last(tape, hdn, bound[f"{prefix}_W2"]), bound[f"{prefix}_b2"])
-    return ad.reshape(tape, out, out.value.shape[:-1])
-
-
 def decode_unary_batch(trace: ForwardTrace) -> Var:
     """Logits (Q, V) of the unary decoder over [h_v || z_q]."""
-    bound = trace.bound
-    return ad.unary_decoder(trace.tape, trace.features, trace.zq_batch,
-                            *(bound[f"dec_{n}"] for n in ("W1", "b1", "W2", "b2")))
+    h, zq = trace.features, trace.zq_batch
+    Q, V, d = h.value.shape
+
+    def concat() -> Array:
+        zb = np.broadcast_to(zq.value[:, None, :], (Q, V, zq.value.shape[1]))
+        return np.concatenate([h.value, zb], axis=-1)
+
+    return ad.mlp_decoder(trace.tape, [h, zq], concat,
+                          lambda gx: [gx[..., :d], gx[..., d:].sum(axis=1)],
+                          *(trace.bound[f"dec_{n}"] for n in ("W1", "b1", "W2", "b2")))
 
 
 def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     """Logits (M,) for node tuples (M, k) under query relations qrel (M,),
-    from query-agnostic features (1, V, d)."""
-    tape, bound, h = trace.tape, trace.bound, trace.features
+    from query-agnostic features (1, V, d). h's gradient is handed on one
+    scatter per position, last first, as a chain of gathers summed it."""
+    h, z_q = trace.features, trace.bound["z_q"]
+    d = h.value.shape[2]
     k = tuples.shape[1]
-    parts = [
-        ad.reshape(
-            tape,
-            ad.gather_nodes(tape, h, tuples[:, t]),
-            (tuples.shape[0], h.value.shape[2]),
-        )
-        for t in range(k)
-    ]
-    parts.append(ad.take_rows(tape, bound["z_q"], qrel))
-    x = ad.concat_last(tape, parts)
-    return _mlp_logits(tape, bound, f"dec{k}", x)
+
+    def concat() -> Array:
+        return np.concatenate([*(h.value[0, tuples[:, t]] for t in range(k)), z_q.value[qrel]],
+                              axis=-1)
+
+    def spread(gx: Array) -> list:
+        return [*(ad.scatter_add(h.value.shape, tuples[:, t], gx[None, :, t * d:(t + 1) * d])
+                  for t in range(k - 1, -1, -1)),
+                ad.scatter_add(z_q.value.shape, qrel, gx[:, k * d:])]
+
+    return ad.mlp_decoder(trace.tape, [h] * k + [z_q], concat, spread,
+                          *(trace.bound[f"dec{k}_{n}"] for n in ("W1", "b1", "W2", "b2")))
+
+
+def _mlp_probability(params: ModelParams, prefix: str, x: Array) -> float:
+    t = params.tensors
+    hdn = np.maximum(t[f"{prefix}_W1"] @ x + t[f"{prefix}_b1"], 0.0)
+    return float(ad.stable_sigmoid(t[f"{prefix}_W2"] @ hdn + t[f"{prefix}_b2"])[0])
 
 
 def decode_unary(h_v: Array, z_q: Array, params: ModelParams) -> float:
     """Probability from the 2-layer MLP over [h_v || z_q]."""
-    t = params.tensors
-    x = np.concatenate([h_v, z_q])
-    hdn = np.maximum(t["dec_W1"] @ x + t["dec_b1"], 0.0)
-    return float(ad.stable_sigmoid(t["dec_W2"] @ hdn + t["dec_b2"])[0])
+    return _mlp_probability(params, "dec", np.concatenate([h_v, z_q]))
 
 
 def decode_kary(h_tuple: list[Array], z_q: Array, params: ModelParams) -> float:
     """Probability for a full k-tuple of final representations."""
     k = len(h_tuple)
-    t = params.tensors
     x = np.concatenate([*h_tuple, z_q])
-    if f"dec{k}_W1" not in t:
+    if f"dec{k}_W1" not in params.tensors:
         raise ShapeMismatch(f"no decoder for arity {k}")
-    if t[f"dec{k}_W1"].shape[1] != x.shape[0]:
+    if params.tensors[f"dec{k}_W1"].shape[1] != x.shape[0]:
         raise ShapeMismatch("decoder width does not match tuple arity")
-    hdn = np.maximum(t[f"dec{k}_W1"] @ x + t[f"dec{k}_b1"], 0.0)
-    return float(ad.stable_sigmoid(t[f"dec{k}_W2"] @ hdn + t[f"dec{k}_b2"])[0])
+    return _mlp_probability(params, f"dec{k}", x)
 
 
 # --- gradients -------------------------------------------------------------

@@ -118,9 +118,9 @@ def test_traced_forward_backward_and_evaluation(tracer):
     assert set(metrics) == reported
     assert all(math.isfinite(v) and v >= 0.0 for v in metrics.values())
     for name in ("nn.hcnet_forward_batch_s", "autodiff.backward_s",
-                 "evalrank.evaluate_model_self_s", "autodiff.gather_nodes.bwd_s",
+                 "evalrank.evaluate_model_self_s", "autodiff.take_rows.bwd_s",
                  "autodiff.index_add_2d.fwd_s", "nn.tape_vars", "nn.tape_mb",
-                 "autodiff.gather_nodes.mb"):
+                 "autodiff.take_rows.mb"):
         assert metrics[name] > 0.0, name
     assert not hasattr(ad.gather_nodes, "__wrapped__")  # patches undone on exit
 

@@ -70,6 +70,13 @@ class TestRefine:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_dict_with_a_gap_exits_1(self, tmp_path, capsys):
+        data = _tiny_dataset(tmp_path)
+        lines = (data / "entities.dict").read_text(encoding="utf-8").splitlines()
+        (data / "entities.dict").write_text("\n".join(lines[:-1]) + "\n9\tlast\n", encoding="utf-8")
+        assert main(["refine", "--data", str(data)]) == 1
+        assert "entities.dict: ids must be" in capsys.readouterr().err
+
     def test_unknown_relation_in_query(self, capsys):
         code = main([
             "refine", "--hypercycle", "8,3", "--query", "nope:x0:2",
@@ -135,6 +142,16 @@ class TestLogic:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "arity" in err
+
+
+    def test_compile_rejects_a_repeated_relation(self, capsys):
+        code = main([
+            "logic", "compile", "--relations", "r:2,r:3",
+            "--formula", "exists>=1 r@1 [j2: color(c0)]",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "relation 'r' is listed twice" in err
 
 
 class TestMalformedFlags:

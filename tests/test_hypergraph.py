@@ -1,5 +1,7 @@
 """Data model: incidence structure, permutations, dataset round-trips."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,6 +252,37 @@ class TestDatasetIO:
         self._write(tmp_path, "entities.dict", ["0\ta", "0\tb"])
         with pytest.raises(ParseError, match="entities.dict:2: id 0 "):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name, lines", [
+        ("entities.dict", ["0\ta", "7\tb"]),
+        ("relations.dict", ["0\tr", "2\ts"]),
+    ])
+    def test_dict_ids_with_a_gap(self, tmp_path, name, lines):
+        # A gap made nameless nodes, or an ArityMismatch for relations.
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, name, lines)
+        with pytest.raises(ParseError, match=f"{name}: ids must be 0..1, but 1 is missing"):
+            load_dataset(str(tmp_path))
+
+    def test_dict_name_repeated(self, tmp_path):
+        # The last id won, and id 0 was left a nameless node.
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, "entities.dict", ["0\ta", "1\ta", "2\tb"])
+        with pytest.raises(ParseError, match="entities.dict:2: name 'a' "):
+            load_dataset(str(tmp_path))
+
+    def test_dict_huge_id_sizes_nothing(self, tmp_path):
+        # A billion-entry name list was allocated before anything was checked.
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, "entities.dict", ["0\ta", "1000000000\tb"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="1 is missing"):
+                load_dataset(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from hcnet.errors import (
+    ArityMismatch,
     EngineError,
     FormulaParseError,
     InvalidConstants,
@@ -204,6 +205,16 @@ class TestCompiler:
         with pytest.raises(EngineError, match="arity"):
             compile_hgml_r(ColorAtom("a"), LogicSignature(
                 colors=["a"], relations=[("r", 2), ("s", arity)]))
+
+    @pytest.mark.parametrize("colors, relations, repeated", [
+        (["a"], [("r", 2), ("r", 3)], "relation 'r'"),
+        (["a", "b", "a"], [("r", 2)], "color 'a'"),
+    ], ids=["relation", "color"])
+    def test_rejects_a_repeated_name(self, colors, relations, repeated):
+        # A repeated relation compiled into one entry; with a repeated
+        # color, eval_formula and run_compiled disagreed on its nodes.
+        with pytest.raises(ArityMismatch, match=f"{repeated} is listed twice"):
+            LogicSignature(colors=colors, relations=relations)
 
     def test_edgeless_graph_color_atom(self):
         g = build_graph([Relation(0, "r", 2)], [], 3, [0, 1, 0])

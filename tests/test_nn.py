@@ -16,6 +16,7 @@ from hcnet.errors import ConfigError, DimensionTooSmall, QueryArityMismatch, Sha
 from hcnet.hypergraph import HyperEdge, Query, Relation, apply_permutation, build_graph
 from hcnet.nn import (
     INIT_VARIANTS,
+    ForwardTrace,
     ModelConfig,
     backward,
     bind_params,
@@ -597,10 +598,11 @@ _MODEL_CASES = [
 ]
 
 
-def _assert_models_equal_the_chains(case, monkeypatch, **chains):
+def _assert_models_equal_the_chains(case, monkeypatch, decoders=False, **chains):
     """Features, logits and every gradient of a model case, recorded and
     not, are bitwise equal with the `autodiff` ops named in chains replaced
-    by their test-local chains."""
+    by their test-local chains, and with decoders, `ad.mlp_decoder` by the
+    chain of the case's decoder."""
     case = dict(case)
     kind, arities = case.pop("kind"), case.pop("arities")
     masked_relation = case.pop("masked_relation", None)
@@ -611,6 +613,14 @@ def _assert_models_equal_the_chains(case, monkeypatch, **chains):
     k = max(arities)
     tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
     qrel = np.full(5, arities.index(k), dtype=np.intp)
+
+    def chained_decoder(tape, inputs, concat, spread, *weights):
+        if kind == "hcnet":
+            return _chained_decoder(tape, *inputs, *weights)
+        return _chained_kary_decoder(tape, inputs[0], inputs[-1], tuples, qrel, *weights)
+
+    if decoders:
+        chains["mlp_decoder"] = chained_decoder
 
     def run(record):
         rng = np.random.default_rng(3)
@@ -882,15 +892,43 @@ def _chained_tail(tape, h, msgs, W, b, gamma, beta, rate=0.0, rng=None):
     return ad.add(tape, ad.relu(tape, z), h)
 
 
+def _chained_mlp(tape, x, W1, b1, W2, b2):
+    """A two-layer ReLU MLP over the rows x as separate tape ops."""
+    hdn = ad.relu(tape, ad.add(tape, ad.matmul_last(tape, x, W1), b1))
+    out = ad.add(tape, ad.matmul_last(tape, hdn, W2), b2)
+    return ad.reshape(tape, out, out.value.shape[:-1])
+
+
 def _chained_decoder(tape, h, zq, W1, b1, W2, b2):
     """The unary decoder as separate tape ops: z_q broadcast over the
     nodes, concatenated to h, and a two-layer ReLU MLP."""
     Q, V, d = h.value.shape
     zb = ad.broadcast_middle(tape, ad.reshape(tape, zq, (Q, 1, zq.value.shape[1])), V)
-    x = ad.concat_last(tape, [h, zb])
-    hdn = ad.relu(tape, ad.add(tape, ad.matmul_last(tape, x, W1), b1))
-    out = ad.add(tape, ad.matmul_last(tape, hdn, W2), b2)
-    return ad.reshape(tape, out, (Q, V))
+    return _chained_mlp(tape, ad.concat_last(tape, [h, zb]), W1, b1, W2, b2)
+
+
+def _chained_kary_decoder(tape, h, z_q, tuples, qrel, W1, b1, W2, b2):
+    """The k-ary decoder as separate tape ops: one gather of h (1, V, d)
+    per tuple position, the rows of z_q for qrel, a concat and a two-layer
+    ReLU MLP."""
+    M, k = tuples.shape
+    parts = [ad.reshape(tape, ad.gather_nodes(tape, h, tuples[:, t]), (M, h.value.shape[2]))
+             for t in range(k)]
+    parts.append(ad.take_rows(tape, z_q, qrel))
+    return _chained_mlp(tape, ad.concat_last(tape, parts), W1, b1, W2, b2)
+
+
+def _decode_unary(tape, h, zq, *weights):
+    """`decode_unary_batch` on the given vars."""
+    bound = dict(zip(("dec_W1", "dec_b1", "dec_W2", "dec_b2"), weights))
+    return decode_unary_batch(ForwardTrace(tape, bound, h, zq))
+
+
+def _decode_kary(tape, h, z_q, tuples, qrel, *weights):
+    """`decode_kary_batch` on the given vars."""
+    k = tuples.shape[1]
+    bound = {"z_q": z_q, **{f"dec{k}_{n}": w for n, w in zip(("W1", "b1", "W2", "b2"), weights)}}
+    return decode_kary_batch(ForwardTrace(tape, bound, h), tuples, qrel)
 
 
 def _fused_against_chain(fused, chain, inputs, upstream, constants=(), record=True):
@@ -965,8 +1003,8 @@ class TestLayerTail:
 
     @pytest.mark.parametrize("case", _MODEL_CASES)
     def test_models_equal_the_chains_bitwise(self, case, monkeypatch):
-        _assert_models_equal_the_chains(case, monkeypatch, layer_tail=_chained_tail,
-                                        unary_decoder=_chained_decoder)
+        _assert_models_equal_the_chains(case, monkeypatch, decoders=True,
+                                        layer_tail=_chained_tail)
 
     def test_dropout_zero_rate_is_identity(self):
         # A zero rate draws nothing and equals the pass without an rng.
@@ -1009,9 +1047,64 @@ class TestUnaryDecoder:
             return h, ad.relu(tape, v["zq"]), v["W1"], v["b1"], v["W2"], v["b2"]
 
         _assert_runs_equal(_fused_against_chain(
-            lambda tape, rng, *args: ad.unary_decoder(tape, *args),
+            lambda tape, rng, *args: _decode_unary(tape, *args),
             lambda tape, rng, *args: _chained_decoder(tape, *args), inputs, upstream,
             record=record))
+
+
+def _kary_inputs(k, M=40, V=9, d=5):
+    """Leaves for a k-ary decode, and tuples (M, k) and qrel (M,) that
+    repeat nodes and relations, so the scatters accumulate."""
+    rng = np.random.default_rng(k)
+    inputs = {"h": rng.standard_normal((1, V, d)), "zq": rng.standard_normal((4, d)),
+              "W1": rng.standard_normal((d, (k + 1) * d)), "b1": rng.standard_normal(d),
+              "W2": rng.standard_normal((1, d)), "b2": rng.standard_normal(1)}
+    return inputs, rng.integers(0, V, (M, k)).astype(np.intp), rng.integers(0, 4, M).astype(np.intp)
+
+
+class TestKaryDecoder:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("twice", [False, True], ids=["once", "decoded-twice"])
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "not-recorded"])
+    def test_op_equals_the_chain_bitwise(self, k, twice, record):
+        # h also feeds a product, whose two terms reach h's gradient before
+        # the decoder's scatters; decoded twice, as the hypercycle
+        # experiment does, the second decode's scatters come first.
+        inputs, tuples, qrel = _kary_inputs(k)
+
+        def with_decoder(decode):
+            def op(tape, rng, h, zq, *weights):
+                out = decode(tape, h, zq, tuples, qrel, *weights)
+                if twice:
+                    out = ad.add(tape, out, decode(tape, h, zq, tuples[::-1], qrel[::-1], *weights))
+                return ad.add(tape, out, ad.sum_all(tape, ad.mul(tape, h, h)))
+            return op
+
+        def upstream(tape, v):
+            return ad.scale(tape, v["h"], 0.5), *(v[n] for n in ("zq", "W1", "b1", "W2", "b2"))
+
+        _assert_runs_equal(_fused_against_chain(
+            with_decoder(_decode_kary), with_decoder(_chained_kary_decoder), inputs, upstream,
+            record=record))
+
+    def test_constant_h_is_no_parent(self):
+        inputs, tuples, qrel = _kary_inputs(2)
+        tape = ad.Tape()
+        h = tape.constant(inputs.pop("h"))
+        rest = [tape.leaf(v) for v in inputs.values()]
+        out = _decode_kary(tape, h, rest[0], tuples, qrel, *rest[1:])
+        assert [p for p, _ in out.parents] == rest
+
+    def test_a_decode_adds_one_tape_var(self):
+        # The chain of gathers, reshapes, take_rows, concat and MLP ops it
+        # replaced added 2k + 8.
+        g = _graph((1, 3, 2))
+        params = _params(g, kind="hrnet", mode="query-independent")
+        trace = hrnet_forward_batch(g, params)
+        for k in params.decoder_arities:
+            before = len(trace.tape.vars)
+            decode_kary_batch(trace, np.zeros((5, k), dtype=np.intp), np.zeros(5, dtype=np.intp))
+            assert len(trace.tape.vars) == before + 1
 
 
 def _tape_mb(tape):
