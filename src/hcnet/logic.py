@@ -11,8 +11,9 @@ evaluator only, which resolves them through the signature's constants.
 The compiler turns a restricted formula into fixed message-passing
 parameters whose rounds compute formula truth values exactly, in integer
 arithmetic with the truncated ReLU min(max(0,x),1). The compiled network
-runs the learned model's message kernel (`nn.edges_by_relation` and
-`autodiff.exclusive_products`) in int64.
+runs the learned model's message kernel in int64, on each relation's
+(E_r, k) node ids from the graph's `relation_edges`, with
+`autodiff.exclusive_products`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     UnknownRelation,
 )
 from .hypergraph import RelationalHypergraph
-from .nn import edges_by_relation
 
 # --- AST -------------------------------------------------------------------
 
@@ -280,6 +280,8 @@ def _normalize(formula: Formula, sig: LogicSignature) -> Formula:
     """Give every modality a guard at every position j != i (missing guards
     become an always-true formula); merge repeated positions by conjunction."""
     if isinstance(formula, ColorAtom):
+        if formula.color not in sig.colors:
+            raise UnknownColor(formula.color)
         return formula
     if isinstance(formula, ConstAtom):
         raise NotRestricted("constant atoms are not compilable")
@@ -416,7 +418,7 @@ def run_compiled(
     # Relations outside the signature have zero parameters: skipped.
     groups = [
         (rel_index[graph.relations[rel].name], nodes)
-        for rel, nodes in edges_by_relation(graph).items()
+        for rel, (_, nodes) in graph.relation_edges.items()
         if graph.relations[rel].name in rel_index
     ]
     for _ in range(rounds if rounds is not None else L):

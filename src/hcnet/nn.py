@@ -2,9 +2,9 @@
 
 Two forward paths share the same parameterization and one message
 kernel, `autodiff.incidence_messages`: per relation, one gather of the
-(E_r, k) node ids, position-major, and the exclusive products of the
-factors (`autodiff.exclusive_products`), gated, all written into one
-array of per-incidence messages.
+(E_r, k) node ids (`edges_by_relation`), position-major, and the
+exclusive products of the factors (`autodiff.exclusive_products`),
+gated, all written into one array of per-incidence messages.
 
 * The batched training path, one body for both model kinds
   (`_forward_batch`, given the queries or none), runs the kernel as one
@@ -209,13 +209,18 @@ def init_params(
 def edges_by_relation(
     graph: RelationalHypergraph, masked_edges: frozenset[int] | set[int] | None = None
 ) -> dict[int, Array]:
-    """Node-id arrays (E_r, k) per relation, skipping masked edge ids."""
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for e, ed in enumerate(graph.edges):
-        if masked_edges and e in masked_edges:
-            continue
-        groups.setdefault(ed.relation, []).append(ed.nodes)
-    return {r: np.asarray(rows, dtype=np.intp) for r, rows in groups.items()}
+    """Node-id arrays (E_r, k) of the graph's `relation_edges` less the masked
+    edges, relations in order of their first kept edge (the scatter's order)."""
+    table = graph.relation_edges
+    if not masked_edges:
+        return {r: nodes for r, (_, nodes) in table.items()}
+    masked = np.fromiter(masked_edges, dtype=np.intp, count=len(masked_edges))
+    kept = []
+    for r, (ids, nodes) in table.items():
+        keep = ~np.isin(ids, masked)
+        if keep.any():
+            kept.append((ids[keep.argmax()], r, nodes[keep]))
+    return {r: nodes for _, r, nodes in sorted(kept, key=lambda item: item[0])}
 
 
 # --- forward: exact theorem path ------------------------------------------

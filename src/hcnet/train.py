@@ -113,31 +113,22 @@ def corrupt(
     return [legal[i] for i in rng.integers(0, len(legal), size=n)]
 
 
-EdgeIndex = dict[tuple[int, tuple[int, ...]], list[int]]
-
-
-def edge_index(graph: RelationalHypergraph) -> EdgeIndex:
-    """The ids of each fact's edges, in edge order; built once per run."""
-    index: EdgeIndex = {}
-    for e, ed in enumerate(graph.edges):
-        index.setdefault((ed.relation, ed.nodes), []).append(e)
-    return index
-
-
-def mask_positives(index: EdgeIndex, batch_facts: list[HyperEdge]) -> set[int]:
+def mask_positives(graph: RelationalHypergraph, batch_facts: list[HyperEdge]) -> set[int]:
     """Edge ids to exclude from message passing: one occurrence per batch
-    fact (duplicates mask distinct edges), from the graph's `edge_index`."""
+    fact (duplicates mask distinct edges), the first one not yet masked in
+    edge order, found in the graph's `relation_edges`."""
     masked: set[int] = set()
     for fact in batch_facts:
-        ids = index.get((fact.relation, fact.nodes))
-        if not ids:
+        ids, nodes = graph.relation_edges.get(fact.relation, (None, None))
+        hits = []
+        if nodes is not None and nodes.shape[1] == len(fact.nodes):
+            hits = ids[(nodes == fact.nodes).all(axis=1)].tolist()
+        if not hits:
             raise FactNotFound(f"{fact} not in graph")
-        for e in ids:
-            if e not in masked:
-                masked.add(e)
-                break
-        else:
+        free = [e for e in hits if e not in masked]
+        if not free:
             raise FactNotFound(f"all occurrences of {fact} already masked")
+        masked.add(free[0])
     return masked
 
 
@@ -210,7 +201,6 @@ def fit(
     train_facts = splits["train"]
     valid_facts = splits.get("valid", [])
     fact_set = graph.fact_set()
-    edge_ids = edge_index(graph)
     log: list[dict] = []
     if log_path:
         open(log_path, "w", encoding="utf-8").close()  # one run per log
@@ -225,7 +215,7 @@ def fit(
             if config.steps_per_epoch is not None and steps >= config.steps_per_epoch:
                 break
             batch = [train_facts[i] for i in order[start : start + config.batch_size]]
-            loss = _batch_step(graph, batch, params, state, config, fact_set, edge_ids, rng)
+            loss = _batch_step(graph, batch, params, state, config, fact_set, rng)
             losses.append(loss)
             steps += 1
         entry = {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0}
@@ -251,7 +241,6 @@ def _batch_step(
     state: AdamState,
     config: TrainConfig,
     fact_set: set,
-    edge_ids: EdgeIndex,
     rng: np.random.Generator,
 ) -> float:
     queries: list[Query] = []
@@ -265,7 +254,7 @@ def _batch_step(
         pos_nodes.append(fact.nodes[t - 1])
         neg_nodes.append(corrupt(fact, t, graph, config.negatives, rng, fact_set))
 
-    masked = mask_positives(edge_ids, batch)
+    masked = mask_positives(graph, batch)
     trace = hcnet_forward_batch(graph, queries, params, rng=rng, masked_edges=masked)
     logits = decode_unary_batch(trace)  # (Q, V)
     tape = trace.tape

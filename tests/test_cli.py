@@ -1,10 +1,15 @@
-"""End-to-end command-line interface behavior via main(argv)."""
+"""End-to-end command-line interface behavior via main(argv) and `python -m`."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hcnet
 import hcnet.train as train_module
 from hcnet.cli import main
 from hcnet.hypergraph import HyperEdge, Relation, build_graph, load_dataset, save_dataset
@@ -152,6 +157,48 @@ class TestLogic:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and "relation 'r' is listed twice" in err
+
+    @pytest.mark.parametrize("formula", ["color(zz)", "exists>=1 r@1 [j2: color(zz)]"],
+                             ids=["top-level", "guard"])
+    def test_compile_rejects_a_color_outside_the_signature(self, formula, capsys):
+        code = main(["logic", "compile", "--formula", formula, "--relations", "r:2"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip() == "error: zz"
+
+    def test_eval_unknown_relation_exits_1(self, tmp_path, capsys):
+        data = _tiny_dataset(tmp_path)
+        code = main([
+            "logic", "eval", "--data", str(data),
+            "--formula", "exists>=1 nosuch@1 []", "--node", "x0",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip() == "error: nosuch"
+
+
+def _python_m(module, *argv):
+    """Run `python -m module argv...` with the package's source on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hcnet.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["hcnet", "hcnet.cli"])
+    def test_python_m_runs_the_cli(self, module, capsys):
+        argv = ["refine", "--hypercycle", "8,3", "--rounds", "1"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        proc = _python_m(module, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert expected and proc.stdout == expected
+
+    def test_python_m_passes_the_exit_code(self):
+        proc = _python_m("hcnet", "logic", "compile", "--formula", "color(zz)",
+                         "--relations", "r:2")
+        assert proc.returncode == 1
+        assert proc.stdout == "" and proc.stderr.strip() == "error: zz"
 
 
 class TestMalformedFlags:

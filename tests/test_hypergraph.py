@@ -1,5 +1,6 @@
-"""Data model: incidence structure, permutations, dataset round-trips."""
+"""Data model: incidence structure, edge tables, permutations, dataset round-trips."""
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -88,6 +89,38 @@ class TestIncidence:
         g = random_hypergraph(rng)
         total = sum(len(incidence(g, v)) for v in range(g.node_count))
         assert total == sum(len(ed.nodes) for ed in g.edges)
+
+
+class TestEdgeTables:
+    def test_indexes_are_built_on_first_use_and_kept(self):
+        g = hypercycle(8, 3)
+        assert "incidence_index" not in {f.name for f in dataclasses.fields(g) if f.init}
+        assert g._incidence is None and g._relation_edges is None
+        assert incidence(g, 0) is incidence(g, 0)
+        assert g.relation_edges is g.relation_edges
+        assert g._incidence is not None and g._relation_edges is not None
+
+    def test_relation_edges_hold_ids_and_nodes_in_edge_order(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            g = random_hypergraph(rng, max_nodes=10, max_relations=4, max_arity=5)
+            first_seen = list(dict.fromkeys(ed.relation for ed in g.edges))
+            assert list(g.relation_edges) == first_seen
+            for r, (ids, nodes) in g.relation_edges.items():
+                want = [e for e, ed in enumerate(g.edges) if ed.relation == r]
+                assert ids.dtype == nodes.dtype == np.intp
+                assert ids.tolist() == want
+                assert nodes.shape == (len(want), g.relations[r].arity)
+                assert [tuple(row) for row in nodes.tolist()] == [g.edges[e].nodes for e in want]
+
+    def test_relation_edges_are_read_only(self):
+        ids, nodes = hypercycle(8, 3).relation_edges[1]
+        for a in (ids, nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_edgeless_graph_has_an_empty_table(self):
+        assert build_graph([Relation(0, "r", 2)], [], 3).relation_edges == {}
 
 
 class TestPositionalNeighborhood:

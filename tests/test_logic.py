@@ -8,6 +8,7 @@ import numpy as np
 
 from hcnet.errors import (
     ArityMismatch,
+    ColorOutOfSignature,
     EngineError,
     FormulaParseError,
     InvalidConstants,
@@ -215,6 +216,22 @@ class TestCompiler:
         # color, eval_formula and run_compiled disagreed on its nodes.
         with pytest.raises(ArityMismatch, match=f"{repeated} is listed twice"):
             LogicSignature(colors=colors, relations=relations)
+
+    @pytest.mark.parametrize("formula", [
+        ColorAtom("zz"),
+        ExistsGeq(1, "r", 1, GuardAt(2, ColorAtom("zz"))),
+    ], ids=["top-level", "guard"])
+    def test_rejects_a_color_outside_the_signature(self, formula):
+        # Such a color compiled to "false at every node", while
+        # eval_formula raised UnknownColor.
+        with pytest.raises(UnknownColor, match="zz"):
+            compile_hgml_r(formula, self.SIG)
+
+    def test_node_color_outside_the_signature(self):
+        g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 3, [0, 2, 1])
+        net = compile_hgml_r(ColorAtom("a"), self.SIG)
+        with pytest.raises(ColorOutOfSignature, match="node 1 has color id 2"):
+            run_compiled(net, g)
 
     def test_edgeless_graph_color_atom(self):
         g = build_graph([Relation(0, "r", 2)], [], 3, [0, 1, 0])

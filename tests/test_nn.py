@@ -24,6 +24,7 @@ from hcnet.nn import (
     decode_kary_batch,
     decode_unary,
     decode_unary_batch,
+    edges_by_relation,
     feature_partition,
     forward_exact,
     grad_check,
@@ -411,6 +412,65 @@ class TestBatchedForward:
         pq = Query(q.relation, tuple(perm[u] for u in q.given), q.target)
         pfeats, _ = hcnet_forward(pg, pq, params)
         np.testing.assert_allclose(pfeats[perm], feats, atol=1e-9)
+
+
+def _edges_by_relation_loop(graph, masked_edges=None):
+    """The loop `edges_by_relation` ran on every forward before the graph
+    kept its edge table: the reference for keys, their order and values."""
+    groups = {}
+    for e, ed in enumerate(graph.edges):
+        if masked_edges and e in masked_edges:
+            continue
+        groups.setdefault(ed.relation, []).append(ed.nodes)
+    return {r: np.asarray(rows, dtype=np.intp) for r, rows in groups.items()}
+
+
+def _assert_same_groups(got, want):
+    assert list(got) == list(want)  # the order fixes the scatter's sums
+    for r in want:
+        assert got[r].dtype == np.intp and got[r].shape == want[r].shape
+        assert np.array_equal(got[r], want[r])
+
+
+class TestEdgesByRelation:
+    def test_equals_the_loop_on_random_graphs_and_masks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            g = random_hypergraph(rng, max_nodes=12, max_relations=5, max_arity=5)
+            E = len(g.edges)
+            masks = [None, set(), frozenset(range(E)), {0}, {E - 1}, {E + 3}]
+            masks += [{int(e) for e in np.flatnonzero(rng.random(E) < p)}
+                      for p in (0.1, 0.5, 0.9)]
+            for masked in masks:
+                _assert_same_groups(edges_by_relation(g, masked),
+                                    _edges_by_relation_loop(g, masked))
+
+    def test_masked_first_edge_reorders_relations(self):
+        edges = [HyperEdge(0, (0, 1)), HyperEdge(1, (1, 2, 0)), HyperEdge(0, (2, 1))]
+        g = build_graph([Relation(0, "r0", 2), Relation(1, "r1", 3)], edges, 3)
+        assert list(edges_by_relation(g)) == [0, 1]
+        got = edges_by_relation(g, {0})
+        assert list(got) == [1, 0]
+        _assert_same_groups(got, _edges_by_relation_loop(g, {0}))
+
+    def test_a_relation_masked_entirely_is_dropped(self):
+        edges = [HyperEdge(0, (0, 1)), HyperEdge(1, (1,)), HyperEdge(0, (2, 1)),
+                 HyperEdge(1, (2,))]
+        g = build_graph([Relation(0, "r0", 2), Relation(1, "r1", 1)], edges, 3)
+        got = edges_by_relation(g, {1, 3})
+        assert list(got) == [0]
+        _assert_same_groups(got, _edges_by_relation_loop(g, {1, 3}))
+        assert edges_by_relation(g, {0, 1, 2, 3}) == {}
+
+    def test_unmasked_arrays_are_the_graphs_read_only_table(self):
+        g = hypercycle(8, 3)
+        groups = edges_by_relation(g)
+        for r, nodes in groups.items():
+            assert nodes is g.relation_edges[r][1]
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0, 0] = 5
+        assert edges_by_relation(g)[1] is groups[1]
+        _assert_same_groups(groups, _edges_by_relation_loop(g))
 
 
 class TestDecoders:

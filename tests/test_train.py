@@ -32,7 +32,6 @@ from hcnet.train import (
     adam_step,
     adversarial_loss_from_logits,
     corrupt,
-    edge_index,
     fit,
     load_checkpoint,
     mask_positives,
@@ -220,24 +219,42 @@ class TestTrainStep:
 class TestMasking:
     def test_mask_everything(self):
         g = hypercycle(8, 3)
-        masked = mask_positives(edge_index(g), list(g.edges))
+        masked = mask_positives(g, list(g.edges))
         assert masked == set(range(8))
 
     def test_duplicates_mask_distinct_edges(self):
         edges = [HyperEdge(0, (0, 1)), HyperEdge(0, (0, 1))]
         g = build_graph([Relation(0, "r", 2)], edges, 2)
-        assert mask_positives(edge_index(g), [edges[0], edges[0]]) == {0, 1}
+        assert mask_positives(g, [edges[0], edges[0]]) == {0, 1}
 
     def test_missing_fact(self):
         g = hypercycle(8, 3)
         with pytest.raises(FactNotFound):
-            mask_positives(edge_index(g), [HyperEdge(0, (0, 1, 2))])
+            mask_positives(g, [HyperEdge(0, (0, 1, 2))])
 
     def test_over_masking(self):
         edges = [HyperEdge(0, (0, 1))]
         g = build_graph([Relation(0, "r", 2)], edges, 2)
         with pytest.raises(FactNotFound):
-            mask_positives(edge_index(g), [edges[0], edges[0]])
+            mask_positives(g, [edges[0], edges[0]])
+
+    @pytest.mark.parametrize("nodes", [(0, 1), (0, 1, 2, 3)], ids=["shorter", "longer"])
+    def test_wrong_arity_is_not_found(self, nodes):
+        # Relation 1 of the hypercycle is 3-ary and has edges: a fact of
+        # another length names none of them, and is no broadcast error.
+        with pytest.raises(FactNotFound, match="not in graph"):
+            mask_positives(hypercycle(8, 3), [HyperEdge(1, nodes)])
+
+    def test_unknown_relation_is_not_found(self):
+        with pytest.raises(FactNotFound, match="not in graph"):
+            mask_positives(hypercycle(8, 3), [HyperEdge(5, (0, 1, 2))])
+
+    def test_masks_the_first_free_occurrence_in_edge_order(self):
+        edges = [HyperEdge(0, (1, 0)), HyperEdge(0, (0, 1)), HyperEdge(1, (0, 1)),
+                 HyperEdge(0, (0, 1))]
+        g = build_graph([Relation(0, "r", 2), Relation(1, "s", 2)], edges, 2)
+        assert mask_positives(g, [edges[1]]) == {1}
+        assert mask_positives(g, [edges[3], edges[1], edges[2]]) == {1, 2, 3}
 
 
 class TestAdam:
