@@ -2,22 +2,27 @@
 
 For each test fact and each position t, the candidate set is every node
 whose substitution at t does not form a known fact (train + valid + test),
-plus the true entity. Both model kinds score every node at a query's target
-in one ranking loop: hcnet by a conditional forward per batch of queries,
-hrnet by decoding V tuples per query from one query-agnostic forward. Ties
-take the mean of the optimistic and pessimistic rank, so a constant scorer
-cannot inflate the metrics.
+plus the true entity. It is one boolean mask over the V nodes: the known
+facts are one node table per relation (`known_facts`), the graph's edge
+table (`relation_edges`) plus the split facts, and each known fact that
+agrees with the test fact off t clears its node at t. Both model kinds
+score every node at a query's target in one ranking loop: hcnet by a
+conditional forward per batch of queries, hrnet by decoding V tuples per
+query from one query-agnostic forward. Ties take the mean of the
+optimistic and pessimistic rank, so a constant scorer cannot inflate the
+metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ConfigError, EmptyOutcomes, NaNScore
-from .hypergraph import HyperEdge, Query, RelationalHypergraph
+from .hypergraph import HyperEdge, Query, RelationalHypergraph, matching_rows
 from .nn import Array, ModelParams, decode_kary_batch, decode_unary_batch
 from .nn import hcnet_forward_batch, hrnet_forward_batch
 
@@ -54,19 +59,39 @@ class MetricsReport:
         return out
 
 
+def known_facts(
+    graph: RelationalHypergraph, facts: Iterable[HyperEdge] = ()
+) -> dict[tuple[int, int], np.ndarray]:
+    """The graph's edges plus `facts` as one (N, k) np.intp node table per
+    (relation, arity k): the graph's `relation_edges` rows, then the other
+    facts' rows. Duplicates are kept; a mask does not count them."""
+    extra: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for f in facts:
+        extra.setdefault((f.relation, len(f.nodes)), []).append(f.nodes)
+    tables = {(r, nodes.shape[1]): nodes for r, (_, nodes) in graph.relation_edges.items()}
+    for key, rows in extra.items():
+        more = np.asarray(rows, dtype=np.intp)
+        tables[key] = np.concatenate([tables[key], more]) if key in tables else more
+    return tables
+
+
 def filtered_candidates(
     fact: HyperEdge,
     t: int,
     node_count: int,
-    all_facts: set[tuple[int, tuple[int, ...]]],
-) -> list[int]:
-    """Nodes whose substitution at t is unknown, plus the true entity."""
-    true = fact.nodes[t - 1]
-    head, tail = fact.nodes[: t - 1], fact.nodes[t:]
-    return [
-        v for v in range(node_count)
-        if v == true or (fact.relation, head + (v,) + tail) not in all_facts
-    ]
+    known: dict[tuple[int, int], np.ndarray],
+) -> np.ndarray:
+    """Nodes, ascending, whose substitution at t forms no fact of `known`
+    (`known_facts`), plus the true entity: a mask over the V nodes from which
+    every known fact agreeing with `fact` off t clears its node at t."""
+    mask = np.ones(node_count, dtype=bool)
+    rows = known.get((fact.relation, len(fact.nodes)))
+    if rows is not None:
+        others = [i for i in range(len(fact.nodes)) if i != t - 1]
+        agree = matching_rows(rows, [fact.nodes[i] for i in others], others)
+        mask[rows[agree, t - 1]] = False
+    mask[fact.nodes[t - 1]] = True
+    return np.flatnonzero(mask)
 
 
 def rank_of(scores: np.ndarray, true_idx: int) -> float:
@@ -136,15 +161,13 @@ def evaluate_model(
         raise ConfigError(f"model of {params.num_relations} relations, arity <= {params.max_arity}")
     if model_kind == "hrnet" and {len(f.nodes) for f in test_facts} - set(params.decoder_arities):
         raise ConfigError(f"a test fact's arity has no decoder in {params.decoder_arities}")
-    all_facts = graph.fact_set() | {(f.relation, f.nodes) for f in test_facts}
-    for facts in (splits or {}).values():
-        all_facts |= {(f.relation, f.nodes) for f in facts}
+    known = known_facts(graph, chain(test_facts, *(splits or {}).values()))
 
-    jobs: list[tuple[Query, int, list[int]]] = []
+    jobs: list[tuple[Query, int, np.ndarray]] = []
     for fact in test_facts:
         for t in range(1, len(fact.nodes) + 1):
             given = fact.nodes[: t - 1] + fact.nodes[t:]
-            cands = filtered_candidates(fact, t, graph.node_count, all_facts)
+            cands = filtered_candidates(fact, t, graph.node_count, known)
             jobs.append((Query(fact.relation, given, t), fact.nodes[t - 1], cands))
 
     score = _scorer(graph, params)
@@ -153,6 +176,6 @@ def evaluate_model(
         chunk = jobs[start : start + BATCH_QUERIES]
         logits = score([q for q, _, _ in chunk])
         for row, (query, true, cands) in enumerate(chunk):
-            rank = rank_of(logits[row, cands], cands.index(true))
+            rank = rank_of(logits[row, cands], int(np.searchsorted(cands, true)))
             outcomes.append(RankingOutcome(query, true, rank, len(cands)))
     return aggregate(outcomes, graph)

@@ -7,6 +7,8 @@ throughout. Duplicate facts are kept as distinct edges (multigraph
 semantics): the incidence structure E(v) aggregates multisets. A graph
 holds only its facts, fixed once built; its indexes (`incidence_index`,
 `relation_edges`) are built once, on first use, and kept on the graph.
+`matching_rows` asks a node table which of its facts agree with a given
+one on a set of positions.
 """
 
 from __future__ import annotations
@@ -110,6 +112,12 @@ class RelationalHypergraph:
 
     def fact_set(self) -> set[tuple[int, tuple[int, ...]]]:
         return {(ed.relation, ed.nodes) for ed in self.edges}
+
+
+def matching_rows(table: np.ndarray, values, columns=slice(None)) -> np.ndarray:
+    """(N,) bool: the rows of an (N, k) node table that hold `values` at
+    `columns` (any NumPy index of the k columns; all of them by default)."""
+    return (table[:, columns] == values).all(axis=1)
 
 
 def build_graph(

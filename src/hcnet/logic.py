@@ -210,10 +210,18 @@ def eval_formula(
 ) -> bool:
     """Exact satisfaction of `formula` at `node`, with is(b) atoms resolved
     through the signature's constant interpretations (which must be
-    pairwise distinct)."""
+    pairwise distinct). ColorOutOfSignature, as from `run_compiled`, if a
+    node's color id lies outside the signature's colors."""
     if len(set(sig.constants.values())) != len(sig.constants):
         raise InvalidConstants("constant interpretations collide")
+    _check_node_colors(graph, sig)
     return _eval(graph, sig, formula, node)
+
+
+def _check_node_colors(graph: RelationalHypergraph, sig: LogicSignature) -> None:
+    for v, c in enumerate(graph.node_color):
+        if not (0 <= c < len(sig.colors)):
+            raise ColorOutOfSignature(f"node {v} has color id {c}")
 
 
 # --- Restricted fragment ---------------------------------------------------
@@ -406,11 +414,10 @@ def run_compiled(
     V = graph.node_count
     rel_index = {name: idx for idx, (name, _) in enumerate(sig.relations)}
 
+    _check_node_colors(graph, sig)
     h = np.zeros((V, L), dtype=np.int64)
     for v in range(V):
         c = graph.node_color[v]
-        if not (0 <= c < len(sig.colors)):
-            raise ColorOutOfSignature(f"node {v} has color id {c}")
         for ell, f in enumerate(network.subformulas):
             if isinstance(f, ColorAtom) and f.color == sig.colors[c]:
                 h[v, ell] = 1

@@ -2,15 +2,15 @@
 
 Negatives follow the partial completeness assumption: one position t of an
 observed fact is corrupted, uniformly per positive per batch, filtered
-against the training fact set. During message passing the batch's positive
-edges are masked out, so a query never sees the edge it is asked to
-predict. The loss weights negatives by a softmax of their own scores
-(temperature alpha_adv); the weights are treated as constants in the
-gradient. It is computed once, on the tape, from raw scores
-(`adversarial_loss_from_logits`). `fit` and the hypercycle experiment
-share one step function, `train_step`. A checkpoint holds the trained
-tensors; it loads only when its header describes a valid model and the
-rest of the file is exactly that model's tensors, no byte more or less.
+against the graph's facts by the ranking's candidate mask. During message
+passing the batch's positive edges are masked out, so a query never sees
+the edge it is asked to predict. The loss weights negatives by a softmax
+of their own scores (temperature alpha_adv); the weights are treated as
+constants in the gradient. It is computed once, on the tape, from raw
+scores (`adversarial_loss_from_logits`). `fit` and the hypercycle
+experiment share one step function, `train_step`. A checkpoint holds the
+trained tensors; it loads only when its header describes a valid model and
+the rest of the file is exactly that model's tensors, no byte more or less.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .evalrank import evaluate_model, filtered_candidates
-from .hypergraph import HyperEdge, Query, RelationalHypergraph
+from .evalrank import evaluate_model, filtered_candidates, known_facts
+from .hypergraph import HyperEdge, Query, RelationalHypergraph, matching_rows
 from .nn import (
     ForwardTrace,
     ModelConfig,
@@ -101,16 +101,15 @@ def corrupt(
     graph: RelationalHypergraph,
     n: int,
     rng: np.random.Generator,
-    fact_set: set[tuple[int, tuple[int, ...]]],
 ) -> list[int]:
     """n corruptions of position t, uniform over nodes, excluding the true
-    entity and any substitution forming a known training fact of
-    `fact_set` (`graph.fact_set()`, built once per run)."""
-    true = fact.nodes[t - 1]
-    legal = [v for v in filtered_candidates(fact, t, graph.node_count, fact_set) if v != true]
-    if not legal:
+    entity and any substitution forming a fact of the graph: the ranking's
+    candidates over the graph's edge table, in ascending node order."""
+    cands = filtered_candidates(fact, t, graph.node_count, known_facts(graph))
+    legal = cands[cands != fact.nodes[t - 1]]
+    if not legal.size:
         raise NoCandidate(f"no legal corruption at position {t}")
-    return [legal[i] for i in rng.integers(0, len(legal), size=n)]
+    return legal[rng.integers(0, len(legal), size=n)].tolist()
 
 
 def mask_positives(graph: RelationalHypergraph, batch_facts: list[HyperEdge]) -> set[int]:
@@ -122,7 +121,7 @@ def mask_positives(graph: RelationalHypergraph, batch_facts: list[HyperEdge]) ->
         ids, nodes = graph.relation_edges.get(fact.relation, (None, None))
         hits = []
         if nodes is not None and nodes.shape[1] == len(fact.nodes):
-            hits = ids[(nodes == fact.nodes).all(axis=1)].tolist()
+            hits = ids[matching_rows(nodes, fact.nodes)].tolist()
         if not hits:
             raise FactNotFound(f"{fact} not in graph")
         free = [e for e in hits if e not in masked]
@@ -194,13 +193,14 @@ def fit(
     log_path: str | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Train an HCNet on the graph's facts; returns the best-validation-MRR
-    checkpoint and the per-epoch log."""
+    checkpoint and the per-epoch log. Negatives are filtered against the
+    graph's edge table (`corrupt`), validation ranks against the graph
+    plus every split (`evaluate_model`)."""
     rng = np.random.default_rng(config.seed)
     params = init_params(graph, config.model_config("hcnet"), rng)
     state = AdamState()
     train_facts = splits["train"]
     valid_facts = splits.get("valid", [])
-    fact_set = graph.fact_set()
     log: list[dict] = []
     if log_path:
         open(log_path, "w", encoding="utf-8").close()  # one run per log
@@ -215,7 +215,7 @@ def fit(
             if config.steps_per_epoch is not None and steps >= config.steps_per_epoch:
                 break
             batch = [train_facts[i] for i in order[start : start + config.batch_size]]
-            loss = _batch_step(graph, batch, params, state, config, fact_set, rng)
+            loss = _batch_step(graph, batch, params, state, config, rng)
             losses.append(loss)
             steps += 1
         entry = {"epoch": epoch, "loss": float(np.mean(losses)) if losses else 0.0}
@@ -240,7 +240,6 @@ def _batch_step(
     params: ModelParams,
     state: AdamState,
     config: TrainConfig,
-    fact_set: set,
     rng: np.random.Generator,
 ) -> float:
     queries: list[Query] = []
@@ -252,7 +251,7 @@ def _batch_step(
         given = fact.nodes[: t - 1] + fact.nodes[t:]
         queries.append(Query(fact.relation, given, t))
         pos_nodes.append(fact.nodes[t - 1])
-        neg_nodes.append(corrupt(fact, t, graph, config.negatives, rng, fact_set))
+        neg_nodes.append(corrupt(fact, t, graph, config.negatives, rng))
 
     masked = mask_positives(graph, batch)
     trace = hcnet_forward_batch(graph, queries, params, rng=rng, masked_edges=masked)

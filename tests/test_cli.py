@@ -252,6 +252,43 @@ class TestTrainEvaluate:
         assert 0.0 < report["mrr"] <= 1.0
         assert report["queries"] == 16  # 8 test facts x 2 positions
 
+    def test_inductive_evaluation_on_an_unseen_larger_graph(self, tmp_path, capsys):
+        # The paper's inductive setting: train on one graph, rank on a graph
+        # of other, more entities. The checkpoint holds no node-sized tensor,
+        # so any node count fits; the relations are pinned to the same ids.
+        rng = np.random.default_rng(0)
+
+        def write(directory, prefix, nodes, facts):
+            directory.mkdir()
+            (directory / "relations.dict").write_text("0\tr\n1\ts\n", encoding="utf-8")
+            splits = {}
+            for split, count in zip(("train", "valid", "test"), facts):
+                lines = [
+                    "\t".join([rel] + [f"{prefix}{v}" for v in rng.integers(0, nodes, k)])
+                    for rel, k in (("r", 2), ("s", 3)) for _ in range(count)
+                ]
+                (directory / f"{split}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+                splits[split] = lines
+            return splits
+
+        write(tmp_path / "seen", "a", 10, (12, 2, 2))
+        unseen = write(tmp_path / "unseen", "b", 17, (20, 3, 4))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "d": 4, "layers": 1, "epochs": 1, "batch_size": 4,
+            "negatives": 2, "steps_per_epoch": 2,
+        }))
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", "--data", str(tmp_path / "seen"), "--config", str(cfg_path),
+                     "--out", str(ckpt), "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--data", str(tmp_path / "unseen")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert load_dataset(str(tmp_path / "unseen"))[0].node_count > 10
+        assert report["queries"] == sum(len(line.split("\t")) - 1 for line in unseen["test"])
+        assert 0.0 < report["mrr"] <= 1.0
+
     def test_unknown_model_kind_exits_1(self, tmp_path, capsys):
         data = _tiny_dataset(tmp_path)
         graph, _, _, _ = load_dataset(str(data))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hcnet.evalrank as evalrank
 from hcnet.errors import ConfigError, EmptyOutcomes, NaNScore
@@ -11,6 +13,7 @@ from hcnet.evalrank import (
     aggregate,
     evaluate_model,
     filtered_candidates,
+    known_facts,
     rank_of,
 )
 from hcnet.hypergraph import HyperEdge, Query, Relation, build_graph
@@ -25,20 +28,76 @@ from hcnet.nn import (
 from hcnet.synth import hypercycle
 
 
+def _set_walk(fact, t, node_count, all_facts):
+    """The filter as first written, the reference for the mask: walk all V
+    nodes and keep those whose substitution at t is not in the set of
+    (relation, nodes) facts, and the true entity."""
+    true = fact.nodes[t - 1]
+    head, tail = fact.nodes[: t - 1], fact.nodes[t:]
+    return [
+        v for v in range(node_count)
+        if v == true or (fact.relation, head + (v,) + tail) not in all_facts
+    ]
+
+
 class TestFilteredCandidates:
+    GRAPH = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 3)
+
     def test_no_conflicts(self):
         fact = HyperEdge(0, (0, 1))
-        assert filtered_candidates(fact, 2, 3, {(0, (0, 1))}) == [0, 1, 2]
+        out = filtered_candidates(fact, 2, 3, known_facts(self.GRAPH))
+        assert out.tolist() == [0, 1, 2] == _set_walk(fact, 2, 3, {(0, (0, 1))})
 
     def test_competing_fact_excluded(self):
         fact = HyperEdge(0, (0, 1))
         known = {(0, (0, 1)), (0, (0, 2))}
-        assert filtered_candidates(fact, 2, 3, known) == [0, 1]
+        out = filtered_candidates(fact, 2, 3, known_facts(self.GRAPH, [HyperEdge(0, (0, 2))]))
+        assert out.tolist() == [0, 1] == _set_walk(fact, 2, 3, known)
 
     def test_true_entity_always_included(self):
         fact = HyperEdge(0, (0, 1))
-        known = {(0, (0, v)) for v in range(3)}
-        assert 1 in filtered_candidates(fact, 2, 3, known)
+        known = known_facts(self.GRAPH, [HyperEdge(0, (0, v)) for v in range(3)])
+        assert filtered_candidates(fact, 2, 3, known).tolist() == [1]
+
+
+def _filter_instance(rng):
+    """A graph of 2-6 nodes with relations of arity 1, 2, 3 and a random
+    one; the last has no edge in the graph, only split facts. Some edges
+    are repeated, and one split fact has the wrong arity for its relation
+    (a set never matches it to a job; a table must not mix it in). Returns
+    the graph, test facts (one per relation, two graph edges and two split
+    facts) and split facts not in the graph."""
+    n = int(rng.integers(2, 7))
+    arities = (1, 2, 3, int(rng.integers(1, 5)))
+    relations = [Relation(r, f"r{r}", k) for r, k in enumerate(arities)]
+
+    def fact(rel):
+        return HyperEdge(rel.id, tuple(int(v) for v in rng.integers(0, n, rel.arity)))
+
+    edges = [fact(relations[int(rng.integers(0, 3))]) for _ in range(int(rng.integers(0, 4 * n)))]
+    edges += edges[: int(rng.integers(0, len(edges) + 1))]
+    g = build_graph(relations, edges, n)
+    splits = [fact(relations[int(rng.integers(0, 4))]) for _ in range(int(rng.integers(0, 3 * n)))]
+    splits += [fact(relations[3]), HyperEdge(0, tuple(int(v) for v in rng.integers(0, n, 2)))]
+    test = [fact(rel) for rel in relations] + edges[:2] + splits[:2]
+    return g, test, splits
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_filtered_candidates_equal_the_set_walk(seed):
+    # The mask keeps exactly the nodes the walk kept, ascending, at every
+    # position: unary relations (no other position), repeated edges, split
+    # facts outside the graph, a relation known only from a split, a split
+    # fact of the wrong arity, and a true entity whose own fact is known.
+    g, test, splits = _filter_instance(np.random.default_rng(seed))
+    known = known_facts(g, test + splits)
+    all_facts = g.fact_set() | {(f.relation, f.nodes) for f in test + splits}
+    for fact in test:
+        for t in range(1, len(fact.nodes) + 1):
+            got = filtered_candidates(fact, t, g.node_count, known)
+            assert got.dtype == np.intp
+            assert got.tolist() == _set_walk(fact, t, g.node_count, all_facts)
 
 
 class TestRankOf:
@@ -189,7 +248,9 @@ class TestEvaluateModel:
         assert full.count == filtered.count == 2
         # The competing valid fact shrinks the tail candidate set by one.
         union = g.fact_set() | {(other.relation, other.nodes), (fact.relation, fact.nodes)}
-        assert len(filtered_candidates(fact, 2, 8, union)) == 7
+        got = filtered_candidates(fact, 2, 8, known_facts(g, [fact, other]))
+        assert got.tolist() == _set_walk(fact, 2, 8, union)
+        assert len(got) == 7
 
 
 def _reference_outcomes(graph, test_facts, params, kind, splits):
@@ -203,7 +264,7 @@ def _reference_outcomes(graph, test_facts, params, kind, splits):
     jobs = []
     for fact in test_facts:
         for t in range(1, len(fact.nodes) + 1):
-            cands = filtered_candidates(fact, t, graph.node_count, all_facts)
+            cands = _set_walk(fact, t, graph.node_count, all_facts)
             given = fact.nodes[: t - 1] + fact.nodes[t:]
             jobs.append((Query(fact.relation, given, t), fact.nodes[t - 1], cands))
 

@@ -25,6 +25,7 @@ from hcnet.hypergraph import (
     build_graph,
     incidence,
     load_dataset,
+    matching_rows,
     positional_neighborhood,
     save_dataset,
 )
@@ -121,6 +122,13 @@ class TestEdgeTables:
 
     def test_edgeless_graph_has_an_empty_table(self):
         assert build_graph([Relation(0, "r", 2)], [], 3).relation_edges == {}
+
+    def test_matching_rows_on_all_or_some_columns(self):
+        table = np.asarray([[0, 1, 2], [0, 1, 3], [4, 1, 2], [0, 1, 2]], dtype=np.intp)
+        assert matching_rows(table, (0, 1, 2)).tolist() == [True, False, False, True]
+        assert matching_rows(table, [1, 2], [1, 2]).tolist() == [True, False, True, True]
+        # No column to agree on: every row agrees (a unary relation's others).
+        assert matching_rows(table, [], []).tolist() == [True] * 4
 
 
 class TestPositionalNeighborhood:

@@ -233,6 +233,22 @@ class TestCompiler:
         with pytest.raises(ColorOutOfSignature, match="node 1 has color id 2"):
             run_compiled(net, g)
 
+    @pytest.mark.parametrize("formula", [
+        ColorAtom("a"),
+        Not(ColorAtom("a")),
+        ExistsGeq(1, "r", 1, None),
+    ], ids=["color", "not-color", "colorless"])
+    def test_evaluator_refuses_what_the_compiled_network_refuses(self, formula):
+        # The differential pair agrees on a node color outside the
+        # signature: eval_formula read `not color(a)` as [False, True, True].
+        g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 3, [0, 2, 1])
+        net = compile_hgml_r(formula, self.SIG)
+        with pytest.raises(ColorOutOfSignature, match="node 1 has color id 2"):
+            run_compiled(net, g)
+        for v in range(g.node_count):
+            with pytest.raises(ColorOutOfSignature, match="node 1 has color id 2"):
+                eval_formula(g, self.SIG, formula, v)
+
     def test_edgeless_graph_color_atom(self):
         g = build_graph([Relation(0, "r", 2)], [], 3, [0, 1, 0])
         net = compile_hgml_r(ColorAtom("a"), self.SIG)

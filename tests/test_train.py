@@ -21,7 +21,7 @@ from hcnet.errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from hcnet.evalrank import evaluate_model, filtered_candidates
+from hcnet.evalrank import evaluate_model
 from hcnet.hypergraph import HyperEdge, Query, Relation, build_graph
 from hcnet.nn import ModelConfig, decode_unary_batch, hcnet_forward_batch, init_params
 from hcnet.randgen import random_hypergraph
@@ -67,7 +67,7 @@ class TestCorrupt:
     def test_forced_choice(self):
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 2)
         rng = np.random.default_rng(0)
-        out = corrupt(g.edges[0], 2, g, 1, rng, g.fact_set())
+        out = corrupt(g.edges[0], 2, g, 1, rng)
         assert out == [0]
 
     def test_true_entity_never_sampled(self):
@@ -75,7 +75,7 @@ class TestCorrupt:
         rng = np.random.default_rng(1)
         fact = g.edges[0]
         for _ in range(20):
-            for v in corrupt(fact, 2, g, 5, rng, g.fact_set()):
+            for v in corrupt(fact, 2, g, 5, rng):
                 assert v != fact.nodes[1]
 
     def test_known_facts_filtered(self):
@@ -83,35 +83,42 @@ class TestCorrupt:
         edges = [HyperEdge(0, (0, v)) for v in (1, 3)]
         g = build_graph([Relation(0, "r", 2)], edges, 4)
         rng = np.random.default_rng(2)
-        samples = set(corrupt(edges[0], 2, g, 32, rng, g.fact_set()))
+        samples = set(corrupt(edges[0], 2, g, 32, rng))
         assert 3 not in samples and 1 not in samples
         assert samples <= {0, 2}
 
     def test_no_candidate(self):
         g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 0))], 1)
         with pytest.raises(NoCandidate):
-            corrupt(g.edges[0], 2, g, 1, np.random.default_rng(0), g.fact_set())
+            corrupt(g.edges[0], 2, g, 1, np.random.default_rng(0))
 
     def test_seeded_determinism(self):
         g = hypercycle(8, 3)
-        a = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7), g.fact_set())
-        b = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7), g.fact_set())
+        a = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
+        b = corrupt(g.edges[0], 1, g, 5, np.random.default_rng(7))
         assert a == b
 
     def test_draws_from_filtered_candidates_without_truth(self):
-        # One substitution filter: corruptions index the evaluation's
-        # candidate list, with the true entity removed, in its order.
+        # Corruptions index the candidate list of the filter as first
+        # written (a walk over all V nodes against the graph's fact set),
+        # with the true entity removed, in its order: the edge-table mask
+        # leaves every RNG draw as it was.
+        def set_walk(fact, t, node_count, all_facts):
+            head, tail = fact.nodes[: t - 1], fact.nodes[t:]
+            return [v for v in range(node_count)
+                    if (fact.relation, head + (v,) + tail) not in all_facts]
+
         rng = np.random.default_rng(3)
         for _ in range(20):
             g = random_hypergraph(rng, max_nodes=12, max_relations=3, max_arity=3)
             fact = g.edges[0]
             for t in range(1, len(fact.nodes) + 1):
-                legal = [v for v in filtered_candidates(fact, t, g.node_count, g.fact_set())
+                legal = [v for v in set_walk(fact, t, g.node_count, g.fact_set())
                          if v != fact.nodes[t - 1]]
                 if not legal:
                     continue
                 seed = int(rng.integers(1 << 30))
-                got = corrupt(fact, t, g, 6, np.random.default_rng(seed), g.fact_set())
+                got = corrupt(fact, t, g, 6, np.random.default_rng(seed))
                 draws = np.random.default_rng(seed).integers(0, len(legal), size=6)
                 assert got == [legal[i] for i in draws]
 
