@@ -5,8 +5,8 @@ where r is a relation of fixed arity k. Node ids are dense 0-based ints;
 positions inside an edge are 1-based, matching the e(i) notation used
 throughout. Duplicate facts are kept as distinct edges (multigraph
 semantics): the incidence structure E(v) aggregates multisets. A graph
-holds only its facts, fixed once built; its indexes (`incidence_index`,
-`relation_edges`) are built once, on first use, and kept on the graph.
+holds only its facts, fixed once built; its one index, each relation's
+edge table (`relation_edges`), is built on first use and kept on the graph.
 `matching_rows` asks a node table which of its facts agree with a given
 one on a set of positions.
 """
@@ -72,26 +72,14 @@ class RelationalHypergraph:
     node_color: list[int]
     node_names: list[str] | None = None
     color_names: list[str] | None = field(default=None)
-    # The indexes, built on first read into plain fields: a cached_property
+    # The index, built on first read into a plain field: a cached_property
     # writes into __dict__, after which every attribute read on the graph
-    # took 1.8x as long (CPython 3.11), and the WL engines read in loops.
-    _incidence: list | None = field(default=None, init=False, repr=False, compare=False)
+    # took 1.8x as long (CPython 3.11).
     _relation_edges: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def max_arity(self) -> int:
         return max((r.arity for r in self.relations), default=1)
-
-    @property
-    def incidence_index(self) -> list[list[tuple[int, int]]]:
-        """E(v) of each node v: its (edge id, position) pairs, in that order."""
-        if self._incidence is None:
-            inc: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-            for e, ed in enumerate(self.edges):
-                for pos, v in enumerate(ed.nodes, start=1):
-                    inc[v].append((e, pos))
-            self._incidence = inc
-        return self._incidence
 
     @property
     def relation_edges(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -126,7 +114,7 @@ def build_graph(
     node_count: int,
     colors: list[int] | None = None,
 ) -> RelationalHypergraph:
-    """Check the facts and store them as a graph (indexes are built when read)."""
+    """Check the facts and store them as a graph (its edge table is built when read)."""
     by_id = {r.id: r for r in relations}
     if sorted(by_id) != list(range(len(relations))):
         raise ArityMismatch("relation ids must be contiguous 0..|R|-1")
@@ -149,10 +137,10 @@ def build_graph(
 
 
 def incidence(graph: RelationalHypergraph, v: int) -> list[tuple[int, int]]:
-    """E(v): all (edge id, position) pairs where v occurs."""
+    """E(v): all (edge id, position) pairs where v occurs, in that order."""
     if not (0 <= v < graph.node_count):
         raise NodeOutOfRange(f"node {v}")
-    return graph.incidence_index[v]
+    return [(e, i) for e, ed in enumerate(graph.edges) for i, w in enumerate(ed.nodes, 1) if w == v]
 
 
 def positional_neighborhood(graph: RelationalHypergraph, e: int, i: int) -> list[tuple[int, int]]:

@@ -7,6 +7,9 @@ combinations over the bound positions (evaluator), but the compiler accepts
 only the restricted fragment where each modality carries a per-position
 conjunction of unary guards. Constant atoms is(b) extend the logic for the
 evaluator only, which resolves them through the signature's constants.
+Evaluator and compiler check a formula against the signature once, up
+front, and the evaluator counts a modality's witnesses among the rows of the
+graph's edge table (`relation_edges`), which the compiled network reads too.
 
 The compiler turns a restricted formula into fixed message-passing
 parameters whose rounds compute formula truth values exactly, in integer
@@ -29,6 +32,7 @@ from .errors import (
     ColorOutOfSignature,
     FormulaParseError,
     InvalidConstants,
+    NodeOutOfRange,
     NotRestricted,
     PositionOutOfRange,
     UnknownColor,
@@ -135,74 +139,93 @@ class LogicSignature:
 # --- Evaluator -------------------------------------------------------------
 
 
+def _check(formula: Formula, sig: LogicSignature) -> None:
+    """Raise for a color, constant, relation or position of `formula` that
+    `sig` does not define, or a node that is neither formula nor guard. The
+    evaluator and the compiler run it once, up front, and check nothing more."""
+    todo = [formula]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, ColorAtom):
+            if f.color not in sig.colors:
+                raise UnknownColor(f.color)
+        elif isinstance(f, ConstAtom):
+            if f.const not in sig.constants:
+                raise UnknownConstant(f.const)
+        elif isinstance(f, Not):
+            todo.append(f.sub)
+        elif isinstance(f, And):
+            todo += (f.right, f.left)
+        elif isinstance(f, ExistsGeq):
+            arity = sig.relation_arity(f.relation)
+            if not (1 <= f.position <= arity):
+                raise PositionOutOfRange(f"own position {f.position} for {arity}-ary {f.relation}")
+            guards = [] if f.guard is None else [f.guard]
+            while guards:
+                g = guards.pop()
+                if isinstance(g, GuardAt):
+                    if not (1 <= g.position <= arity) or g.position == f.position:
+                        raise PositionOutOfRange(f"guard position {g.position}")
+                    todo.append(g.formula)
+                elif isinstance(g, GuardNot):
+                    guards.append(g.sub)
+                elif isinstance(g, GuardAnd):
+                    guards += (g.right, g.left)
+                else:
+                    raise FormulaParseError(f"not a guard: {g!r}")
+        else:
+            raise FormulaParseError(f"not a formula: {f!r}")
+
+
+def _check_graph(graph: RelationalHypergraph, sig: LogicSignature) -> None:
+    """ColorOutOfSignature, naming the first node at fault, unless every
+    node's color id indexes the signature's colors; ArityMismatch if a graph
+    relation that the signature names has another arity there."""
+    n, colors = len(sig.colors), graph.node_color
+    if colors and not (0 <= min(colors) and max(colors) < n):
+        v = next(v for v, c in enumerate(colors) if not 0 <= c < n)
+        raise ColorOutOfSignature(f"node {v} has color id {colors[v]}")
+    arity = dict(sig.relations)
+    for r in graph.relations:
+        if arity.get(r.name, r.arity) != r.arity:
+            raise ArityMismatch(f"relation {r.name!r} has arity {r.arity} in the graph "
+                                f"and {arity[r.name]} in the signature")
+
+
 def _eval(graph: RelationalHypergraph, sig: LogicSignature, formula: Formula, node: int) -> bool:
     if isinstance(formula, ColorAtom):
-        if formula.color not in sig.colors:
-            raise UnknownColor(formula.color)
         return graph.node_color[node] == sig.colors.index(formula.color)
     if isinstance(formula, ConstAtom):
-        if formula.const not in sig.constants:
-            raise UnknownConstant(formula.const)
         return node == sig.constants[formula.const]
     if isinstance(formula, Not):
         return not _eval(graph, sig, formula.sub, node)
     if isinstance(formula, And):
         return _eval(graph, sig, formula.left, node) and _eval(graph, sig, formula.right, node)
-    if isinstance(formula, ExistsGeq):
-        arity = sig.relation_arity(formula.relation)
-        if not (1 <= formula.position <= arity):
-            raise PositionOutOfRange(
-                f"own position {formula.position} for {arity}-ary {formula.relation}"
-            )
-        _check_guard_positions(formula.guard, arity, formula.position)
-        rel_id = _graph_relation_id(graph, formula.relation)
-        if rel_id is None:
-            return formula.count <= 0
-        count = 0
-        for e, i in graph.incidence_index[node]:
-            ed = graph.edges[e]
-            if ed.relation != rel_id or i != formula.position:
-                continue
-            if formula.guard is None or _eval_guard(graph, sig, formula.guard, ed.nodes):
-                count += 1
-        return count >= formula.count
-    raise FormulaParseError(f"not a formula: {formula!r}")
-
-
-def _graph_relation_id(graph: RelationalHypergraph, name: str) -> int | None:
+    # ExistsGeq: count the relation's rows with the node at the position and the guard met.
+    table = None
     for r in graph.relations:
-        if r.name == name:
-            return r.id
-    return None
-
-
-def _check_guard_positions(guard: Guard | None, arity: int, own: int) -> None:
-    if guard is None:
-        return
-    if isinstance(guard, GuardAt):
-        if not (1 <= guard.position <= arity) or guard.position == own:
-            raise PositionOutOfRange(f"guard position {guard.position}")
-    elif isinstance(guard, GuardNot):
-        _check_guard_positions(guard.sub, arity, own)
-    elif isinstance(guard, GuardAnd):
-        _check_guard_positions(guard.left, arity, own)
-        _check_guard_positions(guard.right, arity, own)
-    else:
-        raise FormulaParseError(f"not a guard: {guard!r}")
+        if r.name == formula.relation:
+            table = graph.relation_edges.get(r.id)
+            break
+    need, i, guard = formula.count, formula.position - 1, formula.guard
+    for row in table[1].tolist() if table is not None else ():
+        if need <= 0:
+            break
+        if row[i] == node and (guard is None or _eval_guard(graph, sig, guard, row)):
+            need -= 1
+    return need <= 0
 
 
 def _eval_guard(
-    graph: RelationalHypergraph, sig: LogicSignature, guard: Guard, nodes: tuple[int, ...]
+    graph: RelationalHypergraph, sig: LogicSignature, guard: Guard, nodes: list[int]
 ) -> bool:
     if isinstance(guard, GuardAt):
         return _eval(graph, sig, guard.formula, nodes[guard.position - 1])
     if isinstance(guard, GuardNot):
         return not _eval_guard(graph, sig, guard.sub, nodes)
-    if isinstance(guard, GuardAnd):
-        return _eval_guard(graph, sig, guard.left, nodes) and _eval_guard(
-            graph, sig, guard.right, nodes
-        )
-    raise FormulaParseError(f"not a guard: {guard!r}")
+    return _eval_guard(graph, sig, guard.left, nodes) and _eval_guard(
+        graph, sig, guard.right, nodes
+    )
 
 
 def eval_formula(
@@ -210,18 +233,15 @@ def eval_formula(
 ) -> bool:
     """Exact satisfaction of `formula` at `node`, with is(b) atoms resolved
     through the signature's constant interpretations (which must be
-    pairwise distinct). ColorOutOfSignature, as from `run_compiled`, if a
-    node's color id lies outside the signature's colors."""
+    pairwise distinct). The node, the graph (as in `run_compiled`) and the
+    formula are checked against the signature before anything is evaluated."""
     if len(set(sig.constants.values())) != len(sig.constants):
         raise InvalidConstants("constant interpretations collide")
-    _check_node_colors(graph, sig)
+    if not (0 <= node < graph.node_count):
+        raise NodeOutOfRange(f"node {node}")
+    _check_graph(graph, sig)
+    _check(formula, sig)
     return _eval(graph, sig, formula, node)
-
-
-def _check_node_colors(graph: RelationalHypergraph, sig: LogicSignature) -> None:
-    for v, c in enumerate(graph.node_color):
-        if not (0 <= c < len(sig.colors)):
-            raise ColorOutOfSignature(f"node {v} has color id {c}")
 
 
 # --- Restricted fragment ---------------------------------------------------
@@ -287,10 +307,6 @@ def _true_formula(sig: LogicSignature) -> Formula:
 def _normalize(formula: Formula, sig: LogicSignature) -> Formula:
     """Give every modality a guard at every position j != i (missing guards
     become an always-true formula); merge repeated positions by conjunction."""
-    if isinstance(formula, ColorAtom):
-        if formula.color not in sig.colors:
-            raise UnknownColor(formula.color)
-        return formula
     if isinstance(formula, ConstAtom):
         raise NotRestricted("constant atoms are not compilable")
     if isinstance(formula, Not):
@@ -299,16 +315,9 @@ def _normalize(formula: Formula, sig: LogicSignature) -> Formula:
         return And(_normalize(formula.left, sig), _normalize(formula.right, sig))
     if isinstance(formula, ExistsGeq):
         arity = sig.relation_arity(formula.relation)
-        if not (1 <= formula.position <= arity):
-            raise PositionOutOfRange(f"own position {formula.position}")
         by_pos: dict[int, Formula] = {}
         if formula.guard is not None:
-            conj = _guard_conjuncts(formula.guard)
-            if conj is None:
-                raise NotRestricted("guard is not a per-position conjunction")
-            for g in conj:
-                if not (1 <= g.position <= arity) or g.position == formula.position:
-                    raise PositionOutOfRange(f"guard position {g.position}")
+            for g in _guard_conjuncts(formula.guard):
                 sub = _normalize(g.formula, sig)
                 by_pos[g.position] = (
                     And(by_pos[g.position], sub) if g.position in by_pos else sub
@@ -319,7 +328,7 @@ def _normalize(formula: Formula, sig: LogicSignature) -> Formula:
         return ExistsGeq(
             formula.count, formula.relation, formula.position, guards_from_map(by_pos)
         )
-    raise FormulaParseError(f"not a formula: {formula!r}")
+    return formula
 
 
 def compile_hgml_r(formula: Formula, sig: LogicSignature) -> CompiledNetwork:
@@ -339,6 +348,8 @@ def compile_hgml_r(formula: Formula, sig: LogicSignature) -> CompiledNetwork:
     if not is_hgml_r(formula):
         raise NotRestricted("formula is outside the restricted fragment")
     root = _normalize(formula, sig)
+    # Checked once normalized, so that is(b) is NotRestricted, not unknown.
+    _check(root, sig)
 
     subs: list[Formula] = []
     child_idx: list[list[int]] = []  # generic child occurrence indices
@@ -351,13 +362,11 @@ def compile_hgml_r(formula: Formula, sig: LogicSignature) -> CompiledNetwork:
             kids, rows = [walk(f.sub)], {}
         elif isinstance(f, And):
             kids, rows = [walk(f.left), walk(f.right)], {}
-        elif isinstance(f, ExistsGeq):
+        else:  # ExistsGeq: _normalize and _check leave no other kind
             rows = {
                 g.position: walk(g.formula) for g in _guard_conjuncts(f.guard) or []
             }
             kids = []
-        else:
-            raise NotRestricted(f"not compilable: {f!r}")
         subs.append(f)
         child_idx.append(kids)
         guard_rows.append(rows)
@@ -414,13 +423,10 @@ def run_compiled(
     V = graph.node_count
     rel_index = {name: idx for idx, (name, _) in enumerate(sig.relations)}
 
-    _check_node_colors(graph, sig)
-    h = np.zeros((V, L), dtype=np.int64)
-    for v in range(V):
-        c = graph.node_color[v]
-        for ell, f in enumerate(network.subformulas):
-            if isinstance(f, ColorAtom) and f.color == sig.colors[c]:
-                h[v, ell] = 1
+    _check_graph(graph, sig)
+    atoms = [sig.colors.index(f.color) if isinstance(f, ColorAtom) else -1
+             for f in network.subformulas]
+    h = (np.asarray(graph.node_color, dtype=np.int64)[:, None] == atoms).astype(np.int64)
 
     # Relations outside the signature have zero parameters: skipped.
     groups = [

@@ -6,7 +6,8 @@ query-conditioned variant, and the pairwise tests on knowledge graphs
 map tau is realized by interning canonical serialized keys — inner lists
 sorted by position, outer multisets sorted lexicographically — with fresh
 ids assigned in sorted-key order each round, so partitions are exact and
-deterministic across runs.
+deterministic across runs. The engines read the graph's edge list only:
+each round gathers every node's multiset over E(v) in one pass over it.
 """
 
 from __future__ import annotations
@@ -61,17 +62,12 @@ def equivalent(a: list[int], b: list[int]) -> bool:
 # ---------------------------------------------------------------------------
 
 def _hrwl1_keys(graph: RelationalHypergraph, colors: list[int]) -> list:
-    keys = []
-    for v in range(graph.node_count):
-        sig = []
-        for e, i in graph.incidence_index[v]:
-            ed = graph.edges[e]
-            inner = tuple(
-                (colors[w], j) for j, w in enumerate(ed.nodes, start=1) if j != i
-            )
-            sig.append((inner, ed.relation))
-        keys.append((colors[v], tuple(sorted(sig))))
-    return keys
+    sigs: list[list] = [[] for _ in range(graph.node_count)]
+    for ed in graph.edges:
+        pairs = [(colors[w], j) for j, w in enumerate(ed.nodes, start=1)]
+        for i, v in enumerate(ed.nodes):
+            sigs[v].append((tuple(pairs[:i] + pairs[i + 1 :]), ed.relation))
+    return [(colors[v], tuple(sorted(sig))) for v, sig in enumerate(sigs)]
 
 
 def hrwl1_step(graph: RelationalHypergraph, coloring: NodeColoring) -> NodeColoring:

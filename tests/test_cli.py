@@ -166,6 +166,25 @@ class TestLogic:
         out, err = capsys.readouterr()
         assert out == "" and err.strip() == "error: zz"
 
+    @pytest.mark.parametrize("formula, colors, message", [
+        ("exists>=1 r@1 [2: color(zz)]", "c0", "zz"),
+        ("(color(c1) and color(zz))", "c0,c1", "zz"),
+        ("(color(c1) and exists>=1 nosuch@1 [])", "c0,c1", "nosuch"),
+        ("(color(c1) and exists>=1 s@1 [1: color(c0)])", "c0,c1", "guard position 1"),
+    ], ids=["guard", "false-conjunct", "relation", "position"])
+    def test_eval_refuses_a_fault_at_every_node(self, formula, colors, message, tmp_path,
+                                                capsys):
+        # Each fault was reported only at the nodes whose evaluation reached
+        # it; elsewhere `logic eval` printed false and exited 0.
+        (tmp_path / "train.txt").write_text("r\ta\tb\nr\tb\tc\ns\ta\tb\tc\n",
+                                            encoding="utf-8")
+        for node in ("a", "b", "c"):
+            code = main(["logic", "eval", "--data", str(tmp_path), "--formula", formula,
+                         "--colors", colors, "--node", node])
+            assert code == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.strip() == f"error: {message}"
+
     def test_eval_unknown_relation_exits_1(self, tmp_path, capsys):
         data = _tiny_dataset(tmp_path)
         code = main([

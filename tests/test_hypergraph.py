@@ -94,12 +94,15 @@ class TestIncidence:
 
 class TestEdgeTables:
     def test_indexes_are_built_on_first_use_and_kept(self):
+        # The edge table is the graph's one index; E(v) is read off the edges.
         g = hypercycle(8, 3)
-        assert "incidence_index" not in {f.name for f in dataclasses.fields(g) if f.init}
-        assert g._incidence is None and g._relation_edges is None
-        assert incidence(g, 0) is incidence(g, 0)
+        assert [f.name for f in dataclasses.fields(g) if not f.init] == ["_relation_edges"]
+        assert g._relation_edges is None
+        assert incidence(g, 0) == [(e, i) for e, ed in enumerate(g.edges)
+                                   for i, w in enumerate(ed.nodes, start=1) if w == 0]
+        assert g._relation_edges is None
         assert g.relation_edges is g.relation_edges
-        assert g._incidence is not None and g._relation_edges is not None
+        assert g._relation_edges is not None
 
     def test_relation_edges_hold_ids_and_nodes_in_edge_order(self):
         rng = np.random.default_rng(5)

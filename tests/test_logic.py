@@ -12,19 +12,29 @@ from hcnet.errors import (
     EngineError,
     FormulaParseError,
     InvalidConstants,
+    NodeOutOfRange,
     NotRestricted,
     PositionOutOfRange,
     UnknownColor,
     UnknownConstant,
+    UnknownRelation,
 )
-from hcnet.hypergraph import HyperEdge, Relation, apply_permutation, build_graph
+from hcnet.hypergraph import (
+    HyperEdge,
+    Relation,
+    apply_permutation,
+    build_graph,
+    incidence,
+)
 from hcnet.logic import (
     And,
     ColorAtom,
     CompiledNetwork,
     ConstAtom,
     ExistsGeq,
+    GuardAnd,
     GuardAt,
+    GuardNot,
     GuardOr,
     LogicSignature,
     Not,
@@ -147,6 +157,153 @@ class TestEvaluator:
         pg = apply_permutation(g, perm)
         for v in range(g.node_count):
             assert eval_formula(g, sig, formula, v) == eval_formula(pg, sig, formula, perm[v])
+
+
+# r(a, b), r(b, c), s(a, b, c); every node has color c0.
+CHAIN = build_graph(
+    [Relation(0, "r", 2), Relation(1, "s", 3)],
+    [HyperEdge(0, (0, 1)), HyperEdge(0, (1, 2)), HyperEdge(1, (0, 1, 2))],
+    3,
+)
+CHAIN_SIG = LogicSignature(colors=["c0", "c1"], relations=[("r", 2), ("s", 3)])
+
+# Each fault sits where a check made during evaluation does not always reach it:
+# behind a false conjunct, or in a guard of a modality with no row at c.
+UNREACHED_FAULTS = [
+    ("exists>=1 r@1 [2: color(zz)]", UnknownColor, "zz"),
+    ("(color(c1) and color(zz))", UnknownColor, "zz"),
+    ("(color(c1) and exists>=1 nosuch@1 [])", UnknownRelation, "nosuch"),
+    ("(color(c1) and exists>=1 s@1 [1: color(c0)])", PositionOutOfRange, "guard position 1"),
+    ("(color(c1) and exists>=1 s@4 [])", PositionOutOfRange, "own position 4"),
+]
+
+
+class TestUpFrontChecks:
+    @pytest.mark.parametrize("text, error, message", UNREACHED_FAULTS,
+                             ids=[t for t, _, _ in UNREACHED_FAULTS])
+    def test_evaluator_and_compiler_refuse_a_fault_at_every_node(self, text, error, message):
+        formula = parse_formula(text)
+        for v in range(CHAIN.node_count):
+            with pytest.raises(error, match=message):
+                eval_formula(CHAIN, CHAIN_SIG, formula, v)
+        with pytest.raises(error, match=message):
+            compile_hgml_r(formula, CHAIN_SIG)
+
+    def test_unknown_constant_behind_a_false_conjunct(self):
+        for v in range(CHAIN.node_count):
+            with pytest.raises(UnknownConstant, match="zz"):
+                eval_formula(CHAIN, CHAIN_SIG, parse_formula("(color(c1) and is(zz))"), v)
+
+    def test_an_interpreted_constant_is_still_not_compilable(self):
+        sig = LogicSignature(colors=["c0"], relations=[("r", 2)], constants={"b": 1})
+        with pytest.raises(NotRestricted):
+            compile_hgml_r(ConstAtom("b"), sig)
+
+    @pytest.mark.parametrize("arity, text", [
+        (3, "exists>=1 r@1 [3: color(c0)]"),
+        (1, "exists>=1 r@1 []"),
+    ])
+    def test_a_relation_of_another_arity_in_the_graph(self, arity, text):
+        # r:3 indexed past the graph's rows (IndexError); with r:1 the
+        # evaluator said node 1 is false and the compiled network said 1.
+        g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 2)
+        sig = LogicSignature(colors=["c0"], relations=[("r", arity)])
+        formula = parse_formula(text)
+        message = f"relation 'r' has arity 2 in the graph and {arity} in the signature"
+        for v in range(g.node_count):
+            with pytest.raises(ArityMismatch, match=message):
+                eval_formula(g, sig, formula, v)
+        with pytest.raises(ArityMismatch, match=message):
+            run_compiled(compile_hgml_r(formula, sig), g)
+
+    @pytest.mark.parametrize("colors, node, color", [
+        ([0, 1, 5, -1], 2, 5),
+        ([0, -1, 5, 1], 1, -1),
+        ([2, 0, 0, 0], 0, 2),
+    ])
+    def test_the_color_check_names_the_first_node_at_fault(self, colors, node, color):
+        g = build_graph([Relation(0, "r", 2)], [HyperEdge(0, (0, 1))], 4, colors)
+        sig = LogicSignature(colors=["a", "b"], relations=[("r", 2)])
+        message = f"node {node} has color id {color}"
+        with pytest.raises(ColorOutOfSignature, match=message):
+            eval_formula(g, sig, ColorAtom("a"), 3)
+        with pytest.raises(ColorOutOfSignature, match=message):
+            run_compiled(compile_hgml_r(ColorAtom("a"), sig), g)
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_a_node_outside_the_graph(self, node):
+        # Node -1 read the last node's color.
+        with pytest.raises(NodeOutOfRange, match=f"node {node}"):
+            eval_formula(CHAIN, CHAIN_SIG, ColorAtom("c0"), node)
+
+
+def _random_formula(rng, sig, depth):
+    """Any formula of the logic: Boolean guards across positions, counts
+    from 0, and constants when the signature interprets any."""
+    x = rng.random()
+    if depth <= 0 or x < 0.25:
+        if sig.constants and rng.random() < 0.25:
+            return ConstAtom(sorted(sig.constants)[int(rng.integers(0, len(sig.constants)))])
+        return ColorAtom(sig.colors[int(rng.integers(0, len(sig.colors)))])
+    if x < 0.4:
+        return Not(_random_formula(rng, sig, depth - 1))
+    if x < 0.55:
+        return And(_random_formula(rng, sig, depth - 1), _random_formula(rng, sig, depth - 1))
+    name, arity = sig.relations[int(rng.integers(0, len(sig.relations)))]
+    own = int(rng.integers(1, arity + 1))
+    guard = None
+    for j in range(1, arity + 1):
+        if j != own and rng.random() < 0.7:
+            g = GuardAt(j, _random_formula(rng, sig, depth - 1))
+            if rng.random() < 0.3:
+                g = GuardNot(g)
+            if guard is not None:
+                g = GuardOr(guard, g) if rng.random() < 0.3 else GuardAnd(guard, g)
+            guard = g
+    return ExistsGeq(int(rng.integers(0, 4)), name, own, guard)
+
+
+def _walk_eval(g, sig, f, v):
+    """The semantics read off E(v): count v's (edge, position) pairs."""
+    if isinstance(f, ColorAtom):
+        return sig.colors[g.node_color[v]] == f.color
+    if isinstance(f, ConstAtom):
+        return sig.constants[f.const] == v
+    if isinstance(f, Not):
+        return not _walk_eval(g, sig, f.sub, v)
+    if isinstance(f, And):
+        return _walk_eval(g, sig, f.left, v) and _walk_eval(g, sig, f.right, v)
+    hits = 0
+    for e, i in incidence(g, v):
+        ed = g.edges[e]
+        if g.relations[ed.relation].name == f.relation and i == f.position:
+            hits += f.guard is None or _walk_guard(g, sig, f.guard, ed.nodes)
+    return hits >= f.count
+
+
+def _walk_guard(g, sig, guard, nodes):
+    if isinstance(guard, GuardAt):
+        return _walk_eval(g, sig, guard.formula, nodes[guard.position - 1])
+    if isinstance(guard, GuardNot):
+        return not _walk_guard(g, sig, guard.sub, nodes)
+    return _walk_guard(g, sig, guard.left, nodes) and _walk_guard(g, sig, guard.right, nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_evaluator_equals_the_incidence_walk(seed):
+    rng = np.random.default_rng(seed)
+    g = random_hypergraph(rng, max_nodes=8, max_relations=3, num_colors=2)
+    g = build_graph(g.relations, g.edges + g.edges[:2], g.node_count, g.node_color)
+    sig = LogicSignature(
+        colors=["c0", "c1"],
+        relations=[(r.name, r.arity) for r in g.relations] + [("absent", 2)],
+        constants={"b": int(rng.integers(0, g.node_count))},
+    )
+    for _ in range(3):
+        formula = _random_formula(rng, sig, 3)
+        for v in range(g.node_count):
+            assert eval_formula(g, sig, formula, v) == _walk_eval(g, sig, formula, v)
 
 
 class TestRestrictedFragment:

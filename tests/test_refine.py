@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from hcnet import refine
 from hcnet.errors import DomainMismatch, NotAKnowledgeGraph, QueryArityMismatch
 from hcnet.hypergraph import (
     HyperEdge,
@@ -227,3 +228,48 @@ def test_stability_within_node_count_rounds():
         g = random_hypergraph(rng, max_nodes=12)
         runs = hrwl1_run(g, uniform_coloring(g), g.node_count + 1)
         assert equivalent(runs[-1].colors, runs[-2].colors)
+
+
+def _incidence_list_keys(graph, colors):
+    """The key builder as it read E(v) from per-node incidence lists."""
+    inc = [[] for _ in range(graph.node_count)]
+    for e, ed in enumerate(graph.edges):
+        for pos, v in enumerate(ed.nodes, start=1):
+            inc[v].append((e, pos))
+    keys = []
+    for v in range(graph.node_count):
+        sig = []
+        for e, i in inc[v]:
+            ed = graph.edges[e]
+            inner = tuple((colors[w], j) for j, w in enumerate(ed.nodes, start=1) if j != i)
+            sig.append((inner, ed.relation))
+        keys.append((colors[v], tuple(sorted(sig))))
+    return keys
+
+
+def test_colorings_equal_the_incidence_list_engines(monkeypatch):
+    # The one-pass key builder over the edge list gives the colorings of the
+    # per-node incidence walk, bit for bit, on hypergraphs with repeated
+    # facts and on knowledge graphs with self-loops.
+    rng = np.random.default_rng(29)
+    cases = []
+    for t in range(40):
+        g = random_hypergraph(rng, max_nodes=12, max_arity=4, num_colors=1 + t % 3)
+        g = build_graph(g.relations, g.edges + g.edges[: t % 3], g.node_count, g.node_color)
+        kg = random_knowledge_graph(rng, max_nodes=8)
+        loops = [HyperEdge(0, (v, v)) for v in range(t % 2)]
+        kg = build_graph(kg.relations, kg.edges + loops, kg.node_count)
+        cases.append((g, random_query(rng, g), kg))
+
+    def runs():
+        out = []
+        for g, q, kg in cases:
+            out.append([c.colors for c in hrwl1_run(g, uniform_coloring(g), 3)])
+            out.append([c.colors for c in hrwl1_run(g, uniform_coloring(g))])
+            out.append([c.colors for c in conditional_run(g, q, 3)])
+            out.append([c.colors for c in hcwl2_run(kg, default_pair_init(kg), 3)])
+        return out
+
+    got = runs()
+    monkeypatch.setattr(refine, "_hrwl1_keys", _incidence_list_keys)
+    assert got == runs()
