@@ -19,6 +19,7 @@ from hcnet.logic import (
     run_compiled,
 )
 
+COLORS = ["Thing", "Person"]  # color ids 0 and 1
 FORMULA = (
     "(color(Person) and "
     "exists>=1 StudyDegree@1 [2: not exists>=2 Awarded@3 []])"
@@ -34,14 +35,13 @@ def build_example():
     ]
     g = build_graph(relations, edges, 5, colors=[1, 0, 0, 0, 0])
     g.node_names = ["Hawking", "Oxford", "Physics", "BA", "Nobel"]
-    g.color_names = ["Thing", "Person"]
     return g
 
 
 def main():
     g = build_example()
     sig = LogicSignature(
-        colors=g.color_names,
+        colors=COLORS,
         relations=[(r.name, r.arity) for r in g.relations],
     )
     phi = parse_formula(FORMULA)

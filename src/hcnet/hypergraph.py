@@ -8,12 +8,16 @@ semantics): the incidence structure E(v) aggregates multisets. A graph
 holds only its facts, fixed once built; its one index, each relation's
 edge table (`relation_edges`), is built on first use and kept on the graph.
 `matching_rows` asks a node table which of its facts agree with a given
-one on a set of positions.
+one on a set of positions. `build_graph` is the one place that decides
+what a graph is: relation i of its list has id i, a name no other relation
+has and an arity of at least 1, and every edge fits its relation and the
+node count. Every reader relies on this and checks none of it again.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +75,6 @@ class RelationalHypergraph:
     edges: list[HyperEdge]
     node_color: list[int]
     node_names: list[str] | None = None
-    color_names: list[str] | None = field(default=None)
     # The index, built on first read into a plain field: a cached_property
     # writes into __dict__, after which every attribute read on the graph
     # took 1.8x as long (CPython 3.11).
@@ -114,14 +117,26 @@ def build_graph(
     node_count: int,
     colors: list[int] | None = None,
 ) -> RelationalHypergraph:
-    """Check the facts and store them as a graph (its edge table is built when read)."""
-    by_id = {r.id: r for r in relations}
-    if sorted(by_id) != list(range(len(relations))):
-        raise ArityMismatch("relation ids must be contiguous 0..|R|-1")
+    """Check the facts and store them as a graph (its edge table is built when read).
+
+    ArityMismatch unless relation i of the list has id i, a name no other
+    relation has, and an arity of at least 1, and unless each edge names a
+    listed relation and has its arity; NodeOutOfRange unless every node and
+    the color list fit `node_count`."""
+    names: set[str] = set()
+    for i, r in enumerate(relations):
+        if r.id != i:
+            raise ArityMismatch(f"relation {r.name!r} has id {r.id} at index {i}: "
+                                "relation ids must be 0..|R|-1 in list order")
+        if r.name in names:
+            raise ArityMismatch(f"relation {r.name!r} is listed twice")
+        if r.arity < 1:
+            raise ArityMismatch(f"relation {r.name!r} has arity {r.arity}; it must be at least 1")
+        names.add(r.name)
     for e, ed in enumerate(edges):
-        rel = by_id.get(ed.relation)
-        if rel is None:
+        if not 0 <= ed.relation < len(relations):
             raise ArityMismatch(f"edge {e}: unknown relation id {ed.relation}")
+        rel = relations[ed.relation]
         if len(ed.nodes) != rel.arity:
             raise ArityMismatch(
                 f"edge {e}: {len(ed.nodes)} nodes under {rel.arity}-ary relation {rel.name}"
@@ -159,63 +174,55 @@ def apply_permutation(graph: RelationalHypergraph, perm: list[int]) -> Relationa
     colors = [0] * graph.node_count
     for v in range(graph.node_count):
         colors[perm[v]] = graph.node_color[v]
-    g = build_graph(graph.relations, edges, graph.node_count, colors)
-    g.color_names = graph.color_names
-    return g
+    return build_graph(graph.relations, edges, graph.node_count, colors)
 
 
 # ---------------------------------------------------------------------------
 # Text format I/O.
 #
 # Each split file holds lines `relation_name<TAB>node_name(<TAB>node_name)*`,
-# UTF-8, LF; `#`-prefixed lines are comments. Optional entities.dict /
-# relations.dict (`id<TAB>name`) pin id assignment; otherwise ids follow
-# first-appearance order over train -> valid -> test.
+# UTF-8, LF; `#`-prefixed lines are comments; names are non-empty. Optional
+# entities.dict / relations.dict (`id<TAB>name`) pin id assignment; otherwise
+# ids follow first-appearance order over train -> valid -> test.
 # ---------------------------------------------------------------------------
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 
-def _parse_fact_file(path: str) -> list[tuple[str, tuple[str, ...]]]:
-    facts = []
+def _records(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, TAB-separated fields) of each line that is neither
+    blank nor a `#` comment."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ParseError(f"{path}:{lineno}: expected relation and at least one node")
-            facts.append((parts[0], tuple(parts[1:])))
-    return facts
+            if line and not line.startswith("#"):
+                yield lineno, line.split("\t")
 
 
 def _read_dict(path: str) -> dict[str, int]:
-    """Name -> id from `id<TAB>name` lines; ParseError unless each name is
-    listed once and the ids are exactly 0..n-1, before anything is sized."""
+    """Name -> id from `id<TAB>name` lines, in id order; ParseError unless
+    each name is non-empty and listed once and the ids are exactly 0..n-1,
+    before anything is sized."""
     mapping: dict[str, int] = {}
     taken: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected `id<TAB>name`")
-            if not parts[0].isdecimal():
-                raise ParseError(f"{path}:{lineno}: id {parts[0]!r} is not a non-negative integer")
-            ident = int(parts[0])
-            if ident in taken:
-                raise ParseError(f"{path}:{lineno}: id {ident} is already taken")
-            if parts[1] in mapping:
-                raise ParseError(f"{path}:{lineno}: name {parts[1]!r} is already listed")
-            taken.add(ident)
-            mapping[parts[1]] = ident
+    for lineno, parts in _records(path):
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected `id<TAB>name`")
+        if not parts[0].isdecimal():
+            raise ParseError(f"{path}:{lineno}: id {parts[0]!r} is not a non-negative integer")
+        ident = int(parts[0])
+        if ident in taken:
+            raise ParseError(f"{path}:{lineno}: id {ident} is already taken")
+        if not parts[1]:
+            raise ParseError(f"{path}:{lineno}: empty name")
+        if parts[1] in mapping:
+            raise ParseError(f"{path}:{lineno}: name {parts[1]!r} is already listed")
+        taken.add(ident)
+        mapping[parts[1]] = ident
     if taken and max(taken) >= len(taken):
         missing = min(set(range(len(taken))) - taken)
         raise ParseError(f"{path}: ids must be 0..{len(taken) - 1}, but {missing} is missing")
-    return mapping
+    return dict(sorted(mapping.items(), key=lambda kv: kv[1]))
 
 
 def load_dataset(
@@ -224,18 +231,9 @@ def load_dataset(
     """Load train/valid/test splits; the graph is built from train facts.
 
     The node and relation vocabularies are the unions over all splits, so
-    query-only relations and unseen-split entities still receive ids.
+    query-only relations and unseen-split entities still receive ids. The
+    facts are read in one pass, which reports the first fault in file order.
     """
-    split_facts = []
-    for name in SPLIT_FILES:
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            split_facts.append(_parse_fact_file(path))
-        elif name == "train.txt":
-            raise ParseError(f"missing {path}")
-        else:
-            split_facts.append([])
-
     ent_path = os.path.join(directory, "entities.dict")
     rel_path = os.path.join(directory, "relations.dict")
     ent_ids = _read_dict(ent_path) if os.path.exists(ent_path) else {}
@@ -243,47 +241,38 @@ def load_dataset(
     pinned_entities, pinned_relations = bool(ent_ids), bool(rel_ids)
 
     rel_arity: dict[str, int] = {}
-    for facts in split_facts:
-        for rel_name, node_names in facts:
-            k = len(node_names)
-            if rel_name in rel_arity and rel_arity[rel_name] != k:
-                raise InconsistentArity(
-                    f"relation {rel_name}: arity {rel_arity[rel_name]} vs {k}"
-                )
-            rel_arity[rel_name] = k
-            if not pinned_relations and rel_name not in rel_ids:
+    splits: list[list[HyperEdge]] = []
+    for name in SPLIT_FILES:
+        path = os.path.join(directory, name)
+        edges: list[HyperEdge] = []
+        splits.append(edges)
+        if not os.path.exists(path):
+            if name == "train.txt":
+                raise ParseError(f"missing {path}")
+            continue
+        for lineno, (rel_name, *names) in _records(path):
+            if not names:
+                raise ParseError(f"{path}:{lineno}: expected relation and at least one node")
+            if not rel_name or "" in names:
+                what = "entity" if rel_name else "relation"
+                raise ParseError(f"{path}:{lineno}: empty {what} name")
+            k = rel_arity.setdefault(rel_name, len(names))
+            if k != len(names):
+                raise InconsistentArity(f"relation {rel_name}: arity {k} vs {len(names)}")
+            if rel_name not in rel_ids:
+                if pinned_relations:
+                    raise ParseError(f"relation {rel_name} missing from relations.dict")
                 rel_ids[rel_name] = len(rel_ids)
-            for nm in node_names:
-                if not pinned_entities and nm not in ent_ids:
-                    ent_ids[nm] = len(ent_ids)
-
-    for rel_name in rel_arity:
-        if rel_name not in rel_ids:
-            raise ParseError(f"relation {rel_name} missing from relations.dict")
-    for facts in split_facts:
-        for _, node_names in facts:
-            for nm in node_names:
-                if nm not in ent_ids:
+            for nm in names:
+                if pinned_entities and nm not in ent_ids:
                     raise ParseError(f"entity {nm} missing from entities.dict")
+            nodes = tuple([ent_ids.setdefault(nm, len(ent_ids)) for nm in names])
+            edges.append(HyperEdge(rel_ids[rel_name], nodes))
 
-    relations = [
-        Relation(rid, name, rel_arity.get(name, 2))
-        for name, rid in sorted(rel_ids.items(), key=lambda kv: kv[1])
-    ]
-    node_count = max(ent_ids.values()) + 1 if ent_ids else 0
-    node_names = [""] * node_count
-    for nm, nid in ent_ids.items():
-        node_names[nid] = nm
-
-    def to_edges(facts: list[tuple[str, tuple[str, ...]]]) -> list[HyperEdge]:
-        return [
-            HyperEdge(rel_ids[rn], tuple(ent_ids[nm] for nm in nn)) for rn, nn in facts
-        ]
-
-    train, valid, test = (to_edges(f) for f in split_facts)
-    graph = build_graph(relations, train, node_count)
-    graph.node_names = node_names
-    return graph, train, valid, test
+    relations = [Relation(i, name, rel_arity.get(name, 2)) for i, name in enumerate(rel_ids)]
+    graph = build_graph(relations, splits[0], len(ent_ids))
+    graph.node_names = list(ent_ids)
+    return graph, *splits
 
 
 def save_dataset(

@@ -202,11 +202,8 @@ def _eval(graph: RelationalHypergraph, sig: LogicSignature, formula: Formula, no
     if isinstance(formula, And):
         return _eval(graph, sig, formula.left, node) and _eval(graph, sig, formula.right, node)
     # ExistsGeq: count the relation's rows with the node at the position and the guard met.
-    table = None
-    for r in graph.relations:
-        if r.name == formula.relation:
-            table = graph.relation_edges.get(r.id)
-            break
+    rid = next((r.id for r in graph.relations if r.name == formula.relation), None)
+    table = graph.relation_edges.get(rid)
     need, i, guard = formula.count, formula.position - 1, formula.guard
     for row in table[1].tolist() if table is not None else ():
         if need <= 0:

@@ -38,9 +38,7 @@ def random_hypergraph(
         rel = relations[int(rng.integers(0, num_rel))]
         edges.append(HyperEdge(rel.id, tuple(int(x) for x in rng.integers(0, n, rel.arity))))
     colors = [int(c) for c in rng.integers(0, num_colors, n)]
-    g = build_graph(relations, edges, n, colors)
-    g.color_names = [f"c{c}" for c in range(num_colors)]
-    return g
+    return build_graph(relations, edges, n, colors)
 
 
 def random_knowledge_graph(

@@ -91,16 +91,13 @@ def write_hypercycle_dataset(
             g = hypercycle(n, k)
             pos, neg = opposite_queries(n)
             pos_edges = [HyperEdge(0, p) for p in pos]
-            neg_edges = [HyperEdge(0, p) for p in neg]
             directory = os.path.join(out_dir, split, f"hypercycle_n{n}_k{k}")
             if split == "train":
                 splits = {"train": g.edges + pos_edges}
             else:
                 splits = {"train": list(g.edges), "test": pos_edges}
+            splits["negatives"] = [HyperEdge(0, p) for p in neg]
             save_dataset(directory, g, splits)
-            with open(os.path.join(directory, "negatives.txt"), "w", encoding="utf-8") as fh:
-                for ed in neg_edges:
-                    fh.write("\t".join(["r0", *(f"x{v}" for v in ed.nodes)]) + "\n")
 
 
 # --- experiment harness ----------------------------------------------------

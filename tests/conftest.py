@@ -20,5 +20,4 @@ def degree_graph():
     colors = [1, 0, 0, 0, 0]
     g = build_graph(relations, edges, 5, colors)
     g.node_names = ["Hawking", "Oxford", "Physics", "BA", "Nobel"]
-    g.color_names = ["Thing", "Person"]
     return g

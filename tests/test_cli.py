@@ -509,6 +509,24 @@ class TestTrainEvaluate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, fault", [
+        ("r\tb\t", "empty entity name"), ("\tb\tc", "empty relation name"),
+    ], ids=["entity", "relation"])
+    @pytest.mark.parametrize("command", ["train", "logic-eval"])
+    def test_an_empty_name_exits_1(self, tmp_path, capsys, command, line, fault):
+        # A trailing TAB read as an entity named '', a leading one as a relation named ''.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.txt").write_text(f"r\ta\tb\n{line}\n", encoding="utf-8")
+        argv = {
+            "train": ["train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")],
+            "logic-eval": ["logic", "eval", "--data", str(data),
+                           "--formula", "exists>=1 r@1 []", "--node", "a"],
+        }[command]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {data / 'train.txt'}:2: {fault}\n"
+
 
 class TestGradcheck:
     def test_passes(self, capsys):

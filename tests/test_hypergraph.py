@@ -55,6 +55,27 @@ class TestBuildGraph:
         with pytest.raises(ArityMismatch):
             build_graph([Relation(1, "r", 2)], [], 3)
 
+    @pytest.mark.parametrize("relations, edges, message", [
+        # The logic evaluator read [False, False, False] for `exists>=2 r@1 []`,
+        # the compiled network [1, 0, 0].
+        ([Relation(0, "r", 2), Relation(1, "r", 2)], [HyperEdge(0, (0, 1)), HyperEdge(1, (0, 2))],
+         "relation 'r' is listed twice"),
+        # Readers index relations[id]: a valid query about r was checked against s.
+        ([Relation(1, "s", 3), Relation(0, "r", 2)], [HyperEdge(0, (0, 1))],
+         "relation 's' has id 1 at index 0"),
+        # The model's forward raised a raw IndexError.
+        ([Relation(0, "r", 2), Relation(1, "z", 0)], [HyperEdge(0, (0, 1)), HyperEdge(1, ())],
+         "relation 'z' has arity 0; it must be at least 1"),
+    ], ids=["repeated-name", "out-of-id-order", "arity-0"])
+    def test_relation_list_faults(self, relations, edges, message):
+        with pytest.raises(ArityMismatch, match=message):
+            build_graph(relations, edges, 3)
+
+    @pytest.mark.parametrize("rid", [-1, 1])
+    def test_edge_of_an_unknown_relation(self, rid):
+        with pytest.raises(ArityMismatch, match=f"edge 0: unknown relation id {rid}"):
+            build_graph([Relation(0, "r", 2)], [HyperEdge(rid, (0, 1))], 3)
+
 
 class TestIncidence:
     def test_oxford(self, degree_graph):
@@ -276,6 +297,16 @@ class TestDatasetIO:
         assert g.node_names == ["b", "a"]
         assert g.edges[0].nodes == (1, 0)
 
+    def test_pinned_dictionaries_out_of_id_order(self, tmp_path):
+        # Names and relations are listed in id order, whatever the file order.
+        self._write(tmp_path, "train.txt", ["s\ta\tb\tc", "r\tc\ta"])
+        self._write(tmp_path, "entities.dict", ["2\ta", "0\tc", "1\tb"])
+        self._write(tmp_path, "relations.dict", ["1\ts", "2\tq", "0\tr"])
+        g, train, *_ = load_dataset(str(tmp_path))
+        assert g.node_names == ["c", "b", "a"]
+        assert g.relations == [Relation(0, "r", 2), Relation(1, "s", 3), Relation(2, "q", 2)]
+        assert train == [HyperEdge(1, (2, 1, 0)), HyperEdge(0, (0, 2))]
+
     def test_unpinned_entity_missing_from_dict(self, tmp_path):
         self._write(tmp_path, "train.txt", ["r\ta\tb"])
         self._write(tmp_path, "entities.dict", ["0\ta"])
@@ -288,6 +319,41 @@ class TestDatasetIO:
         self._write(tmp_path, "train.txt", ["r\ta\tb"])
         self._write(tmp_path, name, ["# ids", f"{bad_id}\ta"])
         with pytest.raises(ParseError, match=f"{name}:2: id "):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name, lines, fault", [
+        ("train.txt", ["r\ta\tb", "r\tb\t"], "train.txt:2: empty entity name"),
+        ("train.txt", ["r\ta\tb", "r\t\tb"], "train.txt:2: empty entity name"),
+        ("train.txt", ["r\ta\tb", "\ta\tb"], "train.txt:2: empty relation name"),
+        ("entities.dict", ["0\ta", "1\tb", "2\t"], "entities.dict:3: empty name"),
+        ("relations.dict", ["0\tr", "1\t"], "relations.dict:2: empty name"),
+    ], ids=["trailing-tab", "inner-tab", "leading-tab", "entities.dict", "relations.dict"])
+    def test_empty_name(self, tmp_path, name, lines, fault):
+        # A trailing TAB read as an entity named '', a leading one as a relation named ''.
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, name, lines)
+        with pytest.raises(ParseError, match=fault):
+            load_dataset(str(tmp_path))
+
+    def test_relation_missing_from_dict(self, tmp_path):
+        self._write(tmp_path, "train.txt", ["r\ta\tb"])
+        self._write(tmp_path, "test.txt", ["r\tb\ta", "s\ta\tb"])
+        self._write(tmp_path, "relations.dict", ["0\tr"])
+        with pytest.raises(ParseError, match="relation s missing from relations.dict"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("train, test, error, message", [
+        (["r\ta\tb", "r\ta\tzz"], ["r\ta\tb\ta"], ParseError, "entity zz missing"),
+        (["r\ta\tb", "s\ta\tb"], ["r\ta"], ParseError, "relation s missing"),
+        (["r\ta\tb", "r\ta"], ["lonely"], InconsistentArity, "relation r: arity 2 vs 1"),
+    ], ids=["entity-before-arity", "relation-before-arity", "arity-before-short-line"])
+    def test_first_fault_in_file_order(self, tmp_path, train, test, error, message):
+        # Each split holds a fault; the one in train.txt is reported.
+        self._write(tmp_path, "train.txt", train)
+        self._write(tmp_path, "test.txt", test)
+        self._write(tmp_path, "entities.dict", ["0\ta", "1\tb"])
+        self._write(tmp_path, "relations.dict", ["0\tr"])
+        with pytest.raises(error, match=message):
             load_dataset(str(tmp_path))
 
     def test_dict_id_repeated(self, tmp_path):
