@@ -25,7 +25,7 @@ as (k, E, Q, d): alpha's gradient and a shared gate's. Each keeps one
 full buffer per relation with that layout; a C-ordered buffer sums them
 in another order.
 
-A pass of two or more blocks runs on two threads (`_run_blocks`) when the
+A pass of two or more blocks runs on two threads (`run_blocks`) when the
 process may run on two or more CPUs: the calling thread takes the even
 blocks and a thread started for the pass the odd ones, and the pass
 joins that thread before it returns, so no thread outlives a pass. No
@@ -33,19 +33,29 @@ query reads another's rows, so each block writes only its own rows; the
 one sum that runs across blocks, the VJP's Q-sum behind one_minus's and
 pe's gradients, adds each block's rows in block order (`_Pass.in_turn`),
 so the bits are the serial pass's. A pass of one block, or on one CPU,
-runs on the calling thread alone. NumPy drops the GIL in its ufunc and
-`take` loops but not in `np.bincount`, so the scatters do not overlap.
+runs on the calling thread alone, with no thread, lock or state of its
+own. NumPy drops the GIL in its ufunc, `take` and BLAS loops but not in
+`np.bincount`, so the scatters do not overlap.
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the decoders' MLP are one tape op each. They run
 the NumPy calls of the per-op chains they replaced in order, so every
 bit is the chains', and keep only what their VJPs read (the tail xhat,
 inv and boolean masks, the decoder its hidden layer and mask),
-rebuilding a concat for a weight's gradient. The decoder's caller
-builds its input rows and spreads their gradient, so the unary and the
-k-ary decoder are one op. A fused op computes all of its parents'
-gradients on the first VJP call and hands them out one per parent
-(`_shared_vjp`).
+rebuilding their input rows for a weight's gradient. The decoder's
+caller builds its input rows for a range of queries and spreads their
+gradient, so the unary and the k-ary decoder are one op. Both ops walk
+the query axis on `run_blocks` too, in blocks of as many queries as
+`BLOCK_BYTES` holds of their input rows, each block building only its
+own. They cut nothing but the query axis of a stacked product (Q, V, n)
+@ (n, m), which NumPy runs as one matrix product per query, so a block's
+rows are the whole product's bits; cut by rows, a 2-D product (M, n) @
+(n, m) may change its bits, so the k-ary decoder's 2-D input is one
+block, and `evalrank` runs hrnet's per-query decodes on the two threads
+instead. Sums over all queries (the weights', biases', gamma's and
+beta's gradients) run once over the whole arrays after the blocks. A
+fused op computes all of its parents' gradients on the first VJP call
+and hands them out one per parent (`_shared_vjp`).
 
 The tape holds only what is still needed. backward() frees as it walks:
 once a var has passed its gradient on, it drops that gradient and its
@@ -486,6 +496,14 @@ def index_add(tape: Tape, base: Var, idx: Array, vals: Var) -> Var:
 # (4 MB L2 per core), a forward plus backward at Q=16, V=1000, 4000 edges
 # of arities 2/2/3/3 and d=32 took 69 + 143 ms unblocked and 35 + 107 ms
 # in 2 MB blocks; budgets from 256 KB to 4 MB were within 5% of that.
+# `layer_tail` and `mlp_decoder` cut a stacked input's query axis the same
+# way, at their input rows ([h || msgs] or [h || z_q], V*2d float64 a
+# query): 4-query blocks on the `train` benchmark's graph (V=1000, d=32),
+# 2-query blocks on `rank`'s (V=2000), one block on a hypercycle or
+# theorem-suite graph. In one process on that host, budgets for those two
+# ops alone from 512 KB to 4 MB took a `train` step 0.333-0.346 s and a
+# `rank` operation 0.564-0.605 s (medians of 20 and 12), against 0.368 s
+# and 0.666 s in one block.
 BLOCK_BYTES = 1 << 21
 
 
@@ -498,12 +516,13 @@ def _blocks(count: int, floats: int) -> list[tuple[int, int]]:
 
 class _Pass:
     """What the two threads of a pass share: its first error, which stops
-    both, and whose turn it is at a step that runs in block order."""
+    both, and whose turn it is at a step that runs in block order. A pass
+    on the calling thread alone shares nothing (`_SERIAL`)."""
 
-    def __init__(self) -> None:
+    def __init__(self, threaded: bool = True) -> None:
         self.error: BaseException | None = None
         self.turn = 0
-        self.changed = threading.Condition()
+        self.changed = threading.Condition() if threaded else None
 
     def fail(self, error: BaseException) -> None:
         with self.changed:
@@ -515,7 +534,11 @@ class _Pass:
     def in_turn(self, j: int):
         """Run the body once block j-1 has run its own (so block 0's first),
         then let block j+1 run its. Raises instead once a block has
-        failed."""
+        failed. On the calling thread alone, blocks run in order, so every
+        block is in turn."""
+        if self.changed is None:
+            yield
+            return
         with self.changed:
             self.changed.wait_for(lambda: self.turn == j or self.error is not None)
             if self.error is not None:
@@ -526,19 +549,22 @@ class _Pass:
             self.changed.notify_all()
 
 
-def _run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
+_SERIAL = _Pass(threaded=False)
+
+
+def run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
     """run(j, pass) for each block j < count. With two or more blocks, when
     the process may run on two or more CPUs, the calling thread runs the
     even blocks and a thread started for this pass the odd ones, each in
     increasing order, and the pass returns once that thread has ended;
-    otherwise the calling thread runs them all in order. The first error
-    stops both threads at their next block or turn and is raised once both
-    are done."""
-    state = _Pass()
+    otherwise the calling thread runs them all in order, with no thread,
+    lock or state of its own. The first error stops both threads at their
+    next block or turn and is raised once both are done."""
     if count < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         for j in range(count):
-            run(j, state)
+            run(j, _SERIAL)
         return
+    state = _Pass()
 
     def share(first: int) -> None:
         try:
@@ -643,7 +669,7 @@ def _relation_grads(
     index_add) summed it, so the gradients are bitwise equal to theirs.
     The Q-sum that starts one_minus's and pe's terms runs on from block to
     block, in block order also when the blocks run on two threads
-    (`_run_blocks`); every other term, h's too, fills its own rows. alpha's term and
+    (`run_blocks`); every other term, h's too, fills its own rows. alpha's term and
     a shared gate's sum over all queries at once, in the memory order of
     those ops' gather h[..., nodes.T, :], which is (k, E, Q, d): each is
     written into one buffer per relation laid out so, and summed after the
@@ -696,7 +722,7 @@ def _relation_grads(
             gf *= a
             bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
 
-    _run_blocks(run, len(blocks))
+    run_blocks(run, len(blocks))
     out = [_unbroadcast(ggate, gv.shape)]
     if k == 1:
         return out
@@ -721,7 +747,7 @@ def relation_messages(
     one index_add per relation.
 
     The query axis is walked in blocks (`BLOCK_BYTES`), on two threads
-    when there are two or more (`_run_blocks`): a block's messages are
+    when there are two or more (`run_blocks`): a block's messages are
     written into one buffer and summed straight into its rows of the
     output. One tape op for all relations, and it keeps no per-incidence
     array: its VJP recomputes each relation's factors and products from
@@ -743,7 +769,7 @@ def relation_messages(
         )
         plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
 
-    _run_blocks(run, len(blocks))
+    run_blocks(run, len(blocks))
     if not tape.record:
         return tape.var(out)
 
@@ -789,22 +815,30 @@ def broadcast_middle(tape: Tape, x: Var, size: int) -> Var:
     )
 
 
-def _normalize(x: Array, eps: float = 1e-5) -> tuple[Array, Array]:
-    """x normalized over its last axis, and the inverse deviation inv."""
+def _normalize(x: Array, eps: float = 1e-5, out: tuple[Array, Array] | None = None):
+    """x normalized over its last axis, and the inverse deviation inv,
+    written into out = (xhat, inv) when given. The variance sums the
+    squares of the centred rows, as np.var does, so its bits are np.var's
+    without its second pass for the mean and the centred rows."""
+    xhat, inv = (None, None) if out is None else out
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (x - mu) * inv, inv
+    xhat = np.subtract(x, mu, out=xhat)
+    var = np.square(xhat).sum(axis=-1, keepdims=True)
+    var /= x.shape[-1]
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
+    xhat *= inv
+    return xhat, inv
 
 
-def _layer_norm_grads(g: Array, gamma: Array, beta: Array, xhat: Array, inv: Array) -> list:
-    """Gradients of gamma * xhat + beta (xhat, inv from `_normalize`) to
-    its input, gamma and beta, given g."""
+def _normalize_vjp(g: Array, gamma: Array, xhat: Array, inv: Array, out: Array | None = None):
+    """Gradient of gamma * xhat (xhat, inv from `_normalize`) to the
+    normalized input, given g; written into out when given."""
     dxhat = g * gamma
-    gx = dxhat - dxhat.mean(axis=-1, keepdims=True)
+    gx = np.subtract(dxhat, dxhat.mean(axis=-1, keepdims=True), out=out)
     gx -= xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     gx *= inv
-    return [gx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)]
+    return gx
 
 
 def layer_norm(tape: Tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -813,7 +847,9 @@ def layer_norm(tape: Tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> 
     tracer still patches it by name."""
     xhat, inv = _normalize(x.value, eps)
     return tape.var(gamma.value * xhat + beta.value, _shared_vjp(
-        [x, gamma, beta], lambda g: _layer_norm_grads(g, gamma.value, beta.value, xhat, inv)))
+        [x, gamma, beta], lambda g: [_normalize_vjp(g, gamma.value, xhat, inv),
+                                     _unbroadcast(g * xhat, gamma.value.shape),
+                                     _unbroadcast(g, beta.value.shape)]))
 
 
 def layer_tail(
@@ -821,72 +857,124 @@ def layer_tail(
     rate: float = 0.0, rng: np.random.Generator | None = None,
 ) -> Var:
     """A message layer's tail, relu(drop(layer_norm(W [h || msgs] + b))) + h,
-    as one tape op: the same NumPy calls in the order of the chain
-    concat_last, matmul_last, add, layer_norm, mul by dropout's keep, relu
-    and add, so every value and gradient is bitwise theirs. With rate > 0,
-    keep = (rng.random(shape) >= rate) / (1 - rate), drawn here.
+    on (Q, V, d) inputs, as one tape op: the same NumPy calls in the order
+    of the chain concat_last, matmul_last, add, layer_norm, mul by
+    dropout's keep, relu and add, so every value and gradient is bitwise
+    theirs. With rate > 0, keep = (rng.random(shape) >= rate) / (1 - rate),
+    drawn whole before any block, so the rng's stream is the chain's.
 
-    It keeps xhat, inv and the ReLU and dropout masks, as booleans. The
-    VJP rebuilds [h || msgs] for W's gradient from the two inputs, which
-    stay alive anyway, and hands h its skip term and its concat slice as
-    one sum, in the order backward added them."""
-    d = h.value.shape[-1]
+    Both directions walk the query axis in blocks of as many queries as
+    `BLOCK_BYTES` of [h || msgs] rows hold, on two threads when there
+    are two or more (`run_blocks`). A forward block builds only its own
+    rows of [h || msgs] and writes its rows of the output and of what the
+    op keeps: xhat, inv and the ReLU mask, as booleans. A VJP block writes
+    its rows of the norm's output and input gradients, and of
+    gy @ W, whose h slice takes the skip term (one sum, in the order
+    backward added them). The sums over all queries, the gradients of W,
+    b, gamma and beta, run once over the whole arrays after the blocks; W's
+    reads [h || msgs] rebuilt from the two inputs, which stay alive
+    anyway."""
+    hv, mv, Wv = h.value, msgs.value, W.value
+    shape = hv.shape
+    d = shape[-1]
+    blocks = _blocks(shape[0], shape[1] * Wv.shape[1])
 
-    def concat() -> Array:
-        return np.concatenate([h.value, msgs.value], axis=-1)
+    def concat(lo: int, hi: int) -> Array:
+        return np.concatenate([hv[lo:hi], mv[lo:hi]], axis=-1)
 
-    z = concat() @ W.value.T
-    z += b.value
-    xhat, inv = _normalize(z)
-    z = gamma.value * xhat
-    z += beta.value
-    kept = None
-    if rate > 0.0:
-        kept = rng.random(z.shape) >= rate
-        z *= kept / (1.0 - rate)
-    pos = z > 0
-    z *= pos
-    z += h.value
+    kept = rng.random(shape) >= rate if rate > 0.0 else None
+    z, xhat, pos = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    inv = np.empty(shape[:-1] + (1,))
+
+    def forward(j: int, _: _Pass) -> None:
+        lo, hi = blocks[j]
+        zb = np.matmul(concat(lo, hi), Wv.T, out=z[lo:hi])
+        zb += b.value
+        xb, _ = _normalize(zb, out=(xhat[lo:hi], inv[lo:hi]))
+        np.multiply(gamma.value, xb, out=zb)
+        zb += beta.value
+        if kept is not None:
+            zb *= kept[lo:hi] / (1.0 - rate)
+        zb *= np.greater(zb, 0, out=pos[lo:hi])
+        zb += hv[lo:hi]
+
+    run_blocks(forward, len(blocks))
 
     def grads(g: Array) -> list:
-        gz = g * pos
-        if kept is not None:
-            gz *= kept / (1.0 - rate)
-        gy, ggamma, gbeta = _layer_norm_grads(gz, gamma.value, beta.value, xhat, inv)
+        gz, gy = np.empty(shape), np.empty(shape)
+        gx = np.empty(shape[:-1] + (Wv.shape[1],))
+
+        def backward_block(j: int, _: _Pass) -> None:
+            lo, hi = blocks[j]
+            gzb = np.multiply(g[lo:hi], pos[lo:hi], out=gz[lo:hi])
+            if kept is not None:
+                gzb *= kept[lo:hi] / (1.0 - rate)
+            gyb = _normalize_vjp(gzb, gamma.value, xhat[lo:hi], inv[lo:hi], out=gy[lo:hi])
+            gxb = np.matmul(gyb, Wv, out=gx[lo:hi])
+            gxb[..., :d] += g[lo:hi]
+
+        run_blocks(backward_block, len(blocks))
+        ggamma = _unbroadcast(gz * xhat, gamma.value.shape)
+        gbeta = _unbroadcast(gz, beta.value.shape)
         del gz
-        gW = gy.reshape(-1, gy.shape[-1]).T @ concat().reshape(-1, W.value.shape[1])
-        gx = gy @ W.value
-        return [g + gx[..., :d], gx[..., d:], gW, _unbroadcast(gy, b.value.shape), ggamma, gbeta]
+        gW = gy.reshape(-1, d).T @ concat(0, shape[0]).reshape(-1, Wv.shape[1])
+        return [gx[..., :d], gx[..., d:], gW, _unbroadcast(gy, b.value.shape), ggamma, gbeta]
 
     return tape.var(z, _shared_vjp([h, msgs, W, b, gamma, beta], grads))
 
 
 def mlp_decoder(
-    tape: Tape, inputs: list[Var], concat: Callable[[], Array],
+    tape: Tape, inputs: list[Var], shape: tuple[int, ...], rows: Callable[[int, int], Array],
     spread: Callable[[Array], list], W1: Var, b1: Var, W2: Var, b2: Var,
 ) -> Var:
-    """Logits (...) of the two-layer ReLU MLP over the rows (..., n) that
-    concat() builds from the values of inputs, as one tape op; spread(gx)
-    turns the gradient of those rows into one gradient per entry of inputs
-    (an input may be listed more than once). The same NumPy calls in the
-    order of the chain concat_last, matmul_last, add, relu, matmul_last,
-    add, reshape, so every value and gradient is bitwise theirs. It keeps
-    the hidden ReLU output and its mask; the VJP calls concat() again for
-    W1's gradient."""
-    hid = concat() @ W1.value.T
-    hid += b1.value
-    pos = hid > 0
-    hid *= pos
-    out = hid @ W2.value.T
-    out += b2.value
+    """Logits `shape` of the two-layer ReLU MLP over input rows (*shape,
+    n), as one tape op: rows(lo, hi) builds entries lo:hi of the first
+    axis from the values of inputs, and spread(gx) turns the gradient of
+    all rows into one gradient per entry of inputs (an input may be listed
+    more than once). The same NumPy calls in the order of the chain
+    concat_last, matmul_last, add, relu, matmul_last, add, reshape, so
+    every value and gradient is bitwise theirs. It keeps the hidden ReLU
+    output and its mask.
+
+    A stacked input, shape (Q, V), is walked along its query axis in
+    blocks of as many queries as `BLOCK_BYTES` of rows hold, on two
+    threads when there are two or more (`run_blocks`): a block builds its
+    own rows and writes its rows of the hidden layer, mask and logits, and
+    in the VJP of the hidden layer's and the rows' gradients. A 2-D input,
+    shape (M,), is one block: cut by rows, a 2-D product may change its
+    bits. The gradients of W1, b1, W2 and b2 sum over all rows once, after
+    the blocks; W1's builds all rows again."""
+    n = W1.value.shape[1]
+    blocks = ([(0, shape[0])] if len(shape) < 2
+              else _blocks(shape[0], math.prod(shape[1:]) * n))
+    hid = np.empty(shape + (W1.value.shape[0],))
+    pos = np.empty(hid.shape, dtype=bool)
+    out = np.empty(shape + (W2.value.shape[0],))
+
+    def forward(j: int, _: _Pass) -> None:
+        lo, hi = blocks[j]
+        hb = np.matmul(rows(lo, hi), W1.value.T, out=hid[lo:hi])
+        hb += b1.value
+        hb *= np.greater(hb, 0, out=pos[lo:hi])
+        ob = np.matmul(hb, W2.value.T, out=out[lo:hi])
+        ob += b2.value
+
+    run_blocks(forward, len(blocks))
 
     def grads(g: Array) -> list:
         g3 = g.reshape(out.shape)
         gW2 = g3.reshape(-1, g3.shape[-1]).T @ hid.reshape(-1, hid.shape[-1])
-        gp = g3 @ W2.value
-        gp *= pos
-        gW1 = gp.reshape(-1, gp.shape[-1]).T @ concat().reshape(-1, W1.value.shape[1])
-        return [*spread(gp @ W1.value), gW1, _unbroadcast(gp, b1.value.shape), gW2,
+        gp, gx = np.empty(hid.shape), np.empty(shape + (n,))
+
+        def backward_block(j: int, _: _Pass) -> None:
+            lo, hi = blocks[j]
+            gpb = np.matmul(g3[lo:hi], W2.value, out=gp[lo:hi])
+            gpb *= pos[lo:hi]
+            np.matmul(gpb, W1.value, out=gx[lo:hi])
+
+        run_blocks(backward_block, len(blocks))
+        gW1 = gp.reshape(-1, gp.shape[-1]).T @ rows(0, shape[0]).reshape(-1, n)
+        return [*spread(gx), gW1, _unbroadcast(gp, b1.value.shape), gW2,
                 _unbroadcast(g3, b2.value.shape)]
 
-    return tape.var(out.reshape(out.shape[:-1]), _shared_vjp([*inputs, W1, b1, W2, b2], grads))
+    return tape.var(out.reshape(shape), _shared_vjp([*inputs, W1, b1, W2, b2], grads))

@@ -8,9 +8,12 @@ table (`relation_edges`) plus the split facts, and each known fact that
 agrees with the test fact off t clears its node at t. Both model kinds
 score every node at a query's target in one ranking loop: hcnet by a
 conditional forward per batch of queries, hrnet by decoding V tuples per
-query from one query-agnostic forward. Ties take the mean of the
-optimistic and pessimistic rank, so a constant scorer cannot inflate the
-metrics.
+query from one query-agnostic forward. hrnet's decodes of a batch run
+alternately on the calling thread and one more (`autodiff.run_blocks`):
+each query's decode is its own (V, n) product on a tape that records
+nothing, so its logits are the serial decode's bits. Ties take the mean
+of the optimistic and pessimistic rank, so a constant scorer cannot
+inflate the metrics.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .autodiff import run_blocks
 from .errors import ConfigError, EmptyOutcomes, NaNScore
 from .hypergraph import HyperEdge, Query, RelationalHypergraph, matching_rows
 from .nn import Array, ModelParams, decode_kary_batch, decode_unary_batch
@@ -130,7 +134,9 @@ def aggregate(outcomes: list[RankingOutcome], graph: RelationalHypergraph | None
 
 
 def _scorer(graph: RelationalHypergraph, params: ModelParams) -> Callable[[list[Query]], Array]:
-    """Logits (Q, V) for a list of queries: one per node at each query's target."""
+    """Logits (Q, V) for a list of queries: one per node at each query's
+    target. hrnet decodes the queries alternately on two threads, each
+    into its row."""
     if params.config.kind == "hcnet":
         return lambda queries: decode_unary_batch(
             hcnet_forward_batch(graph, queries, params, record=False)
@@ -138,12 +144,19 @@ def _scorer(graph: RelationalHypergraph, params: ModelParams) -> Callable[[list[
     trace = hrnet_forward_batch(graph, params, record=False)  # serves every query
     V = graph.node_count
 
-    def row(q: Query) -> Array:
-        given = np.broadcast_to(np.asarray(q.given, dtype=np.intp), (V, len(q.given)))
-        tuples = np.insert(given, q.target - 1, np.arange(V), axis=1)
-        return decode_kary_batch(trace, tuples, np.full(V, q.relation, dtype=np.intp)).value
+    def score(queries: list[Query]) -> Array:
+        out = np.empty((len(queries), V))
 
-    return lambda queries: np.stack([row(q) for q in queries])
+        def decode(j: int, _) -> None:
+            q = queries[j]
+            given = np.broadcast_to(np.asarray(q.given, dtype=np.intp), (V, len(q.given)))
+            tuples = np.insert(given, q.target - 1, np.arange(V), axis=1)
+            out[j] = decode_kary_batch(trace, tuples, np.full(V, q.relation, dtype=np.intp)).value
+
+        run_blocks(decode, len(queries))
+        return out
+
+    return score
 
 
 def evaluate_model(

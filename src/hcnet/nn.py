@@ -20,8 +20,11 @@ gated, all written into one array of per-incidence messages.
   dropout, ReLU, skip) is one more tape op (`autodiff.layer_tail`), and
   the unary and k-ary decoders are one op (`autodiff.mlp_decoder`), each
   keeping only what its VJP reads, so a recorded layer adds four tape
-  vars and keeps two (Q, V, d) values. `backward` returns the gradients
-  of the trained tensors only.
+  vars and keeps two (Q, V, d) values. The tail and the unary decoder
+  walk the query axis in blocks too, on the same two threads; a decoder's
+  input builder makes the rows of a range of queries, so a block builds
+  only its own, and the k-ary decoder's (M, n) rows are one block.
+  `backward` returns the gradients of the trained tensors only.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
@@ -412,37 +415,39 @@ def hrnet_forward(graph: RelationalHypergraph, params: ModelParams) -> tuple[Arr
 
 
 def decode_unary_batch(trace: ForwardTrace) -> Var:
-    """Logits (Q, V) of the unary decoder over [h_v || z_q]."""
+    """Logits (Q, V) of the unary decoder over [h_v || z_q]; a block of
+    queries builds only its own rows."""
     h, zq = trace.features, trace.zq_batch
     Q, V, d = h.value.shape
 
-    def concat() -> Array:
-        zb = np.broadcast_to(zq.value[:, None, :], (Q, V, zq.value.shape[1]))
-        return np.concatenate([h.value, zb], axis=-1)
+    def rows(lo: int, hi: int) -> Array:
+        zb = np.broadcast_to(zq.value[lo:hi, None, :], (hi - lo, V, zq.value.shape[1]))
+        return np.concatenate([h.value[lo:hi], zb], axis=-1)
 
-    return ad.mlp_decoder(trace.tape, [h, zq], concat,
+    return ad.mlp_decoder(trace.tape, [h, zq], (Q, V), rows,
                           lambda gx: [gx[..., :d], gx[..., d:].sum(axis=1)],
                           *(trace.bound[f"dec_{n}"] for n in ("W1", "b1", "W2", "b2")))
 
 
 def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     """Logits (M,) for node tuples (M, k) under query relations qrel (M,),
-    from query-agnostic features (1, V, d). h's gradient is handed on one
-    scatter per position, last first, as a chain of gathers summed it."""
+    from query-agnostic features (1, V, d): one 2-D product, one block.
+    h's gradient is handed on one scatter per position, last first, as a
+    chain of gathers summed it."""
     h, z_q = trace.features, trace.bound["z_q"]
     d = h.value.shape[2]
-    k = tuples.shape[1]
+    M, k = tuples.shape
 
-    def concat() -> Array:
-        return np.concatenate([*(h.value[0, tuples[:, t]] for t in range(k)), z_q.value[qrel]],
-                              axis=-1)
+    def rows(lo: int, hi: int) -> Array:
+        return np.concatenate([*(h.value[0, tuples[lo:hi, t]] for t in range(k)),
+                               z_q.value[qrel[lo:hi]]], axis=-1)
 
     def spread(gx: Array) -> list:
         return [*(ad.scatter_add(h.value.shape, tuples[:, t], gx[None, :, t * d:(t + 1) * d])
                   for t in range(k - 1, -1, -1)),
                 ad.scatter_add(z_q.value.shape, qrel, gx[:, k * d:])]
 
-    return ad.mlp_decoder(trace.tape, [h] * k + [z_q], concat, spread,
+    return ad.mlp_decoder(trace.tape, [h] * k + [z_q], (M,), rows, spread,
                           *(trace.bound[f"dec{k}_{n}"] for n in ("W1", "b1", "W2", "b2")))
 
 

@@ -226,6 +226,52 @@ class TestReductionsAndNorm:
                 var.grad, numeric_grad(fk, val.copy()), rtol=1e-4, atol=1e-6
             )
 
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (2, 1000, 32), (1, 9000, 1)])
+    def test_normalize_is_the_np_var_formula_bitwise(self, shape):
+        # `_normalize` sums the squares of the centred rows itself; its bits
+        # must stay those of (x - mean) / sqrt(np.var + eps), whole or
+        # written into a query block's rows.
+        rng = np.random.default_rng(shape[-1])
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape[-1])
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+        out = (np.empty(shape), np.empty(shape[:-1] + (1,)))
+        for got in (ad._normalize(x), ad._normalize(x, out=out), out):
+            assert all(_bitwise_equal(a, b) for a, b in zip(got, (xhat, inv)))
+
+
+# The query blocks of `layer_tail` and `mlp_decoder` cut only the query axis
+# of a stacked product (Q, V, n) @ (n, m), which NumPy runs as one matrix
+# product per query. Cut by rows, a 2-D product need not keep its bits: on
+# NumPy 2.4.6 with OpenBLAS, x @ W.T with x (2000, 128) and W (32, 128)
+# differed in blocks of 1, 7, 16 and 64 rows, and (2000, 32) @ (32, 1) in
+# blocks of 1, 7 and 250, so the k-ary decoder's 2-D input stays one block. Another BLAS may differ
+# on the stacked products too: this pins the rule the blocks rest on.
+_D = 32
+_STACKED_PRODUCTS = {  # name: (left operand's width, right operand (n, m))
+    "tail x @ W.T": (2 * _D, lambda w: w.T),
+    "tail gy @ W": (_D, lambda w: w),
+    "decoder x @ W1.T": (2 * _D, lambda w: w.T),
+    "decoder hid @ W2.T": (_D, lambda w: w[:1, :_D].T),
+    "decoder g @ W2": (1, lambda w: w[:1, :_D]),
+    "decoder gp @ W1": (_D, lambda w: w),
+}
+
+
+@pytest.mark.parametrize("V", [7, 20, 999, 1000, 2000])
+@pytest.mark.parametrize("name", list(_STACKED_PRODUCTS))
+def test_query_slices_of_a_stacked_product_are_its_bits(name, V):
+    n, right = _STACKED_PRODUCTS[name]
+    rng = np.random.default_rng(V)
+    w = right(rng.standard_normal((_D, 2 * _D)))
+    x = rng.standard_normal((5, V, n))
+    whole = x @ w
+    for size in (1, 2, 4):
+        out = np.empty(whole.shape)
+        for lo in range(0, 5, size):
+            np.matmul(x[lo:lo + size], w, out=out[lo:lo + size])
+        assert _bitwise_equal(out, whole), size
+
 
 def _brute_product(f, skip):
     """Product over axis -3 of f, leaving out the positions in `skip`."""

@@ -1,10 +1,14 @@
 """Filtered ranking: candidates, tie-aware ranks, metric arithmetic."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcnet.autodiff as ad
 import hcnet.evalrank as evalrank
 from hcnet.errors import ConfigError, EmptyOutcomes, NaNScore
 from hcnet.evalrank import (
@@ -339,3 +343,114 @@ class TestAgainstPerKindPaths:
         assert len(expected) > 16 and {len(o.query.given) for o in expected} == {0, 1, 2, 3}
         assert captured == expected
         assert report.as_dict() == real(expected, g).as_dict()
+
+
+def _two_arity_chunk():
+    """hrnet on a graph of an arity-2 and an arity-3 relation, and a chunk
+    of eight queries that alternate between them: on two threads, the
+    calling thread decodes the arity-2 queries while the other decodes the
+    arity-3 ones."""
+    rng = np.random.default_rng(4)
+    relations = [Relation(0, "r0", 2), Relation(1, "r1", 3)]
+    edges = [HyperEdge(r.id, tuple(int(v) for v in rng.integers(0, 30, r.arity)))
+             for r in relations for _ in range(40)]
+    g = build_graph(relations, edges, 30)
+    params = init_params(g, ModelConfig(kind="hrnet", d=8, layers=2, mode="query-independent"),
+                         np.random.default_rng(5))
+    queries = []
+    for j in range(8):
+        arity = 2 + j % 2
+        given = tuple(int(v) for v in rng.integers(0, 30, arity - 1))
+        queries.append(Query(j % 2, given, 1 + (j // 2) % arity))
+    return g, params, queries
+
+
+# evaluate_model's reports on `_mixed_arity_instance(0)` (d=8, L=2, seed 0),
+# recorded while every decode ran on the calling thread.
+_SERIAL_REPORTS = {
+    "hcnet": ({"mrr": 0.343783498247784, "hits@1": 0.14285714285714285,
+               "hits@3": 0.4642857142857143, "hits@10": 0.7142857142857143, "queries": 28},
+              {1: 0.3333333333333333, 2: 0.26227272727272727, 3: 0.4856261022927689,
+               4: 0.287405303030303}),
+    "hrnet": ({"mrr": 0.2957921047206761, "hits@1": 0.14285714285714285, "hits@3": 0.25,
+               "hits@10": 0.8571428571428571, "queries": 28},
+              {1: 0.2, 2: 0.25615440115440113, 3: 0.2985890652557319, 4: 0.35416666666666663}),
+}
+
+
+def _cpus(mp, cpus):
+    mp.setattr(os, "sched_getaffinity", lambda pid: cpus)
+
+
+class TestScorerThreads:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_hrnet_logits_equal_serial_decodes_bitwise(self, cpus, monkeypatch):
+        g, params, queries = _two_arity_chunk()
+        assert {len(q.given) + 1 for q in queries} == {2, 3}
+        trace = hrnet_forward_batch(g, params, record=False)
+        serial = []
+        for q in queries:
+            tuples = [list(q.given[: q.target - 1]) + [v] + list(q.given[q.target - 1 :])
+                      for v in range(g.node_count)]
+            serial.append(decode_kary_batch(trace, np.asarray(tuples, dtype=np.intp),
+                                            np.full(g.node_count, q.relation, dtype=np.intp)).value)
+        expected = np.stack(serial)
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        got = evalrank._scorer(g, params)(queries)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["hcnet", "hrnet"])
+    def test_reports_equal_the_serial_ones(self, kind, monkeypatch):
+        # On one CPU and on two, in one block and in blocks of one query.
+        g, test, splits = _mixed_arity_instance(0)
+        mode = "query-dependent" if kind == "hcnet" else "query-independent"
+        params = init_params(g, ModelConfig(kind=kind, d=8, layers=2, mode=mode),
+                             np.random.default_rng(0))
+        report, per_arity = _SERIAL_REPORTS[kind]
+        for cpus in ({0}, {0, 1}):
+            for budget in (ad.BLOCK_BYTES, 8):
+                with monkeypatch.context() as mp:
+                    _cpus(mp, cpus)
+                    mp.setattr(ad, "BLOCK_BYTES", budget)
+                    got = evaluate_model(g, test, params, kind, splits).as_dict()
+                assert {k: got[k] for k in report} == report
+                assert {k: v["mrr"] for k, v in got["per_arity"].items()} == per_arity
+
+    def test_one_cpu_or_one_query_starts_no_thread(self, monkeypatch):
+        g, params, queries = _two_arity_chunk()
+        made = []
+        real = ad._Pass
+        monkeypatch.setattr(ad, "_Pass", lambda *a, **k: made.append(1) or real(*a, **k))
+        score = evalrank._scorer(g, params)
+        _cpus(monkeypatch, {0, 1})
+        score(queries[:1])
+        assert not made
+        _cpus(monkeypatch, {0})
+        score(queries)
+        assert not made
+        _cpus(monkeypatch, {0, 1})
+        score(queries)
+        assert len(made) == 1
+
+    def test_a_failed_odd_query_is_raised_once(self, monkeypatch):
+        # The other thread's first decode raises: the calling thread raises
+        # that error once, with no thread left, and the next chunk scores.
+        g, params, queries = _two_arity_chunk()
+        _cpus(monkeypatch, {0, 1})
+        caller, failed, decode = threading.current_thread(), [], evalrank.decode_kary_batch
+
+        def failing(*args):
+            if threading.current_thread() is not caller and not failed:
+                failed.append(threading.current_thread())
+                raise FloatingPointError("decode failed")
+            return decode(*args)
+
+        monkeypatch.setattr(evalrank, "decode_kary_batch", failing)
+        score = evalrank._scorer(g, params)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="decode failed"):
+            score(queries)
+        assert len(failed) == 1 and threading.active_count() == before
+        assert score(queries).shape == (8, g.node_count)

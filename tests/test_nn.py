@@ -612,18 +612,37 @@ def _assert_op_equals_the_chain(groups, Q, gate_shape, masked=frozenset(), const
             assert _bitwise_equal(fused_grads[name], chain_grads[name]), name
 
 
-def _off_thread_calls(mp):
-    """Spy on `ad.exclusive_products` through mp: return a list that gains
-    one entry per call made off the calling thread. A pass's forward calls
-    it once per relation of each block."""
-    caller, calls, products = threading.current_thread(), [], ad.exclusive_products
+def _off_thread_calls(mp, name="exclusive_products"):
+    """Spy on `ad.<name>` through mp: return a list that gains one entry
+    per call made off the calling thread. A message pass's forward calls
+    `exclusive_products` once per relation of each block, and a layer
+    tail's `_normalize` once per block."""
+    caller, calls, real = threading.current_thread(), [], getattr(ad, name)
 
     def spy(*args, **kwargs):
         if threading.current_thread() is not caller:
             calls.append(threading.current_thread())
-        return products(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    mp.setattr(ad, "exclusive_products", spy)
+    mp.setattr(ad, name, spy)
+    return calls
+
+
+def _off_thread_rows(mp):
+    """Spy on the input rows `ad.mlp_decoder` builds through mp: return a
+    list that gains one entry per block of rows built off the calling
+    thread."""
+    caller, calls, decoder = threading.current_thread(), [], ad.mlp_decoder
+
+    def spy(tape, inputs, shape, rows, *rest):
+        def spied_rows(lo, hi):
+            if threading.current_thread() is not caller:
+                calls.append(threading.current_thread())
+            return rows(lo, hi)
+
+        return decoder(tape, inputs, shape, spied_rows, *rest)
+
+    mp.setattr(ad, "mlp_decoder", spy)
     return calls
 
 
@@ -674,7 +693,7 @@ def _assert_models_equal_the_chains(case, monkeypatch, decoders=False, **chains)
     tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
     qrel = np.full(5, arities.index(k), dtype=np.intp)
 
-    def chained_decoder(tape, inputs, concat, spread, *weights):
+    def chained_decoder(tape, inputs, shape, rows, spread, *weights):
         if kind == "hcnet":
             return _chained_decoder(tape, *inputs, *weights)
         return _chained_kary_decoder(tape, inputs[0], inputs[-1], tuples, qrel, *weights)
@@ -1043,7 +1062,10 @@ class TestLayerTail:
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     @pytest.mark.parametrize("constants", [(), ("h",)], ids=["leaf-h", "constant-h"])
     @pytest.mark.parametrize("record", [True, False], ids=["recorded", "not-recorded"])
-    def test_op_equals_the_chain_bitwise(self, rate, constants, record):
+    def test_op_equals_the_chain_bitwise(self, rate, constants, record, monkeypatch):
+        # In one block, then in blocks of one query on the serial and the
+        # threaded path: W's, b's, gamma's and beta's gradients still sum
+        # over all queries at once, and dropout's mask is drawn whole.
         def fused(tape, rng, *args):
             return ad.layer_tail(tape, *args, rate, rng)
 
@@ -1052,6 +1074,13 @@ class TestLayerTail:
 
         _assert_runs_equal(_fused_against_chain(
             fused, chain, _tail_inputs(), _tail_upstream, constants, record))
+        for two_cpus, _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                off_thread = _off_thread_calls(mp, "_normalize")
+                _assert_runs_equal(_fused_against_chain(
+                    fused, chain, _tail_inputs(), _tail_upstream, constants, record))
+                assert bool(off_thread) == two_cpus
 
     def test_constant_h_is_no_parent(self):
         tape = ad.Tape()
@@ -1063,8 +1092,16 @@ class TestLayerTail:
 
     @pytest.mark.parametrize("case", _MODEL_CASES)
     def test_models_equal_the_chains_bitwise(self, case, monkeypatch):
+        # In one block, and in blocks of one query on both paths (the tail,
+        # the unary decoder and the message kernel alike; hrnet's one
+        # query and 2-D decoder input are one block).
         _assert_models_equal_the_chains(case, monkeypatch, decoders=True,
                                         layer_tail=_chained_tail)
+        for _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                _assert_models_equal_the_chains(case, mp, decoders=True,
+                                                layer_tail=_chained_tail)
 
     def test_dropout_zero_rate_is_identity(self):
         # A zero rate draws nothing and equals the pass without an rng.
@@ -1094,7 +1131,10 @@ class TestUnaryDecoder:
     # that z_q's gradient takes, strided here, contiguous in the chain.
     @pytest.mark.parametrize("Q, V, d", [(3, 7, 5), (2, 9000, 1), (16, 50, 32)])
     @pytest.mark.parametrize("record", [True, False], ids=["recorded", "not-recorded"])
-    def test_op_equals_the_chain_bitwise(self, Q, V, d, record):
+    def test_op_equals_the_chain_bitwise(self, Q, V, d, record, monkeypatch):
+        # In one block, then in blocks of one query on the serial and the
+        # threaded path: W1's, b1's, W2's and b2's gradients and z_q's sum
+        # over the nodes still run over all queries at once.
         rng = np.random.default_rng(Q + V + d)
         inputs = {"h": rng.standard_normal((Q, V, d)), "m": rng.standard_normal((Q, V, d)),
                   "zq": rng.standard_normal((Q, d)), "W1": rng.standard_normal((d, 2 * d)),
@@ -1106,10 +1146,153 @@ class TestUnaryDecoder:
             h = ad.mul(tape, v["h"], v["m"])
             return h, ad.relu(tape, v["zq"]), v["W1"], v["b1"], v["W2"], v["b2"]
 
-        _assert_runs_equal(_fused_against_chain(
-            lambda tape, rng, *args: _decode_unary(tape, *args),
-            lambda tape, rng, *args: _chained_decoder(tape, *args), inputs, upstream,
-            record=record))
+        def runs():
+            return _fused_against_chain(
+                lambda tape, rng, *args: _decode_unary(tape, *args),
+                lambda tape, rng, *args: _chained_decoder(tape, *args), inputs, upstream,
+                record=record)
+
+        _assert_runs_equal(runs())
+        for two_cpus, _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                off_thread = _off_thread_rows(mp)
+                _assert_runs_equal(runs())
+                assert bool(off_thread) == two_cpus
+
+
+def _tail_and_decoder():
+    """A recorded layer tail (dropout 0.3) and unary decoder at Q=4, V=7,
+    d=5, and their backward: the logits and every leaf's gradient."""
+    tape = ad.Tape()
+    v = _tail_inputs(Q=4)
+    rng = np.random.default_rng(1)
+    leaves = [tape.leaf(v[n]) for n in ("h", "m", "W", "b", "gamma", "beta")]
+    leaves += [tape.leaf(rng.standard_normal(s)) for s in ((4, 5), (5, 10), (5,), (1, 5), (1,))]
+    out = ad.layer_tail(tape, *leaves[:6], 0.3, np.random.default_rng(0))
+    logits = _decode_unary(tape, out, *leaves[6:])
+    ad.backward(tape, logits, rng.standard_normal(logits.value.shape))
+    return [logits.value] + [leaf.grad for leaf in leaves]
+
+
+def _counted_passes(mp):
+    """Count through mp the `_Pass` states `run_blocks` makes: one per pass
+    that runs on two threads."""
+    made = []
+
+    class Counted(ad._Pass):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    mp.setattr(ad, "_Pass", Counted)
+    return made
+
+
+class TestTailAndDecoderThreads:
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        # The other thread's tail blocks are slow, so the calling thread is
+        # done with its own first: each pass must wait for that thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        caller, normalize = threading.current_thread(), ad._normalize
+        off_rows = _off_thread_rows(monkeypatch)
+        slow = []
+
+        def slow_off_caller(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)
+                slow.append(threading.current_thread())
+            return normalize(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "_normalize", slow_off_caller)
+        before = threading.active_count()
+        _tail_and_decoder()
+        assert slow and off_rows and threading.active_count() == before
+
+    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch):
+        # A pass of one block, or on one CPU, runs on the calling thread
+        # with no thread and no shared state; two CPUs and four blocks do
+        # start one thread per pass.
+        before = threading.active_count()
+        for cpus, budget, threaded in (({0, 1}, 1 << 21, False), ({0}, 8, False),
+                                       ({0, 1}, 8, True)):
+            with monkeypatch.context() as mp:
+                mp.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                mp.setattr(ad, "BLOCK_BYTES", budget)
+                passes = _counted_passes(mp)
+                off_tail = _off_thread_calls(mp, "_normalize")
+                off_rows = _off_thread_rows(mp)
+                _tail_and_decoder()
+                # Tail and decoder, forward and VJP: four passes.
+                assert len(passes) == (4 if threaded else 0)
+                assert bool(off_tail) == bool(off_rows) == threaded
+                assert threading.active_count() == before
+
+    def test_concurrent_passes_stay_bitwise(self, monkeypatch):
+        # Three callers each start a thread per pass at once, with the
+        # interpreter switching threads as often as it can: every block
+        # writes only its own rows, so each pass keeps the serial bits.
+        expected = _tail_and_decoder()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        errors = []
+
+        def passes():
+            try:
+                for _ in range(3):
+                    got = _tail_and_decoder()
+                    assert all(_bitwise_equal(a, b) for a, b in zip(got, expected))
+            except BaseException as e:  # reported below
+                errors.append(e)
+
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=passes, daemon=True) for _ in range(3)]
+            for t in callers:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in callers:
+                t.join(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["tail", "tail-vjp", "decoder"])
+    def test_a_failed_odd_block_is_raised_once(self, where, monkeypatch):
+        # The first odd block, on the other thread, raises: the calling
+        # thread raises that error once, and the next pass runs as usual.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        caller, failed = threading.current_thread(), []
+
+        def failing(real):
+            def call(*args, **kwargs):
+                if threading.current_thread() is not caller and not failed:
+                    failed.append(threading.current_thread())
+                    raise FloatingPointError("block failed")
+                return real(*args, **kwargs)
+            return call
+
+        if where == "decoder":
+            decoder = ad.mlp_decoder
+            monkeypatch.setattr(ad, "mlp_decoder", lambda tape, inputs, shape, rows, *rest:
+                                decoder(tape, inputs, shape, failing(rows), *rest))
+        else:
+            name = "_normalize" if where == "tail" else "_normalize_vjp"
+            monkeypatch.setattr(ad, name, failing(getattr(ad, name)))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError) as raised:
+            _tail_and_decoder()
+        assert len(failed) == 1 and failed[0] is not caller
+        assert str(raised.value) == "block failed"
+        assert threading.active_count() == before
+        _tail_and_decoder()
+        assert threading.active_count() == before
 
 
 def _kary_inputs(k, M=40, V=9, d=5):
@@ -1146,6 +1329,30 @@ class TestKaryDecoder:
         _assert_runs_equal(_fused_against_chain(
             with_decoder(_decode_kary), with_decoder(_chained_kary_decoder), inputs, upstream,
             record=record))
+
+    def test_a_2d_input_is_one_block(self, monkeypatch):
+        # Cut by rows, a 2-D product may change its bits: the k-ary
+        # decoder's rows are built whole, once for the forward and once for
+        # W1's gradient, however small the budget, with no thread.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        passes, ranges, decoder = _counted_passes(monkeypatch), [], ad.mlp_decoder
+
+        def spy(tape, inputs, shape, rows, *rest):
+            def spied_rows(lo, hi):
+                ranges.append((lo, hi))
+                return rows(lo, hi)
+
+            return decoder(tape, inputs, shape, spied_rows, *rest)
+
+        monkeypatch.setattr(ad, "mlp_decoder", spy)
+        inputs, tuples, qrel = _kary_inputs(3)
+        tape = ad.Tape()
+        leaves = {n: tape.leaf(v) for n, v in inputs.items()}
+        out = _decode_kary(tape, leaves["h"], leaves["zq"], tuples, qrel,
+                           *(leaves[n] for n in ("W1", "b1", "W2", "b2")))
+        ad.backward(tape, out, np.ones(out.value.shape))
+        assert ranges == [(0, len(tuples))] * 2 and not passes
 
     def test_constant_h_is_no_parent(self):
         inputs, tuples, qrel = _kary_inputs(2)
