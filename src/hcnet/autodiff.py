@@ -34,8 +34,24 @@ one sum that runs across blocks, the VJP's Q-sum behind one_minus's and
 pe's gradients, adds each block's rows in block order (`_Pass.in_turn`),
 so the bits are the serial pass's. A pass of one block, or on one CPU,
 runs on the calling thread alone, with no thread, lock or state of its
-own. NumPy drops the GIL in its ufunc, `take` and BLAS loops but not in
-`np.bincount`, so the scatters do not overlap.
+own. NumPy drops the GIL in its ufunc, `take`, BLAS and (on NumPy 2.4.6)
+`np.bincount` loops, so the two threads' scatters overlap too (`Bins`).
+
+A forward's first layer with queries starts from features that are +0.0
+off the given nodes (`nn._query_init`), and `relation_messages` is told
+those (query, node) pairs. When one query's per-incidence messages fill
+a block, its forward then sums only what differs between queries
+(`_given_messages`), with the same bits. Off the given nodes a factor
+alpha*h + (1-alpha)*p_j is bitwise the factor of an all-zero input, so
+a message whose edge holds no given node at another position is bitwise
+that input's message under the same gate, and a node none of whose
+incidences is touched sums, from +0.0 in incidence order, exactly the
+all-zero pass's sum. So the all-zero pass runs once per distinct set of
+gate rows (one per query relation; one when the gates are shared), and
+only the nodes of an edge that holds a given node are summed again, over
+all of their incidences in incidence order, from the true messages: the
+same values in the same order as the full pass. The VJP recomputes from
+the inputs as always.
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the decoders' MLP are one tape op each. They run
@@ -302,7 +318,8 @@ def exclusive_products_vjp(f: Array, g: Array) -> Array:
         at(out, j)[...] = s
         bs[j] = b
         b = b * at(f, j) + at(g, j) * s
-        s = at(f, j) * s
+        if j > 1:  # S_0 is never read
+            s = at(f, j) * s
     at(out, 0)[...] = b
     p, a = at(f, 0), at(g, 0)
     for j in range(1, k - 1):
@@ -310,7 +327,8 @@ def exclusive_products_vjp(f: Array, g: Array) -> Array:
         oj *= a
         oj += p * bs[j]
         a = a * at(f, j) + at(g, j) * p
-        p = p * at(f, j)
+        if j < k - 2:  # nor is P_{k-1}
+            p = p * at(f, j)
     at(out, k - 1)[...] = a
     return out
 
@@ -406,10 +424,11 @@ class Bins:
     Each leading slice has V*d bins, and one np.bincount sums a chunk of
     slices. bincount starts every bin at +0.0 and adds its weights in input
     order, as np.add.at does into zeros, so how the slices are chunked
-    does not change a bit. bincount holds the GIL throughout, so the two
-    threads of a message pass do not sum at once: on a 2-core x86 host,
-    400 sums of 320000 weights into V*d = 32000 bins took 0.27-0.31 s on
-    one thread and 0.28-0.32 s split over two."""
+    does not change a bit. On NumPy 2.4.6 bincount releases the GIL
+    while it sums, so the two threads of a message pass sum at once: on a
+    2-core x86 host, 400 sums of 320000 weights into V*d = 32000 bins took
+    0.27-0.36 s on one thread and 0.14-0.18 s split over two (7 runs
+    each)."""
 
     def __init__(self, idx: Array, V: int, d: int, count: int) -> None:
         idx = np.asarray(idx, dtype=np.intp)
@@ -654,6 +673,121 @@ def _query_rows(a: Array, lo: int, hi: int) -> Array:
     return a[lo:hi] if a.ndim == 4 else a
 
 
+def _incidence_index(groups: dict[int, Array], V: int) -> tuple[Array, ...]:
+    """Each incidence's relation (its index in groups), edge row and
+    position, in `incidence_messages`' order, and the incidences into each
+    node: all incidences sorted stably by destination, and each node's
+    offset into them (V+1)."""
+    rel, row, pos = [], [], []
+    for r, nodes in enumerate(groups.values()):
+        E, k = nodes.shape
+        rel.append(np.full(E * k, r, dtype=np.intp))
+        row.append(np.tile(np.arange(E), k))
+        pos.append(np.repeat(np.arange(k), E))
+    dest = destinations(groups)
+    offsets = np.zeros(V + 1, dtype=np.intp)
+    np.cumsum(np.bincount(dest, minlength=V), out=offsets[1:])
+    by_dest = np.argsort(dest * dest.size + np.arange(dest.size))  # keys unique: stable
+    return (*(np.concatenate(a) for a in (rel, row, pos)), by_dest, offsets)
+
+
+def _into(nodes: Array, by_dest: Array, offsets: Array) -> tuple[Array, Array]:
+    """The incidences into each of nodes, in incidence order, node after
+    node (`_incidence_index`' CSR): each one's index into nodes, and
+    the incidence."""
+    lo = offsets[nodes]
+    counts = offsets[nodes + 1] - lo
+    owner = np.repeat(np.arange(nodes.size), counts)
+    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return owner, by_dest[starts + np.arange(owner.size)]
+
+
+def _touched_rows(
+    hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict, plan: MessagePlan,
+    given: tuple[Array, Array],
+) -> tuple[Array, Array, Array]:
+    """The (query, node) rows D of the summed messages that an edge holding
+    a given node reaches, as (queries, nodes, sums (|D|, d)): every
+    incidence into a node of D, in incidence order, its message computed
+    from hv as `incidence_messages` does (`_factors`, `exclusive_products`,
+    the gate) and summed from +0.0 with one bincount, so each row is bit
+    for bit the one a full pass sums."""
+    Q, V, d = hv.shape
+    rel_of, row_of, pos_of, by_dest, offsets = _incidence_index(plan.groups, V)
+    groups = list(plan.groups.items())
+    pairs = np.unique(given[0] * V + given[1])  # query * V + node
+    owner, touch = _into(pairs % V, by_dest, offsets)
+    touch_q, touch_rel = pairs[owner] // V, rel_of[touch]
+    reached = [np.empty(0, dtype=np.intp)]
+    for r, (_, nodes) in enumerate(groups):
+        sel = touch_rel == r  # every node of a touched edge
+        reached.append((touch_q[sel, None] * V + nodes[row_of[touch[sel]]]).reshape(-1))
+    rows = np.unique(np.concatenate(reached))
+    queries, targets = rows // V, rows % V
+    owner, incs = _into(targets, by_dest, offsets)
+    inc_rel = rel_of[incs]
+    msgs = np.empty((incs.size, d))
+    for r, (rel, nodes) in enumerate(groups):
+        sel = np.flatnonzero(inc_rel == r)
+        t, qs = incs[sel], queries[owner[sel]]
+        hn = hv[qs, nodes[row_of[t]].T]  # (k, n, d)
+        f = _factors(hn, alpha, one_minus, pe, out=hn)
+        m = exclusive_products(f)[pos_of[t], np.arange(sel.size)]
+        gv = gates[rel].value
+        m *= gv[qs, 0, 0] if gv.ndim == 4 else gv
+        msgs[sel] = m
+    bins = (owner[:, None] * d + np.arange(d)).reshape(-1)
+    sums = np.bincount(bins, weights=msgs.reshape(-1), minlength=rows.size * d)
+    return queries, targets, sums.reshape(-1, d)
+
+
+def _given_messages(
+    out: Array, hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict,
+    plan: MessagePlan, given: tuple[Array, Array],
+) -> None:
+    """The summed messages of hv (Q, V, d) written into out, when every row
+    of hv but the (query, node) pairs of given is +0.0.
+
+    A message that no given node's factor enters is the message of an
+    all-zero input with the same gate, and a node none of whose incidences
+    is such is summed from such messages only. Under a zero input, every
+    edge of a relation has the same factors, so the same message at each
+    position. So for each distinct set of gate rows (compared by their
+    bytes; one when the gates are shared) the kernel runs on one zero edge
+    per relation, each message is repeated over its relation's edges, and
+    the plan's bins sum them into the row of the set's first query, which
+    is copied to its other queries. The rows an edge holding a given node
+    reaches are then summed again in full (`_touched_rows`). The sets run
+    on `run_blocks`; the touched rows, many small NumPy calls, run before
+    them on the calling thread alone: beside the other thread's sums they
+    waited on the GIL, 6 ms against 2.5 ms at the `rank` benchmark's size."""
+    Q, _, d = hv.shape
+    per_query = [gates[rel].value.reshape(Q, -1) for rel in plan.groups
+                 if gates[rel].value.ndim == 4]
+    keys = np.concatenate(per_query, axis=1) if per_query else np.empty((Q, 0))
+    firsts: dict[bytes, int] = {}
+    source = [firsts.setdefault(key.tobytes(), q) for q, key in enumerate(keys)]
+    zero_edges = {rel: np.zeros((1, nodes.shape[1]), dtype=np.intp)
+                  for rel, nodes in plan.groups.items()}
+    repeats = np.concatenate([np.full(k, E) for E, k in (n.shape for n in plan.groups.values())])
+    queries, targets, sums = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
+    jobs = list(firsts.values())
+
+    def run(j: int, _: _Pass) -> None:
+        q = jobs[j]
+        msgs = incidence_messages(
+            np.zeros((1, 1, d)), alpha, one_minus, pe,
+            {rel: _query_rows(gates[rel].value, q, q + 1) for rel in plan.groups}, zero_edges,
+        )  # (1, sum of k, d)
+        plan.dest.sum(np.repeat(msgs, repeats, axis=1).reshape(1, -1), out=out[q : q + 1])
+
+    run_blocks(run, len(jobs))
+    for q, first in enumerate(source):
+        if first != q:
+            out[q] = out[first]
+    out[queries, targets] = sums
+
+
 def _relation_grads(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
     rel: int,
@@ -740,7 +874,8 @@ def _relation_grads(
 
 
 def relation_messages(
-    tape: Tape, h: Var, alpha: Var, one_minus: Var, pe: Var, gates: dict, plan: MessagePlan
+    tape: Tape, h: Var, alpha: Var, one_minus: Var, pe: Var, gates: dict, plan: MessagePlan,
+    given: tuple[Array, Array] | None = None,
 ) -> Var:
     """A layer's summed messages (Q, V, d): `incidence_messages` scattered
     onto their destinations with the plan's bins, bit for bit the chain of
@@ -756,20 +891,29 @@ def relation_messages(
     reached them: relations last to first, and per relation gate,
     one_minus, alpha, pe, h, less the Constants. The first pair of a
     relation computes all of its terms, and each pair hands on one
-    (`_shared_vjp`)."""
+    (`_shared_vjp`).
+
+    given, when not None, holds the (query, node) pairs (two arrays) of
+    the only rows of h that may not be +0.0, as a forward's first layer
+    has them. When one query's per-incidence messages fill a block, the
+    forward then runs `_given_messages`, with the same bits; the VJP is
+    the same either way."""
     hv = h.value
-    blocks = _blocks(hv.shape[0], plan.dest.width)
     out = np.empty(hv.shape)
+    if given is not None and 8 * plan.dest.width >= BLOCK_BYTES:
+        _given_messages(out, hv, alpha.value, one_minus.value, pe.value, gates, plan, given)
+    else:
+        blocks = _blocks(hv.shape[0], plan.dest.width)
 
-    def run(j: int, _: _Pass) -> None:
-        lo, hi = blocks[j]
-        msgs = incidence_messages(
-            hv[lo:hi], alpha.value, one_minus.value, pe.value,
-            {rel: _query_rows(g.value, lo, hi) for rel, g in gates.items()}, plan.groups,
-        )
-        plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
+        def run(j: int, _: _Pass) -> None:
+            lo, hi = blocks[j]
+            msgs = incidence_messages(
+                hv[lo:hi], alpha.value, one_minus.value, pe.value,
+                {rel: _query_rows(g.value, lo, hi) for rel, g in gates.items()}, plan.groups,
+            )
+            plan.dest.sum(msgs.reshape(hi - lo, -1), out=out[lo:hi])
 
-    run_blocks(run, len(blocks))
+        run_blocks(run, len(blocks))
     if not tape.record:
         return tape.var(out)
 

@@ -25,6 +25,14 @@ gated, all written into one array of per-incidence messages.
   input builder makes the rows of a range of queries, so a block builds
   only its own, and the k-ary decoder's (M, n) rows are one block.
   `backward` returns the gradients of the trained tensors only.
+  The first layer of a forward with queries hands the message op the
+  (query, given node) pairs of its start, which is +0.0 elsewhere. On a
+  graph where one query's per-incidence messages fill a block, the op
+  then runs the all-zero input's pass once per distinct set of gate rows
+  (one per query relation) and sums again, in full and in incidence
+  order, only the nodes of the edges that hold a given node: every other
+  node's messages are the all-zero input's, bit for bit, so every output
+  bit is the full pass's.
 * The exact theorem path (`forward_exact`) runs the bare layer form and
   differs only in how it sums: each node's messages in lexicographic
   order, so nodes with equal message multisets get bitwise-equal
@@ -310,11 +318,13 @@ def _query_init(
     graph: RelationalHypergraph,
     queries: list[Query],
     variant: str,
-) -> tuple[Var, Var]:
-    """Initial features (Q, V, d) and query embeddings z_q (Q, d) for a
-    batch: h0_v = sum over given positions i with u_i = v of (p_i + z_q);
-    zero elsewhere. Ablation variants drop either addend or use a bare
-    indicator."""
+) -> tuple[Var, Var, tuple[Array, Array]]:
+    """Initial features (Q, V, d), query embeddings z_q (Q, d) and the
+    (query, given node) pairs (two arrays) for a batch: h0_v = sum over
+    given positions i with u_i = v of (p_i + z_q); zero elsewhere.
+    Ablation variants drop either addend or use a bare indicator. Every
+    row off the given pairs is +0.0, a bincount's onto zeros, which the
+    first layer's `autodiff.relation_messages` relies on."""
     incidences: list[tuple[int, int, int]] = []  # (query, given node, its position)
     for b, q in enumerate(queries):
         arity = graph.relations[q.relation].arity
@@ -336,7 +346,7 @@ def _query_init(
         vals = ad.add(tape, vals, p)
     shape = (len(queries), graph.node_count, d)
     h0 = ad.index_add_2d(tape, shape, rows_a, cols_a, vals)
-    return h0, zq_batch
+    return h0, zq_batch, (rows_a, cols_a)
 
 
 def _forward_batch(
@@ -350,11 +360,11 @@ def _forward_batch(
     cfg = params.config
     tape = Tape(record=record)
     bound = bind_params(tape, params, graph)
-    zq_batch = None
+    zq_batch = given = None
     if queries is None:
         h = tape.constant(np.ones((1, graph.node_count, cfg.d)))
     else:
-        h, zq_batch = _query_init(tape, bound, graph, queries, cfg.variant)
+        h, zq_batch, given = _query_init(tape, bound, graph, queries, cfg.variant)
     edge_groups = edges_by_relation(graph, masked_edges)
     plan = ad.MessagePlan(edge_groups, h.value.shape)
     gates: dict[int, Var] = {}
@@ -369,7 +379,8 @@ def _forward_batch(
         alpha = bound[f"alpha_l{ell}"]
         one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), alpha)
         h = ad.layer_tail(
-            tape, h, ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], gates, plan),
+            tape, h, ad.relation_messages(tape, h, alpha, one_minus, bound["pe"], gates, plan,
+                                          given if ell == 0 else None),
             *(bound[f"{name}_l{ell}"] for name in ("W", "b", "ln_g", "ln_b")), rate, rng,
         )
     return ForwardTrace(tape, bound, h, zq_batch=zq_batch)
@@ -431,7 +442,8 @@ def decode_unary_batch(trace: ForwardTrace) -> Var:
 
 def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     """Logits (M,) for node tuples (M, k) under query relations qrel (M,),
-    from query-agnostic features (1, V, d): one 2-D product, one block.
+    from query-agnostic features (1, V, d): one 2-D product, one block,
+    over rows [h_u1 || ... || h_uk || z_q] filled by two gathers.
     h's gradient is handed on one scatter per position, last first, as a
     chain of gathers summed it."""
     h, z_q = trace.features, trace.bound["z_q"]
@@ -439,8 +451,10 @@ def decode_kary_batch(trace: ForwardTrace, tuples: Array, qrel: Array) -> Var:
     M, k = tuples.shape
 
     def rows(lo: int, hi: int) -> Array:
-        return np.concatenate([*(h.value[0, tuples[lo:hi, t]] for t in range(k)),
-                               z_q.value[qrel[lo:hi]]], axis=-1)
+        x = np.empty((hi - lo, k + 1, d))
+        x[:, :k] = h.value[0][tuples[lo:hi]]
+        x[:, k] = z_q.value[qrel[lo:hi]]
+        return x.reshape(hi - lo, -1)
 
     def spread(gx: Array) -> list:
         return [*(ad.scatter_add(h.value.shape, tuples[:, t], gx[None, :, t * d:(t + 1) * d])

@@ -307,6 +307,44 @@ class TestExclusiveProducts:
                     expected[:, j] += g[:, i] * _brute_product(f_val, {i, j})
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+    def test_vjp_is_the_two_full_sweeps_bitwise(self, k):
+        # The sweeps skip the suffix S_0 and the prefix P_{k-1}, which no
+        # term reads: the bits are those of sweeps that compute them.
+        rng = np.random.default_rng(20 + k)
+        f = rng.standard_normal((2, k, 3, 4)) * 10.0 ** rng.integers(-3, 3, (2, k, 3, 4))
+        f[0, :, 0] = 0.0
+        f[1, :, 1] = -0.0
+        f[0, 0, 2] = -0.0
+        g = rng.standard_normal(f.shape)
+        g[1, -1, 2] = -0.0
+        got, ref = ad.exclusive_products_vjp(f, g), _full_sweeps_vjp(f, g)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _full_sweeps_vjp(f, g):
+    """exclusive_products_vjp with both sweeps run to their ends."""
+    k = f.shape[-3]
+    if k == 1:
+        return np.zeros_like(f)
+    out, bs = np.empty_like(f), {}
+    s, b = f[..., k - 1, :, :], g[..., k - 1, :, :]
+    for j in range(k - 2, 0, -1):
+        out[..., j, :, :] = s
+        bs[j] = b
+        b = b * f[..., j, :, :] + g[..., j, :, :] * s
+        s = f[..., j, :, :] * s
+    out[..., 0, :, :] = b
+    p, a = f[..., 0, :, :], g[..., 0, :, :]
+    for j in range(1, k - 1):
+        oj = out[..., j, :, :]
+        oj *= a
+        oj += p * bs[j]
+        a = a * f[..., j, :, :] + g[..., j, :, :] * p
+        p = p * f[..., j, :, :]
+    out[..., k - 1, :, :] = a
+    return out
+
 
 def _add_at(base, idx, vals):
     out = base.copy()

@@ -554,10 +554,11 @@ def _exclusive_prod(tape, f):
     return tape.var(ad.exclusive_products(x), ((f, lambda g: ad.exclusive_products_vjp(x, g)),))
 
 
-def _chained_messages(tape, h, alpha, one_minus, pe, gates, plan):
+def _chained_messages(tape, h, alpha, one_minus, pe, gates, plan, given=None):
     """The layer's messages as separate tape ops: per relation a gather,
     two muls, an add, the exclusive products, the gate mul, an index_add,
-    plus the encoding lookup."""
+    plus the encoding lookup. The chain sums every row, so it ignores the
+    given pairs of a first layer."""
     msgs = tape.constant(np.zeros_like(h.value))
     for rel, nodes in plan.groups.items():
         k = nodes.shape[1]
@@ -955,6 +956,146 @@ class TestRelationMessages:
         decode_unary_batch(trace)
         widest = len(queries) * g.node_count * 4
         assert max(v.value.size for v in trace.tape.vars) == widest
+
+
+# --- a first layer summed from the given nodes' neighbourhoods ----------------
+
+
+def _given_graph():
+    """Nine nodes; node 8 is in no edge, node 2 sits twice in an edge of
+    relation 1, which also holds an edge twice, as relation 0 (arity 1)
+    does; relation 3 is the one a case masks."""
+    edges = {0: [(0,), (3,), (3,)],
+             1: [(0, 1), (1, 2), (2, 2), (4, 5), (4, 5), (6, 1)],
+             2: [(1, 2, 3), (3, 4, 1), (5, 5, 6), (2, 7, 1)],
+             3: [(6, 7), (7, 0)]}
+    rels = [Relation(r, f"r{r}", len(es[0])) for r, es in edges.items()]
+    return build_graph(rels, [HyperEdge(r, e) for r, es in edges.items() for e in es], 9)
+
+
+# Given nodes in no edge (8), two in one edge, a node twice in an edge, an
+# arity-1 query with none, a query of the masked relation. "shared": three
+# queries of one relation, so of one gate; "distinct": each relation once.
+_GIVEN_BATCHES = {
+    "mixed": [Query(1, (8,), 2), Query(2, (1, 2), 3), Query(2, (5, 6), 1), Query(1, (2,), 1),
+              Query(0, (), 1), Query(3, (7,), 1)],
+    "shared": [Query(1, (8,), 2), Query(1, (2,), 1), Query(1, (4,), 2)],
+    "distinct": [Query(0, (), 1), Query(1, (6,), 1), Query(2, (3, 4), 2), Query(3, (0,), 2)],
+    "one": [Query(2, (1, 2), 3)],
+}
+
+
+def _given_spy(mp):
+    """Spy on `ad._given_messages` through mp: a list that gains the shape
+    of each call's input."""
+    calls, real = [], ad._given_messages
+
+    def spy(out, hv, *rest):
+        calls.append(hv.shape)
+        return real(out, hv, *rest)
+
+    mp.setattr(ad, "_given_messages", spy)
+    return calls
+
+
+class TestGivenMessages:
+    @staticmethod
+    def _run(params, queries, masked, record):
+        g = _given_graph()
+        trace = hcnet_forward_batch(g, queries, params, rng=np.random.default_rng(3),
+                                    masked_edges=masked, record=record)
+        logits = decode_unary_batch(trace)
+        out = [trace.features.value, logits.value]
+        if record:
+            seed = np.random.default_rng(4).standard_normal(logits.value.shape)
+            out += list(backward(trace, logits, seed).values())
+        return out
+
+    @pytest.mark.parametrize("batch", sorted(_GIVEN_BATCHES))
+    @pytest.mark.parametrize("variant", INIT_VARIANTS)
+    @pytest.mark.parametrize("mode", ["query-dependent", "query-independent"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked-relation"])
+    def test_models_equal_the_full_pass_bitwise(self, batch, variant, mode, masked,
+                                                monkeypatch):
+        # The graph is far below a block, so the default budget sums every
+        # row; a budget of 8 bytes takes the path in the first layer only.
+        # alpha_l0 < 0 makes a zero row's factor start from -0.0.
+        g = _given_graph()
+        params = _jittered(g, mode=mode, variant=variant, dropout=0.3)
+        params.tensors["alpha_l0"][...] = -0.7
+        cut = {e for e, ed in enumerate(g.edges) if ed.relation == 3} if masked else set()
+        queries = _GIVEN_BATCHES[batch]
+        calls = _given_spy(monkeypatch)
+        full = self._run(params, queries, cut, True) + self._run(params, queries, cut, False)
+        assert calls == []
+        for _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                given = self._run(params, queries, cut, True) + self._run(params, queries, cut, False)
+            assert calls == [(len(queries), 9, 6)] * 2
+            calls.clear()
+            assert len(given) == len(full) > 4
+            for a, b in zip(full, given):
+                assert _bitwise_equal(a, b)
+
+    def test_only_a_first_layer_that_fills_a_block_takes_the_path(self, monkeypatch):
+        # One call per hcnet forward of three layers, at a budget of up to
+        # one query's per-incidence messages (T*d*8 bytes), none above it;
+        # hrnet, which has no given nodes, never.
+        g = _given_graph()
+        width = sum(len(ed.nodes) for ed in g.edges) * 6
+        params = _jittered(g)
+        calls = _given_spy(monkeypatch)
+        for budget, runs in ((8, 1), (8 * width, 1), (8 * width + 1, 0), (1 << 21, 0)):
+            monkeypatch.setattr(ad, "BLOCK_BYTES", budget)
+            hcnet_forward_batch(g, _GIVEN_BATCHES["mixed"], params)
+            assert len(calls) == runs, budget
+            calls.clear()
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        hrnet_forward_batch(g, _jittered(g, kind="hrnet", mode="query-independent"))
+        forward_exact(g, params, _GIVEN_BATCHES["one"][0], 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("gate_shape", [(6,), (4, 1, 1, 6)], ids=["shared", "per-query"])
+    def test_op_equals_the_full_pass_bitwise(self, gate_shape, monkeypatch):
+        # Per-query gates where queries 0 and 1 agree on relation 0's gate
+        # only and queries 2 and 3 agree on all: the rows copied from a
+        # query's base must be those of its own gates. h is zero (+0.0) off
+        # the given rows, whose values span six orders of magnitude, some
+        # -0.0; alpha < 0.
+        groups = {0: np.array([[1, 1, 4], [0, 2, 4], [5, 6, 2]]), 1: np.array([[3], [3], [0]]),
+                  2: np.array([[2, 2], [1, 0], [4, 4], [1, 0]])}
+        rng = np.random.default_rng(5)
+        Q, V, d = 4, 8, 6
+        given = (np.array([0, 0, 1, 2, 3, 3]), np.array([1, 7, 4, 2, 2, 6]))
+        h = np.zeros((Q, V, d))
+        h[given] = rng.standard_normal((6, d)) * 10.0 ** rng.integers(-3, 3, (6, d))
+        h[0, 1, :2] = -0.0
+        gates = {r: rng.standard_normal(gate_shape) for r in groups}
+        if len(gate_shape) == 4:
+            gates[0][1] = gates[0][0]
+            for g in gates.values():
+                g[3] = g[2]
+        pe, seed = rng.standard_normal((4, d)), rng.standard_normal((Q, V, d))
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
+        calls = _given_spy(monkeypatch)
+        results = []
+        for pairs in (None, given):
+            for _ in _paths(monkeypatch):
+                tape = ad.Tape()
+                leaves = {"h": tape.leaf(h.copy()), "alpha": tape.leaf(np.asarray(-0.4)),
+                          "pe": tape.leaf(pe.copy()),
+                          **{f"g{r}": tape.leaf(v.copy()) for r, v in gates.items()}}
+                one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+                out = ad.relation_messages(
+                    tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"],
+                    {r: leaves[f"g{r}"] for r in groups}, ad.MessagePlan(groups, (Q, V, d)), pairs)
+                ad.backward(tape, out, seed)
+                results.append([out.value] + [v.grad for v in leaves.values()])
+        assert len(calls) == 2
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                assert _bitwise_equal(a, b)
 
 
 # --- the fused layer tail and unary decoder against the chains they replaced -
