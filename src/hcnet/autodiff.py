@@ -49,9 +49,9 @@ incidences is touched sums, from +0.0 in incidence order, exactly the
 all-zero pass's sum. So the all-zero pass runs once per distinct set of
 gate rows (one per query relation; one when the gates are shared), and
 only the nodes of an edge that holds a given node are summed again, over
-all of their incidences in incidence order, from the true messages: the
-same values in the same order as the full pass. The VJP recomputes from
-the inputs as always.
+all of their incidences in incidence order, from the true messages of the
+one message kernel (`incidence_messages`): the same values in the same
+order as the full pass. The VJP recomputes from the inputs as always.
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the decoders' MLP are one tape op each. They run
@@ -673,72 +673,48 @@ def _query_rows(a: Array, lo: int, hi: int) -> Array:
     return a[lo:hi] if a.ndim == 4 else a
 
 
-def _incidence_index(groups: dict[int, Array], V: int) -> tuple[Array, ...]:
-    """Each incidence's relation (its index in groups), edge row and
-    position, in `incidence_messages`' order, and the incidences into each
-    node: all incidences sorted stably by destination, and each node's
-    offset into them (V+1)."""
-    rel, row, pos = [], [], []
-    for r, nodes in enumerate(groups.values()):
-        E, k = nodes.shape
-        rel.append(np.full(E * k, r, dtype=np.intp))
-        row.append(np.tile(np.arange(E), k))
-        pos.append(np.repeat(np.arange(k), E))
-    dest = destinations(groups)
-    offsets = np.zeros(V + 1, dtype=np.intp)
-    np.cumsum(np.bincount(dest, minlength=V), out=offsets[1:])
-    by_dest = np.argsort(dest * dest.size + np.arange(dest.size))  # keys unique: stable
-    return (*(np.concatenate(a) for a in (rel, row, pos)), by_dest, offsets)
-
-
-def _into(nodes: Array, by_dest: Array, offsets: Array) -> tuple[Array, Array]:
-    """The incidences into each of nodes, in incidence order, node after
-    node (`_incidence_index`' CSR): each one's index into nodes, and
-    the incidence."""
-    lo = offsets[nodes]
-    counts = offsets[nodes + 1] - lo
-    owner = np.repeat(np.arange(nodes.size), counts)
-    starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return owner, by_dest[starts + np.arange(owner.size)]
+def _holding(mask: Array, nodes: Array) -> Array:
+    """(Q, E): whether edge e of a relation's nodes (E, k) holds a node
+    that mask (Q, V) marks for query q."""
+    held = mask[:, nodes[:, 0]]
+    for j in range(1, nodes.shape[1]):
+        held |= mask[:, nodes[:, j]]
+    return held
 
 
 def _touched_rows(
     hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict, plan: MessagePlan,
     given: tuple[Array, Array],
-) -> tuple[Array, Array, Array]:
-    """The (query, node) rows D of the summed messages that an edge holding
-    a given node reaches, as (queries, nodes, sums (|D|, d)): every
-    incidence into a node of D, in incidence order, its message computed
-    from hv as `incidence_messages` does (`_factors`, `exclusive_products`,
-    the gate) and summed from +0.0 with one bincount, so each row is bit
-    for bit the one a full pass sums."""
+) -> tuple[Array, Array]:
+    """The rows of the summed messages that an edge holding a given node
+    reaches, as indices into hv's (Q*V) rows, and their sums (|rows|, d),
+    bit for bit the full pass's.
+
+    Every incidence into a reached row lies on an edge of its query that
+    holds a reached node. Those (query, edge) pairs, as node tables on
+    the (Q*V) rows with each pair's gate row, go through
+    `incidence_messages`: the full pass's NumPy calls on the same values,
+    in its relation, position, edge order for each row. One bincount sums
+    from +0.0 those bound for a reached row."""
     Q, V, d = hv.shape
-    rel_of, row_of, pos_of, by_dest, offsets = _incidence_index(plan.groups, V)
-    groups = list(plan.groups.items())
-    pairs = np.unique(given[0] * V + given[1])  # query * V + node
-    owner, touch = _into(pairs % V, by_dest, offsets)
-    touch_q, touch_rel = pairs[owner] // V, rel_of[touch]
-    reached = [np.empty(0, dtype=np.intp)]
-    for r, (_, nodes) in enumerate(groups):
-        sel = touch_rel == r  # every node of a touched edge
-        reached.append((touch_q[sel, None] * V + nodes[row_of[touch[sel]]]).reshape(-1))
-    rows = np.unique(np.concatenate(reached))
-    queries, targets = rows // V, rows % V
-    owner, incs = _into(targets, by_dest, offsets)
-    inc_rel = rel_of[incs]
-    msgs = np.empty((incs.size, d))
-    for r, (rel, nodes) in enumerate(groups):
-        sel = np.flatnonzero(inc_rel == r)
-        t, qs = incs[sel], queries[owner[sel]]
-        hn = hv[qs, nodes[row_of[t]].T]  # (k, n, d)
-        f = _factors(hn, alpha, one_minus, pe, out=hn)
-        m = exclusive_products(f)[pos_of[t], np.arange(sel.size)]
+    marked = np.zeros((Q, V), dtype=bool)
+    marked[given] = True
+    reached = np.zeros((Q, V), dtype=bool)
+    for nodes in plan.groups.values():
+        qs, es = np.nonzero(_holding(marked, nodes))
+        reached[qs[:, None], nodes[es]] = True
+    tables, table_gates = {}, {}
+    for rel, nodes in plan.groups.items():
+        qs, es = np.nonzero(_holding(reached, nodes))
+        tables[rel] = qs[:, None] * V + nodes[es]
         gv = gates[rel].value
-        m *= gv[qs, 0, 0] if gv.ndim == 4 else gv
-        msgs[sel] = m
-    bins = (owner[:, None] * d + np.arange(d)).reshape(-1)
-    sums = np.bincount(bins, weights=msgs.reshape(-1), minlength=rows.size * d)
-    return queries, targets, sums.reshape(-1, d)
+        table_gates[rel] = gv[qs, 0, 0][None] if gv.ndim == 4 else gv
+    msgs = incidence_messages(hv.reshape(Q * V, d), alpha, one_minus, pe, table_gates, tables)
+    dest = destinations(tables)
+    keep = reached.reshape(-1)[dest]
+    rows = np.flatnonzero(reached)
+    bins = Bins(np.searchsorted(rows, dest[keep]), rows.size, d, 1)
+    return rows, bins.sum(msgs[keep].reshape(1, -1))[0]
 
 
 def _given_messages(
@@ -758,10 +734,10 @@ def _given_messages(
     the plan's bins sum them into the row of the set's first query, which
     is copied to its other queries. The rows an edge holding a given node
     reaches are then summed again in full (`_touched_rows`). The sets run
-    on `run_blocks`; the touched rows, many small NumPy calls, run before
-    them on the calling thread alone: beside the other thread's sums they
-    waited on the GIL, 6 ms against 2.5 ms at the `rank` benchmark's size."""
-    Q, _, d = hv.shape
+    on `run_blocks`; the touched rows run before them on the calling
+    thread alone: as one more job of the pass, a 16-query `rank` chunk
+    took 13-17 ms here against 12-15 ms (medians of 3 runs, 2-core x86)."""
+    Q, V, d = hv.shape
     per_query = [gates[rel].value.reshape(Q, -1) for rel in plan.groups
                  if gates[rel].value.ndim == 4]
     keys = np.concatenate(per_query, axis=1) if per_query else np.empty((Q, 0))
@@ -770,7 +746,7 @@ def _given_messages(
     zero_edges = {rel: np.zeros((1, nodes.shape[1]), dtype=np.intp)
                   for rel, nodes in plan.groups.items()}
     repeats = np.concatenate([np.full(k, E) for E, k in (n.shape for n in plan.groups.values())])
-    queries, targets, sums = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
+    rows, sums = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
     jobs = list(firsts.values())
 
     def run(j: int, _: _Pass) -> None:
@@ -785,7 +761,7 @@ def _given_messages(
     for q, first in enumerate(source):
         if first != q:
             out[q] = out[first]
-    out[queries, targets] = sums
+    out[np.divmod(rows, V)] = sums
 
 
 def _relation_grads(

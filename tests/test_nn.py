@@ -975,13 +975,15 @@ def _given_graph():
 
 # Given nodes in no edge (8), two in one edge, a node twice in an edge, an
 # arity-1 query with none, a query of the masked relation. "shared": three
-# queries of one relation, so of one gate; "distinct": each relation once.
+# queries of one relation, so of one gate; "distinct": each relation once;
+# "untouched": no given node in an edge, so no row is summed again.
 _GIVEN_BATCHES = {
     "mixed": [Query(1, (8,), 2), Query(2, (1, 2), 3), Query(2, (5, 6), 1), Query(1, (2,), 1),
               Query(0, (), 1), Query(3, (7,), 1)],
     "shared": [Query(1, (8,), 2), Query(1, (2,), 1), Query(1, (4,), 2)],
     "distinct": [Query(0, (), 1), Query(1, (6,), 1), Query(2, (3, 4), 2), Query(3, (0,), 2)],
     "one": [Query(2, (1, 2), 3)],
+    "untouched": [Query(1, (8,), 2), Query(0, (), 1)],
 }
 
 
@@ -1056,46 +1058,67 @@ class TestGivenMessages:
         forward_exact(g, params, _GIVEN_BATCHES["one"][0], 3)
         assert calls == []
 
+    @staticmethod
+    def _op_cases(Q):
+        """(groups, V, given pairs, rng) for the hand-made case, then for ten
+        random graphs with two more nodes, in no edge, and given pairs
+        drawn at random, two of them twice, one on a node in no edge."""
+        yield ({0: np.array([[1, 1, 4], [0, 2, 4], [5, 6, 2]]), 1: np.array([[3], [3], [0]]),
+                2: np.array([[2, 2], [1, 0], [4, 4], [1, 0]])}, 8,
+               (np.array([0, 0, 1, 2, 3, 3]), np.array([1, 7, 4, 2, 2, 6])),
+               np.random.default_rng(5))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g = random_hypergraph(rng, max_nodes=12)
+            V = g.node_count + 2
+            drawn = rng.integers(0, (Q, V), (8, 2))
+            pairs = np.concatenate([drawn, drawn[:2], [[1, V - 1]]])
+            yield edges_by_relation(g), V, (pairs[:, 0], pairs[:, 1]), rng
+
     @pytest.mark.parametrize("gate_shape", [(6,), (4, 1, 1, 6)], ids=["shared", "per-query"])
     def test_op_equals_the_full_pass_bitwise(self, gate_shape, monkeypatch):
-        # Per-query gates where queries 0 and 1 agree on relation 0's gate
-        # only and queries 2 and 3 agree on all: the rows copied from a
-        # query's base must be those of its own gates. h is zero (+0.0) off
-        # the given rows, whose values span six orders of magnitude, some
-        # -0.0; alpha < 0.
-        groups = {0: np.array([[1, 1, 4], [0, 2, 4], [5, 6, 2]]), 1: np.array([[3], [3], [0]]),
-                  2: np.array([[2, 2], [1, 0], [4, 4], [1, 0]])}
-        rng = np.random.default_rng(5)
-        Q, V, d = 4, 8, 6
-        given = (np.array([0, 0, 1, 2, 3, 3]), np.array([1, 7, 4, 2, 2, 6]))
-        h = np.zeros((Q, V, d))
-        h[given] = rng.standard_normal((6, d)) * 10.0 ** rng.integers(-3, 3, (6, d))
-        h[0, 1, :2] = -0.0
-        gates = {r: rng.standard_normal(gate_shape) for r in groups}
-        if len(gate_shape) == 4:
-            gates[0][1] = gates[0][0]
-            for g in gates.values():
-                g[3] = g[2]
-        pe, seed = rng.standard_normal((4, d)), rng.standard_normal((Q, V, d))
+        # Per-query gates where queries 0 and 1 agree on the first
+        # relation's gate only and queries 2 and 3 agree on all: the rows
+        # copied from a query's base must be those of its own gates. h is
+        # zero (+0.0) off the given rows, whose values span six orders of
+        # magnitude, some -0.0; alpha < 0.
+        Q, d = 4, 6
         monkeypatch.setattr(ad, "BLOCK_BYTES", 8)
         calls = _given_spy(monkeypatch)
-        results = []
-        for pairs in (None, given):
-            for _ in _paths(monkeypatch):
-                tape = ad.Tape()
-                leaves = {"h": tape.leaf(h.copy()), "alpha": tape.leaf(np.asarray(-0.4)),
-                          "pe": tape.leaf(pe.copy()),
-                          **{f"g{r}": tape.leaf(v.copy()) for r, v in gates.items()}}
-                one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
-                out = ad.relation_messages(
-                    tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"],
-                    {r: leaves[f"g{r}"] for r in groups}, ad.MessagePlan(groups, (Q, V, d)), pairs)
-                ad.backward(tape, out, seed)
-                results.append([out.value] + [v.grad for v in leaves.values()])
-        assert len(calls) == 2
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                assert _bitwise_equal(a, b)
+        for groups, V, given, rng in self._op_cases(Q):
+            n = len(given[0])
+            h = np.zeros((Q, V, d))
+            rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, d))
+            rows[0, :2] = -0.0
+            rows[rng.random((n, d)) < 0.1] = -0.0
+            h[given] = rows
+            gates = {r: rng.standard_normal(gate_shape) for r in groups}
+            if len(gate_shape) == 4:
+                first = next(iter(gates.values()))
+                first[1] = first[0]
+                for g in gates.values():
+                    g[3] = g[2]
+            k = max(nodes.shape[1] for nodes in groups.values())
+            pe, seed = rng.standard_normal((k + 1, d)), rng.standard_normal((Q, V, d))
+            results = []
+            for pairs in (None, given):
+                for _ in _paths(monkeypatch):
+                    tape = ad.Tape()
+                    leaves = {"h": tape.leaf(h.copy()), "alpha": tape.leaf(np.asarray(-0.4)),
+                              "pe": tape.leaf(pe.copy()),
+                              **{f"g{r}": tape.leaf(v.copy()) for r, v in gates.items()}}
+                    one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+                    out = ad.relation_messages(
+                        tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"],
+                        {r: leaves[f"g{r}"] for r in groups}, ad.MessagePlan(groups, (Q, V, d)),
+                        pairs)
+                    ad.backward(tape, out, seed)
+                    results.append([out.value] + [v.grad for v in leaves.values()])
+            assert len(calls) == 2
+            calls.clear()
+            for other in results[1:]:
+                for a, b in zip(results[0], other):  # arity 1 alone: no h, alpha, pe grads
+                    assert (a is None and b is None) or _bitwise_equal(a, b)
 
 
 # --- the fused layer tail and unary decoder against the chains they replaced -
