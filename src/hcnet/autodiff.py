@@ -53,6 +53,36 @@ all of their incidences in incidence order, from the true messages of the
 one message kernel (`incidence_messages`): the same values in the same
 order as the full pass. The VJP recomputes from the inputs as always.
 
+The VJP of a layer's messages reads G, the gradient of their sum. A
+training loss reads the logits of a positive and a few negatives per
+query (11 of V=1000 at the `train` benchmark's size), so most rows of the
+last layer's G are +0.0 or -0.0 throughout, and only 2-3 % of its (query,
+edge) pairs hold a live row. A pair without one has gm = +-0.0 at every
+position, so with finite factors and products every term it adds to a
+sum (the gate's, the Q-sum's, alpha's, h's) is +-0.0. Adding +-0.0 to a
+sum changes no bit unless the sum is 0.0, whose sign it may set (NumPy
+2.4.6 starts its sums from +0.0, so even then it does not; nothing here
+leans on that): a bincount from +0.0, a sequential sum and a pairwise sum
+at fixed places all end on the same bits without those terms, unless
+they end on a zero. So, on a graph where one query's per-incidence
+arrays fill a block, the VJP finds G's live rows once per op, and a
+relation of arity 2 or more whose pairs that hold one are at most
+`PAIR_SHARE` (0.25) of its Q*E runs on those pairs alone (`_pair_terms`):
+node tables on the flattened (Q*V, d) rows, through the one kernel's
+`_factors`, `exclusive_products` and `exclusive_products_vjp`, each sum
+a bincount from +0.0 over the pairs' terms in its dense sum's order
+(position, edge, query), alpha's terms in their places of a zero (k, E,
+Q, d) buffer summed as the dense buffer is. The relation falls back to
+the dense pass when a summed entry (a gate's, the Q-sum's total over
+edges, alpha's) is exactly 0.0, and the branch is not taken when the
+op's output is not finite: every message enters it, so a finite output
+means finite factors, partial products and gates, and left-out terms
+that are +-0.0. On the `train` benchmark's graph the branch broke even
+at a share of about 0.3 on two CPUs (0.55 on one); a `train` step's last
+layer (0.02-0.03) takes it, 57-60 ms of VJP becoming 10-11 ms, while its
+middle layer (0.3-0.42) and first layer (0.99) stay dense. Hypercycle
+and theorem-suite graphs fill no block, so their VJP never looks.
+
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the decoders' MLP are one tape op each. They run
 the NumPy calls of the per-op chains they replaced in order, so every
@@ -94,6 +124,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -673,13 +704,15 @@ def _query_rows(a: Array, lo: int, hi: int) -> Array:
     return a[lo:hi] if a.ndim == 4 else a
 
 
-def _holding(mask: Array, nodes: Array) -> Array:
-    """(Q, E): whether edge e of a relation's nodes (E, k) holds a node
-    that mask (Q, V) marks for query q."""
-    held = mask[:, nodes[:, 0]]
+def _holding_pairs(marked: Array, nodes: Array) -> tuple[Array, Array]:
+    """The (query, edge) pairs, as arrays qs, es sorted by edge and then
+    query, whose edge e of a relation's nodes (E, k) holds a node that
+    marked (V, Q) marks for query q."""
+    held = marked[nodes[:, 0]]  # (E, Q)
     for j in range(1, nodes.shape[1]):
-        held |= mask[:, nodes[:, j]]
-    return held
+        held |= marked[nodes[:, j]]
+    es, qs = np.nonzero(held)
+    return qs, es
 
 
 def _touched_rows(
@@ -697,21 +730,22 @@ def _touched_rows(
     in its relation, position, edge order for each row. One bincount sums
     from +0.0 those bound for a reached row."""
     Q, V, d = hv.shape
-    marked = np.zeros((Q, V), dtype=bool)
-    marked[given] = True
-    reached = np.zeros((Q, V), dtype=bool)
+    marked = np.zeros((V, Q), dtype=bool)
+    marked[given[1], given[0]] = True
+    reached = np.zeros((V, Q), dtype=bool)
     for nodes in plan.groups.values():
-        qs, es = np.nonzero(_holding(marked, nodes))
-        reached[qs[:, None], nodes[es]] = True
+        qs, es = _holding_pairs(marked, nodes)
+        reached[nodes[es], qs[:, None]] = True
     tables, table_gates = {}, {}
     for rel, nodes in plan.groups.items():
-        qs, es = np.nonzero(_holding(reached, nodes))
+        qs, es = _holding_pairs(reached, nodes)
         tables[rel] = qs[:, None] * V + nodes[es]
         gv = gates[rel].value
         table_gates[rel] = gv[qs, 0, 0][None] if gv.ndim == 4 else gv
     msgs = incidence_messages(hv.reshape(Q * V, d), alpha, one_minus, pe, table_gates, tables)
     dest = destinations(tables)
-    keep = reached.reshape(-1)[dest]
+    reached = reached.T.reshape(-1)  # by (query, node), as hv's rows
+    keep = reached[dest]
     rows = np.flatnonzero(reached)
     bins = Bins(np.searchsorted(rows, dest[keep]), rows.size, d, 1)
     return rows, bins.sum(msgs[keep].reshape(1, -1))[0]
@@ -764,26 +798,43 @@ def _given_messages(
     out[np.divmod(rows, V)] = sums
 
 
-def _relation_grads(
+# The share of a relation's (query, edge) pairs up to which its VJP runs on
+# the pairs that hold a live row of G alone (`_pair_terms`), on a graph
+# where one query's per-incidence arrays fill a block. On the `train`
+# benchmark's graph (V=1000, 4000 edges of arities 2/2/3/3, Q=16, d=32)
+# on a 2-core x86 host, with G's rows thinned at random, a relation's
+# pair VJP took 1.6-4.3 ms at shares up to 0.08 against 8.6-23 ms dense,
+# and broke even at shares of about 0.3 on two CPUs (about 0.55 on one,
+# where the dense pass has no second thread). A `train` step's last layer
+# holds 0.02-0.03 of its pairs, its middle layer 0.3-0.42.
+PAIR_SHARE = 0.25
+
+
+def _gradient_pairs(live: Array, nodes: Array) -> tuple[Array, Array] | None:
+    """The (query, edge) pairs whose edge of a relation's nodes (E, k)
+    holds a live row of G, marked in live (V, Q), when they are at most
+    PAIR_SHARE of the relation's pairs; None otherwise."""
+    qs, es = _holding_pairs(live, nodes)
+    return (qs, es) if qs.size <= PAIR_SHARE * nodes.shape[0] * live.shape[1] else None
+
+
+def _dense_terms(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
     rel: int,
-) -> list[Array]:
-    """Relation rel's gradient contributions to gate, one_minus, alpha, pe
-    and h (to the gate alone at arity 1, whose product is constant), with
-    None for pe and h when they are Constants, given the gradient G
-    (Q, V, d) of the summed messages.
+) -> tuple:
+    """Relation rel's terms over all of its (query, edge) pairs: the gate's
+    gradient, and at arity 2 or more the Q-sum behind one_minus's and pe's
+    (k, E, d), alpha's unsummed term and h's gradient (None when h is a
+    Constant).
 
     Factors and products are recomputed from the inputs, one block of
-    queries at a time. Each term is summed in the order the separate tape
-    ops (gather, take_rows, mul, add, exclusive products, gate mul,
-    index_add) summed it, so the gradients are bitwise equal to theirs.
-    The Q-sum that starts one_minus's and pe's terms runs on from block to
-    block, in block order also when the blocks run on two threads
-    (`run_blocks`); every other term, h's too, fills its own rows. alpha's term and
-    a shared gate's sum over all queries at once, in the memory order of
-    those ops' gather h[..., nodes.T, :], which is (k, E, Q, d): each is
-    written into one buffer per relation laid out so, and summed after the
-    last block."""
+    queries at a time. The Q-sum runs on from block to block, in block
+    order also when the blocks run on two threads (`run_blocks`); every
+    other term, h's too, fills its own rows. alpha's term and a shared
+    gate's sum over all queries at once, in the memory order of the
+    per-op chain's gather h[..., nodes.T, :], which is (k, E, Q, d): each
+    is written into one buffer per relation laid out so. The gate's is
+    summed here after the last block, alpha's by `_relation_grads`."""
     Q, _, d = G.shape
     nodes = plan.groups[rel]
     E, k = nodes.shape
@@ -833,13 +884,87 @@ def _relation_grads(
             bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
 
     run_blocks(run, len(blocks))
-    out = [_unbroadcast(ggate, gv.shape)]
+    return _unbroadcast(ggate, gv.shape), gsum, galpha, gh
+
+
+def _pair_terms(
+    G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
+    rel: int, pairs: tuple[Array, Array],
+) -> tuple:
+    """`_dense_terms` (arity 2 or more) from the (query, edge) pairs
+    (qs, es) alone, sorted by edge and then query, on the calling thread.
+
+    Their node ids index the (Q*V, d) rows of G and h, and their factors,
+    products and gradients are `_dense_terms`' NumPy calls on the same
+    values. Each sum is a bincount from +0.0 that adds the pairs' terms in
+    the order of its dense sum, position, edge, query: the gate's (over
+    position and edge per query, or over all three when it is shared),
+    the Q-sum and h's gradient. alpha's term fills its pairs' places of a
+    zero (k, E, Q, d) buffer, so its sum adds every term at its dense
+    place."""
+    Q, V, d = G.shape
+    nodes = plan.groups[rel]
+    E, k = nodes.shape
+    qs, es = pairs
+    a, gv = alpha.value, gate.value
+    rows = (qs[:, None] * V + nodes[es]).T  # (k, P)
+
+    def summed(bins: Array, n: int, terms: Array) -> Array:
+        return Bins(bins, n, d, 1).sum(terms.reshape(1, -1))[0]
+
+    gm = np.take(G.reshape(-1, d), rows, axis=0)  # (k, P, d)
+    hn = np.take(h.value.reshape(-1, d), rows, axis=0)
+    f = _factors(hn, a, one_minus.value, pe.value)
+    t = exclusive_products(f)
+    t *= gm
+    if gv.ndim < 4:
+        ggate = summed(np.zeros_like(rows), 1, t).reshape(gv.shape)
+        gm *= gv
+    else:
+        ggate = summed(np.broadcast_to(qs, rows.shape), Q, t).reshape(gv.shape)
+        gm *= gv[qs, 0, 0]
+    del t
+    gf = exclusive_products_vjp(f, gm)
+    del f, gm
+    gsum = summed(np.arange(k)[:, None] * E + es, k * E, gf).reshape(k, E, d)
+    galpha = np.zeros((k, E, Q, d))
+    galpha[:, es, qs] = gf * hn
+    gh = None
+    if not isinstance(h, Constant):
+        gf *= a
+        gh = summed(rows, Q * V, gf).reshape(G.shape)
+    return ggate, gsum, galpha.transpose(2, 0, 1, 3), gh
+
+
+def _relation_grads(
+    G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
+    rel: int, pairs: tuple[Array, Array] | None = None,
+) -> list[Array]:
+    """Relation rel's gradient contributions to gate, one_minus, alpha, pe
+    and h (to the gate alone at arity 1, whose product is constant), with
+    None for pe and h when they are Constants, given the gradient G
+    (Q, V, d) of the summed messages.
+
+    Each term is summed in the order the separate tape ops (gather,
+    take_rows, mul, add, exclusive products, gate mul, index_add) summed
+    it, so the gradients are bitwise equal to theirs. The terms come from
+    every (query, edge) pair (`_dense_terms`), or from `pairs` alone
+    (`_pair_terms`), whose sums leave out only terms that are +0.0 or
+    -0.0; if one of those sums is exactly 0.0, whose sign such a term may
+    set, the dense pass runs instead."""
+    k = plan.groups[rel].shape[1]
+    terms = (_dense_terms(G, h, alpha, one_minus, pe, gate, plan, rel) if pairs is None
+             else _pair_terms(G, h, alpha, one_minus, pe, gate, plan, rel, pairs))
+    ggate, gsum, galpha, gh = terms
     if k == 1:
-        return out
+        return [ggate]
+    a, c = alpha.value, one_minus.value
     pk = _positions(pe.value, k)
     gb = _unbroadcast(gsum, pk.shape)
-    out.append(_unbroadcast(gb * pk, c.shape))
-    out.append(_unbroadcast(galpha, a.shape))
+    ga = _unbroadcast(galpha, a.shape)
+    if pairs is not None and any(np.any(s == 0) for s in (ggate, gb, ga)):
+        return _relation_grads(G, h, alpha, one_minus, pe, gate, plan, rel)
+    out = [ggate, _unbroadcast(gb * pk, c.shape), ga]
     if isinstance(pe, Constant):
         out.append(None)
     else:
@@ -872,8 +997,13 @@ def relation_messages(
     given, when not None, holds the (query, node) pairs (two arrays) of
     the only rows of h that may not be +0.0, as a forward's first layer
     has them. When one query's per-incidence messages fill a block, the
-    forward then runs `_given_messages`, with the same bits; the VJP is
-    the same either way."""
+    forward then runs `_given_messages`, with the same bits.
+
+    On such a graph the VJP also finds the live rows of G (those not
+    +-0.0 throughout) once, at its first call, and a relation of arity 2
+    or more whose pairs that hold one are at most PAIR_SHARE of its Q*E
+    runs on them alone (`_gradient_pairs`, `_pair_terms`), with the same
+    bits, unless the output is not finite."""
     hv = h.value
     out = np.empty(hv.shape)
     if given is not None and 8 * plan.dest.width >= BLOCK_BYTES:
@@ -893,11 +1023,23 @@ def relation_messages(
     if not tape.record:
         return tape.var(out)
 
+    live: list[Array] = []  # G's live rows, found by the first VJP that reads them
+    finite = functools.cache(lambda: bool(np.isfinite(out).all()))
+
+    def grads(g: Array, rel: int) -> list:
+        nodes, pairs = plan.groups[rel], None
+        if nodes.shape[1] > 1 and 8 * plan.dest.width >= BLOCK_BYTES:
+            if not live:
+                live.append(np.ascontiguousarray(np.any(g != 0, axis=-1).T))
+            pairs = _gradient_pairs(live[0], nodes)
+            if pairs is not None and not finite():
+                pairs = None
+        return _relation_grads(g, h, alpha, one_minus, pe, gates[rel], plan, rel, pairs)
+
     parents: list[tuple[Var, Callable[[Array], Array]]] = []
     for rel, nodes in reversed(plan.groups.items()):
         targets = [gates[rel]] if nodes.shape[1] == 1 else [gates[rel], one_minus, alpha, pe, h]
-        parents += _shared_vjp(targets, lambda g, rel=rel: _relation_grads(
-            g, h, alpha, one_minus, pe, gates[rel], plan, rel))
+        parents += _shared_vjp(targets, lambda g, rel=rel: grads(g, rel))
     return tape.var(out, tuple(parents))
 
 

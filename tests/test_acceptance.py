@@ -101,7 +101,7 @@ def test_criterion_8_metric_arithmetic():
 def test_criterion_9_forward_time_linear_in_edges():
     res = complexity_suite(seed=0, factor_limit=2.5, repeats=3)
     _report(9, res.passed,
-            f"{res.name}: wall-time ratio {res.detail['ratio']:.2f} for 2x edges (need <= 2.5)")
+            f"{res.name}: CPU-time ratio {res.detail['ratio']:.2f} for 2x edges (need <= 2.5)")
 
 
 def test_criterion_10_real_dataset_benchmarks():

@@ -444,6 +444,28 @@ class TestScatterAdd:
         assert (base == 1.0).all() and (out.value[:, 0] == 3.0).all()
 
 
+class TestHoldingPairs:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pairs_are_the_marked_edges_by_edge_then_query(self, k):
+        # A node twice in an edge, a node in no edge (9), a query that
+        # marks nothing (2), and one that marks every node (3).
+        rng = np.random.default_rng(k)
+        nodes = rng.integers(0, 9, (12, k))
+        nodes[0] = 4
+        marked = rng.random((10, 4)) < 0.2
+        marked[:, 2] = False
+        marked[:, 3] = True
+        qs, es = ad._holding_pairs(marked, nodes)
+        want = [(q, e) for e in range(12) for q in range(4)
+                if any(marked[v, q] for v in nodes[e])]
+        assert list(zip(qs.tolist(), es.tolist())) == want
+        assert qs.dtype == es.dtype == np.intp
+
+    def test_no_marks_no_pairs(self):
+        qs, es = ad._holding_pairs(np.zeros((5, 3), dtype=bool), np.array([[0, 1], [2, 4]]))
+        assert qs.size == es.size == 0
+
+
 class TestTapeSemantics:
     def test_backward_frees_non_leaf_grads(self):
         rng = np.random.default_rng(4)

@@ -38,7 +38,8 @@ from hcnet.nn import (
 )
 from hcnet.randgen import random_hypergraph, random_query
 from hcnet.refine import conditional_init, equivalent
-from hcnet.synth import hypercycle
+from hcnet.synth import hypercycle, run_expressiveness_experiment
+from hcnet.train import TrainConfig, adversarial_loss_from_logits, fit
 
 
 class TestPositionalEncoding:
@@ -1119,6 +1120,225 @@ class TestGivenMessages:
             for other in results[1:]:
                 for a, b in zip(results[0], other):  # arity 1 alone: no h, alpha, pe grads
                     assert (a is None and b is None) or _bitwise_equal(a, b)
+
+
+# --- the message VJP on the (query, edge) pairs that hold a live row of G -----
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: the same values, sign bits and NaN payloads."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _terms_spy(mp):
+    """Spy on the message VJP's terms through mp: a list that gains
+    ("pairs", rel) per `ad._pair_terms` call and ("dense", rel) per
+    `ad._dense_terms` call, and the layer input each was given."""
+    calls = []
+    for kind, name in (("pairs", "_pair_terms"), ("dense", "_dense_terms")):
+        def spy(G, h, *rest, kind=kind, real=getattr(ad, name)):
+            calls.append((kind, rest[5], h))  # rest[5]: the relation
+            return real(G, h, *rest)
+
+        mp.setattr(ad, name, spy)
+    return calls
+
+
+def _message_vjp(groups, inputs, G, constants=()):
+    """relation_messages on the relations of groups and its VJP for G: the
+    output and the gradient of every input (None for a Constant's or a
+    masked relation's gate)."""
+    tape = ad.Tape()
+    leaves = {name: (tape.constant if name in constants else tape.leaf)(value.copy())
+              for name, value in inputs.items()}
+    one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+    gates = {r: leaves[f"g{r}"] for r in groups}
+    out = ad.relation_messages(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"],
+                               gates, ad.MessagePlan(groups, G.shape))
+    ad.backward(tape, out, G)
+    return [out.value] + [leaf.grad for leaf in leaves.values()]
+
+
+def _branch_inputs(Q, gate_shape, seed=1, live=0.5):
+    """Inputs of the `_block_groups` relations on 7 nodes, values of six
+    orders of magnitude, and a G with -0.0 entries whose rows are dead at
+    random, +0.0 or -0.0 throughout, but for three live rows per query."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 3, 6)
+    inputs = {"h": rng.standard_normal((Q, 7, 6)) * scale, "alpha": np.asarray(0.3),
+              "pe": rng.standard_normal((6, 6)),
+              **{f"g{r}": rng.standard_normal(gate_shape) for r in range(6)}}
+    G = rng.standard_normal((Q, 7, 6)) * scale
+    G[rng.random((Q, 7, 6)) < 0.1] = -0.0
+    dead = rng.random((Q, 7)) > live
+    for q in range(Q):
+        dead[q, rng.choice(7, 3, replace=False)] = False
+    G[dead] = np.where(rng.random(dead.sum()) < 0.5, 0.0, -0.0)[:, None]
+    return inputs, G
+
+
+def _assert_branch_equals_dense(groups, inputs, G, monkeypatch, constants=()):
+    """The VJP with the pair branch open to every relation (a budget of 8
+    bytes, PAIR_SHARE 1) equals the dense VJP bit for bit, sign bits
+    included, on the serial and the threaded path; returns each path's
+    `_terms_spy` calls."""
+    dense = _message_vjp(groups, inputs, G, constants)
+    paths = []
+    for _ in _paths(monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "BLOCK_BYTES", 8)
+            mp.setattr(ad, "PAIR_SHARE", 1.0)
+            calls = _terms_spy(mp)
+            got = _message_vjp(groups, inputs, G, constants)
+        assert len(got) == len(dense)
+        for a, b in zip(dense, got):
+            assert (a is None and b is None) or _same_bits(a, b)
+        paths.append([(kind, rel) for kind, rel, _ in calls])
+    return paths
+
+
+class TestPairGradients:
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    @pytest.mark.parametrize("constants", [(), ("h", "pe")], ids=["leaves", "constant-h-pe"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked-relation"])
+    @pytest.mark.parametrize("live", [0.3, 0.7])
+    def test_branch_equals_the_dense_vjp_bitwise(self, gate_shape, constants, masked, live,
+                                                 monkeypatch):
+        # Arities 1 to 5: the arity-1 relation (1) stays dense; every other
+        # relation runs on its pairs, the small one (5) too when each query
+        # has one there, else it falls back.
+        groups = TestRelationMessages._block_groups()
+        if masked:
+            del groups[2]
+        inputs, G = _branch_inputs(5, gate_shape, live=live)
+        for calls in _assert_branch_equals_dense(groups, inputs, G, monkeypatch, constants):
+            assert {rel for kind, rel in calls if kind == "pairs"} == set(groups) - {1}
+            assert {rel for kind, rel in calls if kind == "dense"} <= {1, 5}
+            assert ("dense", 1) in calls
+
+    @pytest.mark.parametrize("case", ["dead-query", "zero-column"])
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    def test_a_zero_sum_falls_back(self, case, gate_shape, monkeypatch):
+        # A query with no live row gets a per-query gate's sum of exactly
+        # 0.0; a zero column of G zeroes a column of every sum. Either way
+        # the relation falls back to the dense pass; a shared gate and the
+        # other sums still hold a live term from the other queries, so a
+        # dead query alone does not.
+        groups = TestRelationMessages._block_groups()
+        inputs, G = _branch_inputs(5, gate_shape)
+        if case == "dead-query":
+            G[2] = -0.0
+        else:
+            G[..., 0] = 0.0
+        falls_back = case == "zero-column" or len(gate_shape) == 4
+        for calls in _assert_branch_equals_dense(groups, inputs, G, monkeypatch):
+            for rel in (0, 2, 3, 4):
+                assert ("pairs", rel) in calls
+                assert (("dense", rel) in calls) == falls_back
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "overflow"])
+    def test_a_non_finite_layer_takes_the_dense_pass(self, case, monkeypatch):
+        # Query 0's only live row is node 0, and h is NaN, infinite, or so
+        # large that a product of two factors overflows at its node 3,
+        # whose edges (2, 3), (3,) and (3, 3, 2) hold no live row of query
+        # 0: their terms are NaN, not +-0.0, and reach query 0's gate and
+        # alpha, so no relation runs on its pairs.
+        groups = {0: np.array([[0, 1], [2, 3], [1, 4]]), 1: np.array([[3], [5]]),
+                  2: np.array([[4, 5, 6], [0, 5, 6], [3, 3, 2]])}
+        rng = np.random.default_rng(0)
+        inputs = {"h": rng.standard_normal((2, 7, 6)), "alpha": np.asarray(0.3),
+                  "pe": rng.standard_normal((4, 6)),
+                  **{f"g{r}": rng.standard_normal((2, 1, 1, 6)) for r in groups}}
+        inputs["h"][0, 3] = {"nan": np.nan, "inf": -np.inf, "overflow": 1e200}[case]
+        G = np.zeros((2, 7, 6))
+        G[0, 0] = rng.standard_normal(6)
+        G[1, [1, 5]] = rng.standard_normal((2, 6))
+        with np.errstate(invalid="ignore", over="ignore"):
+            paths = _assert_branch_equals_dense(groups, inputs, G, monkeypatch)
+        for calls in paths:
+            assert calls == [("dense", 2), ("dense", 1), ("dense", 0)]
+
+    @pytest.mark.parametrize("case", _MODEL_CASES)
+    def test_models_on_a_training_loss_equal_the_dense_vjp_bitwise(self, case, monkeypatch):
+        # hcnet's logits scored as in training, a positive and three
+        # negatives per query; hrnet's on five tuples. Features, logits
+        # and every gradient, on both paths.
+        case = dict(case)
+        kind, arities = case.pop("kind"), case.pop("arities")
+        masked_relation = case.pop("masked_relation", None)
+        g = _graph(arities, nodes=12, per_relation=10)
+        params = _jittered(g, kind=kind, **case)
+        masked = {e for e, ed in enumerate(g.edges) if ed.relation == masked_relation}
+        queries = [Query(r, tuple(range(k - 1)), k) for r, k in enumerate(arities)]
+        k = max(arities)
+        tuples = np.random.default_rng(2).integers(0, g.node_count, (5, k)).astype(np.intp)
+        qrel = np.full(5, arities.index(k), dtype=np.intp)
+
+        def run():
+            if kind == "hrnet":
+                trace = hrnet_forward_batch(g, params)
+                logits = decode_kary_batch(trace, tuples, qrel)
+                return [trace.features.value, logits.value,
+                        *backward(trace, logits, np.ones(5)).values()]
+            trace = hcnet_forward_batch(g, queries, params, rng=np.random.default_rng(3),
+                                        masked_edges=masked)
+            logits = decode_unary_batch(trace)
+            rows = np.arange(len(queries))
+            picked = np.random.default_rng(4).permuted(
+                np.tile(np.arange(g.node_count), (len(queries), 1)), axis=1)[:, :4]
+            pos = ad.gather_2d(trace.tape, logits, rows, picked[:, 0])
+            neg = ad.gather_2d(trace.tape, logits, rows[:, None], picked[:, 1:])
+            loss = adversarial_loss_from_logits(trace.tape, pos, neg, 0.5)
+            return [trace.features.value, logits.value, *backward(trace, loss).values()]
+
+        dense = run()
+        for _ in _paths(monkeypatch):
+            with monkeypatch.context() as mp:
+                mp.setattr(ad, "BLOCK_BYTES", 8)
+                mp.setattr(ad, "PAIR_SHARE", 1.0)
+                calls = _terms_spy(mp)
+                got = run()
+            assert any(kind == "pairs" for kind, _, _ in calls)
+            assert len(got) == len(dense) > 4
+            for a, b in zip(dense, got):
+                assert _same_bits(a, b)
+
+    def test_only_a_train_steps_last_layer_takes_the_branch(self, monkeypatch):
+        # The train benchmark's sizes: V=1000, 4000 edges of arities
+        # 2/2/3/3, 16 queries, three layers, d=32, ten negatives. The loss
+        # reaches about 1% of the last layer's rows, so about 3% of its
+        # pairs, and about 30-40% of the middle layer's pairs, above
+        # PAIR_SHARE. A hypercycle graph fills no block, so its VJP does not
+        # even look for pairs.
+        rng = np.random.default_rng(0)
+        rels = [Relation(r, f"r{r}", k) for r, k in enumerate((2, 2, 3, 3))]
+        facts = [HyperEdge(r, tuple(int(v) for v in rng.integers(0, 1000, k)))
+                 for r, k in enumerate((2, 2, 3, 3)) for _ in range(1000)]
+        g = build_graph(rels, facts, 1000)
+        layers, looked = [], []
+        messages, pairs = ad.relation_messages, ad._gradient_pairs
+
+        def spy_messages(tape, h, *rest):
+            layers.append(h)
+            return messages(tape, h, *rest)
+
+        def spy_pairs(*args):
+            looked.append(args)
+            return pairs(*args)
+
+        monkeypatch.setattr(ad, "relation_messages", spy_messages)
+        monkeypatch.setattr(ad, "_gradient_pairs", spy_pairs)
+        calls = _terms_spy(monkeypatch)
+        fit(g, {"train": facts}, TrainConfig(d=32, layers=3, batch_size=16, negatives=10,
+                                             epochs=1, steps_per_epoch=1, seed=0))
+        assert len(layers) == 3 and len(looked) == 12
+        assert [rel for kind, rel, h in calls if kind == "pairs"] == [3, 2, 1, 0]
+        assert all(h is layers[2] for kind, _, h in calls if kind == "pairs")
+        assert sum(kind == "dense" for kind, _, _ in calls) == 8
+        layers.clear(), looked.clear(), calls.clear()
+        run_expressiveness_experiment("hcnet", TrainConfig(d=8, layers=2, epochs=1),
+                                      ns=(8,), ks=(3,), ratio=1.0)
+        assert layers and looked == [] and calls and all(kind == "dense" for kind, _, _ in calls)
 
 
 # --- the fused layer tail and unary decoder against the chains they replaced -
