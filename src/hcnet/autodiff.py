@@ -80,8 +80,31 @@ means finite factors, partial products and gates, and left-out terms
 that are +-0.0. On the `train` benchmark's graph the branch broke even
 at a share of about 0.3 on two CPUs (0.55 on one); a `train` step's last
 layer (0.02-0.03) takes it, 57-60 ms of VJP becoming 10-11 ms, while its
-middle layer (0.3-0.42) and first layer (0.99) stay dense. Hypercycle
-and theorem-suite graphs fill no block, so their VJP never looks.
+middle layer (0.3-0.42) stays dense and its first layer (0.99) takes the
+zero-input mode below. Hypercycle and theorem-suite graphs fill no
+block, so their VJP never looks.
+
+A first layer's VJP (the op was told the given pairs, and one query's
+messages fill a block) leans on its input being +0.0 off the given
+rows. A (query, edge) pair whose edge holds no given node reads +0.0 at
+every position, and alpha*(+0.0) is the same signed zero on every such
+row (-0.0 when alpha < 0), to which one_minus*pe_j is added: its factors
+are bitwise `_factors` of an all-zero input, one row per position, and so
+are their exclusive products. So each relation of arity 2 or more runs
+`_dense_terms` on those rows, broadcast, in place of gathering h, and
+only the pairs that hold a given node (the forward's `_holding_pairs`,
+kept by the op) go through the per-pair kernel (`_pair_kernel`), their
+terms written over the block's before any sum reads them: the gate's
+sum, the Q-sum and h's full gradient add the dense pass's values in its
+order. alpha's term gf*hn is gf*(+0.0) = +-0.0 off the touched pairs
+while gf is finite, so only the touched pairs' terms go into a zero
+buffer, summed as the dense buffer is. The relation falls back to the
+dense pass when a summed entry is exactly 0.0 (as above), or when the
+Q-sum's total over edges is not finite: a sum with a term that is not
+finite is not finite, so a finite total shows every gf finite. On the
+`train` benchmark's graph, in one process on a 2-core x86 host, the
+first layer's VJP took 55-57 ms against 72-73 ms dense (medians of 12
+steps, three alternating runs).
 
 A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
 plus the skip h) and the decoders' MLP are one tape op each. They run
@@ -99,7 +122,10 @@ rows are the whole product's bits; cut by rows, a 2-D product (M, n) @
 (n, m) may change its bits, so the k-ary decoder's 2-D input is one
 block, and `evalrank` runs hrnet's per-query decodes on the two threads
 instead. Sums over all queries (the weights', biases', gamma's and
-beta's gradients) run once over the whole arrays after the blocks. A
+beta's gradients) run once over the whole arrays after the blocks, as
+two jobs of one more pass when the op ran more than one block (`_jobs`):
+the first weight's gradient, and the rest. The tail's weight gradient
+is [gy^T h, gy^T msgs], with no concatenation of [h || msgs]. A
 fused op computes all of its parents' gradients on the first VJP call
 and hands them out one per parent (`_shared_vjp`).
 
@@ -334,15 +360,20 @@ def exclusive_products_vjp(f: Array, g: Array) -> Array:
     and B_j mirrors it from the right. Two sweeps build them:
     A_{j+1} = A_j f_j + g_j P_j and B_{j-1} = B_j f_j + g_j S_j. The sweeps
     skip the trivial ends (P_0 = 1, A_0 = 0 and their mirrors), so for two
-    factors the gradient is a swap; for one it is zero."""
+    factors the gradient is a swap; for one it is zero. f may broadcast to
+    g's shape (one factor row shared by every edge); the gradient then has
+    g's shape, C-ordered, and else f's layout."""
     k = f.shape[-3]
+    shape = np.broadcast_shapes(f.shape, g.shape)
+    out = np.empty_like(f) if f.shape == shape else np.empty(shape)
     if k == 1:
-        return np.zeros_like(f)
+        out[...] = 0
+        return out
 
     def at(a: Array, j: int) -> Array:
         return a[..., j, :, :]
 
-    out = np.empty_like(f)  # holds S_j, 0 < j < k-1, until the second sweep
+    # out holds S_j, 0 < j < k-1, until the second sweep
     bs: dict[int, Array] = {}  # B_j, 0 < j < k-1
     s, b = at(f, k - 1), at(g, k - 1)  # S_{k-2}, B_{k-2}
     for j in range(k - 2, 0, -1):
@@ -633,6 +664,22 @@ def run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
         raise state.error
 
 
+def _jobs(threaded: bool, *jobs: Callable[[], object]) -> list:
+    """The results of jobs, as the blocks of one `run_blocks` pass when
+    threaded, else in order on the calling thread."""
+    results: list = [None] * len(jobs)
+
+    def run(j: int, _: _Pass) -> None:
+        results[j] = jobs[j]()
+
+    if threaded:
+        run_blocks(run, len(jobs))
+    else:
+        for j in range(len(jobs)):
+            run(j, _SERIAL)
+    return results
+
+
 def destinations(groups: dict[int, Array]) -> Array:
     """Every incidence's destination node (T,), in `incidence_messages`'
     order: relation by relation, position-major."""
@@ -718,10 +765,11 @@ def _holding_pairs(marked: Array, nodes: Array) -> tuple[Array, Array]:
 def _touched_rows(
     hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict, plan: MessagePlan,
     given: tuple[Array, Array],
-) -> tuple[Array, Array]:
+) -> tuple[Array, Array, dict]:
     """The rows of the summed messages that an edge holding a given node
     reaches, as indices into hv's (Q*V) rows, and their sums (|rows|, d),
-    bit for bit the full pass's.
+    bit for bit the full pass's; and each relation's (query, edge) pairs
+    whose edge holds a given node (`_holding_pairs`).
 
     Every incidence into a reached row lies on an edge of its query that
     holds a reached node. Those (query, edge) pairs, as node tables on
@@ -733,9 +781,9 @@ def _touched_rows(
     marked = np.zeros((V, Q), dtype=bool)
     marked[given[1], given[0]] = True
     reached = np.zeros((V, Q), dtype=bool)
-    for nodes in plan.groups.values():
-        qs, es = _holding_pairs(marked, nodes)
-        reached[nodes[es], qs[:, None]] = True
+    holding = {rel: _holding_pairs(marked, nodes) for rel, nodes in plan.groups.items()}
+    for rel, (qs, es) in holding.items():
+        reached[plan.groups[rel][es], qs[:, None]] = True
     tables, table_gates = {}, {}
     for rel, nodes in plan.groups.items():
         qs, es = _holding_pairs(reached, nodes)
@@ -748,15 +796,16 @@ def _touched_rows(
     keep = reached[dest]
     rows = np.flatnonzero(reached)
     bins = Bins(np.searchsorted(rows, dest[keep]), rows.size, d, 1)
-    return rows, bins.sum(msgs[keep].reshape(1, -1))[0]
+    return rows, bins.sum(msgs[keep].reshape(1, -1))[0], holding
 
 
 def _given_messages(
     out: Array, hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict,
     plan: MessagePlan, given: tuple[Array, Array],
-) -> None:
+) -> dict:
     """The summed messages of hv (Q, V, d) written into out, when every row
-    of hv but the (query, node) pairs of given is +0.0.
+    of hv but the (query, node) pairs of given is +0.0; returns each
+    relation's (query, edge) pairs whose edge holds a given node.
 
     A message that no given node's factor enters is the message of an
     all-zero input with the same gate, and a node none of whose incidences
@@ -780,7 +829,7 @@ def _given_messages(
     zero_edges = {rel: np.zeros((1, nodes.shape[1]), dtype=np.intp)
                   for rel, nodes in plan.groups.items()}
     repeats = np.concatenate([np.full(k, E) for E, k in (n.shape for n in plan.groups.values())])
-    rows, sums = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
+    rows, sums, holding = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
     jobs = list(firsts.values())
 
     def run(j: int, _: _Pass) -> None:
@@ -796,6 +845,7 @@ def _given_messages(
         if first != q:
             out[q] = out[first]
     out[np.divmod(rows, V)] = sums
+    return holding
 
 
 # The share of a relation's (query, edge) pairs up to which its VJP runs on
@@ -806,7 +856,15 @@ def _given_messages(
 # pair VJP took 1.6-4.3 ms at shares up to 0.08 against 8.6-23 ms dense,
 # and broke even at shares of about 0.3 on two CPUs (about 0.55 on one,
 # where the dense pass has no second thread). A `train` step's last layer
-# holds 0.02-0.03 of its pairs, its middle layer 0.3-0.42.
+# holds 0.02-0.03 of its pairs, its middle layer 0.3-0.42. With the pair
+# path's sums on two threads, the middle layer's four relations took
+# 66.5 ms on their pairs against 72.7 ms dense at shares 0.25-0.37, and
+# 83.0 against 78.9 ms at 0.33-0.44 (medians of 15), a break-even of about
+# 0.35. The share stays below the middle layer's all the same: on its
+# pairs (a share of 0.5) the `train` workload ran 32.6 and 36.0 queries/s
+# against 30.4 and 34.6 (two 10 s runs each), but its peak RSS rose from
+# 127-128 to 136-137 MB, since the pair path's (k, P, d) arrays are not
+# cut into query blocks: about 20 MB each at a share of 0.4.
 PAIR_SHARE = 0.25
 
 
@@ -818,14 +876,42 @@ def _gradient_pairs(live: Array, nodes: Array) -> tuple[Array, Array] | None:
     return (qs, es) if qs.size <= PAIR_SHARE * nodes.shape[0] * live.shape[1] else None
 
 
+def _pair_kernel(
+    G: Array, hv: Array, a: Array, c: Array, pe: Array, gv: Array, qs: Array, rows: Array,
+) -> tuple[Array, Array, Array]:
+    """The terms of the (query, edge) pairs of queries qs whose node rows
+    (k, P) index the flattened (Q*V, d) rows of G and hv: `_dense_terms`'
+    NumPy calls on the same values. Returns, (k, P, d) each, the gate's
+    term gm * t, the factors' gradient gf and the gathered rows hn."""
+    d = G.shape[-1]
+    gm = np.take(G.reshape(-1, d), rows, axis=0)
+    hn = np.take(hv.reshape(-1, d), rows, axis=0)
+    f = _factors(hn, a, c, pe)
+    t = exclusive_products(f)
+    t *= gm
+    gm *= gv if gv.ndim < 4 else gv[qs, 0, 0]
+    return t, exclusive_products_vjp(f, gm), hn
+
+
+def _alpha_grad(shape: tuple[int, ...], qs: Array, es: Array, terms: Array, a: Array) -> Array:
+    """alpha's gradient from its terms (Q, k, E, d), summed as
+    `_relation_grads` sums the dense ones: the terms (k, P, d) of the pairs
+    (qs, es) in their places of a buffer laid out as a gather, (k, E, Q,
+    d), +0.0 in every other."""
+    Q, k, E, d = shape
+    buf = np.zeros((k, E, Q, d))
+    buf.reshape(k, E * Q, d)[:, es * Q + qs] = terms
+    return _unbroadcast(buf.transpose(2, 0, 1, 3), a.shape)
+
+
 def _dense_terms(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
-    rel: int,
+    rel: int, touched: tuple[Array, Array] | None = None,
 ) -> tuple:
     """Relation rel's terms over all of its (query, edge) pairs: the gate's
     gradient, and at arity 2 or more the Q-sum behind one_minus's and pe's
-    (k, E, d), alpha's unsummed term and h's gradient (None when h is a
-    Constant).
+    (k, E, d), alpha's unsummed term (its sum when touched is given) and
+    h's gradient (None when h is a Constant).
 
     Factors and products are recomputed from the inputs, one block of
     queries at a time. The Q-sum runs on from block to block, in block
@@ -834,8 +920,17 @@ def _dense_terms(
     gate's sum over all queries at once, in the memory order of the
     per-op chain's gather h[..., nodes.T, :], which is (k, E, Q, d): each
     is written into one buffer per relation laid out so. The gate's is
-    summed here after the last block, alpha's by `_relation_grads`."""
-    Q, _, d = G.shape
+    summed here after the last block, alpha's by `_relation_grads`.
+
+    touched (arity 2 or more), when given, holds the (query, edge) pairs
+    (qs, es) of the only edges that hold a row of h that may not be +0.0.
+    Every other pair then takes the factors and products of an all-zero
+    input, one row per position broadcast over the block, in place of
+    gathering h. The touched pairs run through `_pair_kernel` once, and
+    each block writes their terms over its own before any sum reads them.
+    alpha's terms are theirs alone, summed by `_alpha_grad` before the
+    blocks: the others are gf * (+0.0)."""
+    Q, V, d = G.shape
     nodes = plan.groups[rel]
     E, k = nodes.shape
     a, c, gv = alpha.value, one_minus.value, gate.value
@@ -847,7 +942,15 @@ def _dense_terms(
         return np.empty((k, E, Q, d)).transpose(2, 0, 1, 3)
 
     ggate = gather_layout() if shared else np.empty(gv.shape)
-    galpha = gather_layout() if k > 1 else None
+    galpha = gather_layout() if k > 1 and touched is None else None
+    tg = gfp = None  # the touched pairs' gate terms and factor gradients
+    if touched is not None:
+        qs, es = touched
+        tg, gfp, hnp = _pair_kernel(G, h.value, a, c, pe.value, gv, qs,
+                                    (qs[:, None] * V + nodes[es]).T)
+        galpha = _alpha_grad((Q, k, E, d), qs, es, gfp * hnp, a)
+        f0 = _factors(np.zeros((k, 1, d)), a, c, pe.value)
+        t0 = exclusive_products(f0)
     gh = np.empty(G.shape) if want_h else None
     bins = plan.bins(rel) if want_h else None
     gsum = None
@@ -859,17 +962,29 @@ def _dense_terms(
         if k == 1:  # the gate's term is gm times the empty product
             ggate[lo:hi] = gm if shared else _unbroadcast(gm, gv[lo:hi].shape)
             return
-        hn = np.take(h.value[lo:hi], nodes.T, axis=1)
-        f = _factors(hn, a, c, pe.value)
-        t = exclusive_products(f)
-        if shared:
-            np.multiply(gm, t, out=ggate[lo:hi])
+        at = None  # the block's touched pairs: (their rows, :, their edges)
+        if touched is None:
+            hn = np.take(h.value[lo:hi], nodes.T, axis=1)
+            f = _factors(hn, a, c, pe.value)
+            t = exclusive_products(f)
         else:
-            t *= gm
+            f, t = f0, t0
+            mine = (qs >= lo) & (qs < hi)
+            at = (qs[mine] - lo, slice(None), es[mine])
+
+        def put(x: Array, terms: Array) -> Array:
+            if at is not None:
+                x[at] = terms[:, mine].swapaxes(0, 1)
+            return x
+
+        if shared:
+            put(np.multiply(gm, t, out=ggate[lo:hi]), tg)
+        else:
+            t = put(np.multiply(t, gm, out=t if at is None else None), tg)
             ggate[lo:hi] = _unbroadcast(t, gv[lo:hi].shape)
         del t
         gm *= _query_rows(gv, lo, hi)
-        gf = exclusive_products_vjp(f, gm)
+        gf = put(exclusive_products_vjp(f, gm), gfp)
         del f, gm
         with state.in_turn(j):
             if gsum is None:
@@ -877,8 +992,9 @@ def _dense_terms(
             else:
                 for row in gf:
                     gsum += row
-        np.multiply(gf, hn, out=galpha[lo:hi])
-        del hn
+        if at is None:
+            np.multiply(gf, hn, out=galpha[lo:hi])
+            del hn
         if want_h:
             gf *= a
             bins.sum(gf.reshape(hi - lo, -1), out=gh[lo:hi])
@@ -892,53 +1008,40 @@ def _pair_terms(
     rel: int, pairs: tuple[Array, Array],
 ) -> tuple:
     """`_dense_terms` (arity 2 or more) from the (query, edge) pairs
-    (qs, es) alone, sorted by edge and then query, on the calling thread.
+    (qs, es) alone, sorted by edge and then query.
 
-    Their node ids index the (Q*V, d) rows of G and h, and their factors,
-    products and gradients are `_dense_terms`' NumPy calls on the same
-    values. Each sum is a bincount from +0.0 that adds the pairs' terms in
-    the order of its dense sum, position, edge, query: the gate's (over
-    position and edge per query, or over all three when it is shared),
-    the Q-sum and h's gradient. alpha's term fills its pairs' places of a
-    zero (k, E, Q, d) buffer, so its sum adds every term at its dense
-    place."""
+    Their terms come from `_pair_kernel`, on the calling thread. Each sum
+    is a bincount from +0.0 that adds them in the order of its dense sum,
+    position, edge, query: the gate's (over position and edge per query,
+    or over all three when it is shared), the Q-sum and h's gradient.
+    alpha's terms fill their pairs' places of a zero (k, E, Q, d) buffer,
+    so its sum adds every term at its dense place (`_alpha_grad`). The
+    sums run as two jobs of one `run_blocks` pass: alpha's, and the
+    bincounts."""
     Q, V, d = G.shape
     nodes = plan.groups[rel]
     E, k = nodes.shape
     qs, es = pairs
-    a, gv = alpha.value, gate.value
+    gv = gate.value
     rows = (qs[:, None] * V + nodes[es]).T  # (k, P)
+    t, gf, hn = _pair_kernel(G, h.value, alpha.value, one_minus.value, pe.value, gv, qs, rows)
 
     def summed(bins: Array, n: int, terms: Array) -> Array:
         return Bins(bins, n, d, 1).sum(terms.reshape(1, -1))[0]
 
-    gm = np.take(G.reshape(-1, d), rows, axis=0)  # (k, P, d)
-    hn = np.take(h.value.reshape(-1, d), rows, axis=0)
-    f = _factors(hn, a, one_minus.value, pe.value)
-    t = exclusive_products(f)
-    t *= gm
-    if gv.ndim < 4:
-        ggate = summed(np.zeros_like(rows), 1, t).reshape(gv.shape)
-        gm *= gv
-    else:
-        ggate = summed(np.broadcast_to(qs, rows.shape), Q, t).reshape(gv.shape)
-        gm *= gv[qs, 0, 0]
-    del t
-    gf = exclusive_products_vjp(f, gm)
-    del f, gm
-    gsum = summed(np.arange(k)[:, None] * E + es, k * E, gf).reshape(k, E, d)
-    galpha = np.zeros((k, E, Q, d))
-    galpha[:, es, qs] = gf * hn
-    gh = None
-    if not isinstance(h, Constant):
-        gf *= a
-        gh = summed(rows, Q * V, gf).reshape(G.shape)
-    return ggate, gsum, galpha.transpose(2, 0, 1, 3), gh
+    by_query = np.zeros_like(rows) if gv.ndim < 4 else np.broadcast_to(qs, rows.shape)
+    (ggate, gsum, gh), galpha = _jobs(True, lambda: (
+        summed(by_query, 1 if gv.ndim < 4 else Q, t).reshape(gv.shape),
+        summed(np.arange(k)[:, None] * E + es, k * E, gf).reshape(k, E, d),
+        None if isinstance(h, Constant) else summed(rows, Q * V, gf * alpha.value).reshape(G.shape),
+    ), lambda: _alpha_grad((Q, k, E, d), qs, es, gf * hn, alpha.value))
+    return ggate, gsum, galpha, gh
 
 
 def _relation_grads(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
     rel: int, pairs: tuple[Array, Array] | None = None,
+    touched: tuple[Array, Array] | None = None,
 ) -> list[Array]:
     """Relation rel's gradient contributions to gate, one_minus, alpha, pe
     and h (to the gate alone at arity 1, whose product is constant), with
@@ -948,12 +1051,15 @@ def _relation_grads(
     Each term is summed in the order the separate tape ops (gather,
     take_rows, mul, add, exclusive products, gate mul, index_add) summed
     it, so the gradients are bitwise equal to theirs. The terms come from
-    every (query, edge) pair (`_dense_terms`), or from `pairs` alone
-    (`_pair_terms`), whose sums leave out only terms that are +0.0 or
-    -0.0; if one of those sums is exactly 0.0, whose sign such a term may
-    set, the dense pass runs instead."""
+    every (query, edge) pair (`_dense_terms`, on the all-zero input's
+    factors off the touched pairs when touched is given), or from `pairs`
+    alone (`_pair_terms`). Their sums leave out only terms that are +0.0
+    or -0.0 while every factor's gradient is finite, which a finite
+    total of the Q-sum over edges shows. If that total is not finite, or
+    a sum is exactly 0.0, whose sign a left-out term may set, the dense
+    pass runs instead."""
     k = plan.groups[rel].shape[1]
-    terms = (_dense_terms(G, h, alpha, one_minus, pe, gate, plan, rel) if pairs is None
+    terms = (_dense_terms(G, h, alpha, one_minus, pe, gate, plan, rel, touched) if pairs is None
              else _pair_terms(G, h, alpha, one_minus, pe, gate, plan, rel, pairs))
     ggate, gsum, galpha, gh = terms
     if k == 1:
@@ -962,7 +1068,8 @@ def _relation_grads(
     pk = _positions(pe.value, k)
     gb = _unbroadcast(gsum, pk.shape)
     ga = _unbroadcast(galpha, a.shape)
-    if pairs is not None and any(np.any(s == 0) for s in (ggate, gb, ga)):
+    if (pairs is not None or touched is not None) and (
+            any(np.any(s == 0) for s in (ggate, gb, ga)) or not np.isfinite(gb).all()):
         return _relation_grads(G, h, alpha, one_minus, pe, gate, plan, rel)
     out = [ggate, _unbroadcast(gb * pk, c.shape), ga]
     if isinstance(pe, Constant):
@@ -997,17 +1104,22 @@ def relation_messages(
     given, when not None, holds the (query, node) pairs (two arrays) of
     the only rows of h that may not be +0.0, as a forward's first layer
     has them. When one query's per-incidence messages fill a block, the
-    forward then runs `_given_messages`, with the same bits.
+    forward then runs `_given_messages`, with the same bits, and keeps
+    each relation's pairs whose edge holds a given node.
 
     On such a graph the VJP also finds the live rows of G (those not
     +-0.0 throughout) once, at its first call, and a relation of arity 2
     or more whose pairs that hold one are at most PAIR_SHARE of its Q*E
     runs on them alone (`_gradient_pairs`, `_pair_terms`), with the same
-    bits, unless the output is not finite."""
+    bits, unless the output is not finite. Any other relation of arity 2
+    or more of a first layer runs `_dense_terms` on the all-zero input's
+    factors off the kept pairs, with the same bits."""
     hv = h.value
     out = np.empty(hv.shape)
+    holding = None
     if given is not None and 8 * plan.dest.width >= BLOCK_BYTES:
-        _given_messages(out, hv, alpha.value, one_minus.value, pe.value, gates, plan, given)
+        holding = _given_messages(out, hv, alpha.value, one_minus.value, pe.value, gates, plan,
+                                  given)
     else:
         blocks = _blocks(hv.shape[0], plan.dest.width)
 
@@ -1027,14 +1139,16 @@ def relation_messages(
     finite = functools.cache(lambda: bool(np.isfinite(out).all()))
 
     def grads(g: Array, rel: int) -> list:
-        nodes, pairs = plan.groups[rel], None
+        nodes, pairs, touched = plan.groups[rel], None, None
         if nodes.shape[1] > 1 and 8 * plan.dest.width >= BLOCK_BYTES:
             if not live:
                 live.append(np.ascontiguousarray(np.any(g != 0, axis=-1).T))
             pairs = _gradient_pairs(live[0], nodes)
             if pairs is not None and not finite():
                 pairs = None
-        return _relation_grads(g, h, alpha, one_minus, pe, gates[rel], plan, rel, pairs)
+            if pairs is None and holding is not None:
+                touched = holding[rel]
+        return _relation_grads(g, h, alpha, one_minus, pe, gates[rel], plan, rel, pairs, touched)
 
     parents: list[tuple[Var, Callable[[Array], Array]]] = []
     for rel, nodes in reversed(plan.groups.items()):
@@ -1133,9 +1247,10 @@ def layer_tail(
     its rows of the norm's output and input gradients, and of
     gy @ W, whose h slice takes the skip term (one sum, in the order
     backward added them). The sums over all queries, the gradients of W,
-    b, gamma and beta, run once over the whole arrays after the blocks; W's
-    reads [h || msgs] rebuilt from the two inputs, which stay alive
-    anyway."""
+    b, gamma and beta, run once over the whole arrays after the blocks, as
+    two jobs (W's, and the rest) when there were two or more blocks
+    (`_jobs`). W's is [gy^T h, gy^T msgs], one product per input, which
+    stay alive anyway: the bits of gy^T [h || msgs] without building it."""
     hv, mv, Wv = h.value, msgs.value, W.value
     shape = hv.shape
     d = shape[-1]
@@ -1176,11 +1291,13 @@ def layer_tail(
             gxb[..., :d] += g[lo:hi]
 
         run_blocks(backward_block, len(blocks))
-        ggamma = _unbroadcast(gz * xhat, gamma.value.shape)
-        gbeta = _unbroadcast(gz, beta.value.shape)
-        del gz
-        gW = gy.reshape(-1, d).T @ concat(0, shape[0]).reshape(-1, Wv.shape[1])
-        return [gx[..., :d], gx[..., d:], gW, _unbroadcast(gy, b.value.shape), ggamma, gbeta]
+        gy2 = gy.reshape(-1, d)
+        gW, (gb, ggamma, gbeta) = _jobs(len(blocks) > 1, lambda: np.concatenate(
+            [gy2.T @ hv.reshape(-1, d), gy2.T @ mv.reshape(-1, d)], axis=1
+        ), lambda: (
+            _unbroadcast(gy, b.value.shape), _unbroadcast(gz * xhat, gamma.value.shape),
+            _unbroadcast(gz, beta.value.shape)))
+        return [gx[..., :d], gx[..., d:], gW, gb, ggamma, gbeta]
 
     return tape.var(z, _shared_vjp([h, msgs, W, b, gamma, beta], grads))
 
@@ -1205,7 +1322,8 @@ def mlp_decoder(
     in the VJP of the hidden layer's and the rows' gradients. A 2-D input,
     shape (M,), is one block: cut by rows, a 2-D product may change its
     bits. The gradients of W1, b1, W2 and b2 sum over all rows once, after
-    the blocks; W1's builds all rows again."""
+    the blocks, as two jobs (W1's, which builds all rows again, and the
+    rest) when there were two or more blocks (`_jobs`)."""
     n = W1.value.shape[1]
     blocks = ([(0, shape[0])] if len(shape) < 2
               else _blocks(shape[0], math.prod(shape[1:]) * n))
@@ -1225,7 +1343,6 @@ def mlp_decoder(
 
     def grads(g: Array) -> list:
         g3 = g.reshape(out.shape)
-        gW2 = g3.reshape(-1, g3.shape[-1]).T @ hid.reshape(-1, hid.shape[-1])
         gp, gx = np.empty(hid.shape), np.empty(shape + (n,))
 
         def backward_block(j: int, _: _Pass) -> None:
@@ -1235,8 +1352,12 @@ def mlp_decoder(
             np.matmul(gpb, W1.value, out=gx[lo:hi])
 
         run_blocks(backward_block, len(blocks))
-        gW1 = gp.reshape(-1, gp.shape[-1]).T @ rows(0, shape[0]).reshape(-1, n)
-        return [*spread(gx), gW1, _unbroadcast(gp, b1.value.shape), gW2,
-                _unbroadcast(g3, b2.value.shape)]
+        gW1, (gb1, gW2, gb2) = _jobs(len(blocks) > 1, lambda: (
+            gp.reshape(-1, gp.shape[-1]).T @ rows(0, shape[0]).reshape(-1, n)
+        ), lambda: (
+            _unbroadcast(gp, b1.value.shape),
+            g3.reshape(-1, g3.shape[-1]).T @ hid.reshape(-1, hid.shape[-1]),
+            _unbroadcast(g3, b2.value.shape)))
+        return [*spread(gx), gW1, gb1, gW2, gb2]
 
     return tape.var(out.reshape(shape), _shared_vjp([*inputs, W1, b1, W2, b2], grads))

@@ -1,8 +1,17 @@
 """Shared fixtures: small hand-built graphs used across test modules."""
 
-import pytest
+import os
 
-from hcnet.hypergraph import HyperEdge, Relation, build_graph
+# One BLAS thread, as `perfbench/run.py` and `tools/pins.py` run: OpenBLAS's
+# default threads spin while they wait and slow small products, which the
+# timing tests read. Set before NumPy loads; a value set in the environment
+# wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
+
+from hcnet.hypergraph import HyperEdge, Relation, build_graph  # noqa: E402
 
 
 @pytest.fixture

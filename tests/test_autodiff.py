@@ -1,5 +1,8 @@
 """Tape-based reverse-mode differentiation: per-op finite-difference checks."""
 
+import ast
+import ctypes
+import glob
 import os
 import subprocess
 import sys
@@ -321,6 +324,28 @@ class TestExclusiveProducts:
         got, ref = ad.exclusive_products_vjp(f, g), _full_sweeps_vjp(f, g)
         assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_vjp_of_a_broadcast_factor_row_is_the_full_vjp_bitwise(self, k):
+        # One factor row per position (k, 1, d), as an all-zero input has,
+        # broadcast against g (B, k, E, d): the bytes of the VJP of the
+        # full f, in g's shape, C-ordered.
+        rng = np.random.default_rng(30 + k)
+        f0 = rng.standard_normal((k, 1, 4)) * 10.0 ** rng.integers(-3, 3, (k, 1, 4))
+        f0[0, 0, 1] = -0.0
+        g = rng.standard_normal((2, k, 3, 4))
+        g[1, -1, 2] = -0.0
+        got = ad.exclusive_products_vjp(f0, g)
+        want = ad.exclusive_products_vjp(np.broadcast_to(f0, g.shape).copy(), g)
+        assert got.shape == g.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    def test_vjp_keeps_a_full_factors_layout(self):
+        # A full f laid out as a gather (k, E, B, d) seen as (B, k, E, d):
+        # the gradient keeps that layout, so sums over it run in its order.
+        f = np.random.default_rng(0).standard_normal((3, 5, 2, 4)).transpose(2, 0, 1, 3)
+        out = ad.exclusive_products_vjp(f, np.ones(f.shape))
+        assert out.strides == np.empty_like(f).strides != np.empty(f.shape).strides
+
 
 def _full_sweeps_vjp(f, g):
     """exclusive_products_vjp with both sweeps run to their ends."""
@@ -619,3 +644,19 @@ class TestKeepFreedMemory:
             pytest.skip("no glibc mallopt")
         monkeypatch.setenv("MALLOC_ARENA_MAX", "8")
         assert ad.one_arena() is False
+
+
+def test_the_tests_run_blas_on_the_threads_the_environment_names():
+    # conftest.py sets one BLAS thread unless the environment names a
+    # count. The probe is `perfbench/run.py`'s `_blas_threads`, read from
+    # its source without running that script's start-up.
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    tree = ast.parse(run.read_text(encoding="utf-8"))
+    probe = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_blas_threads")
+    scope = {"os": os, "glob": glob, "ctypes": ctypes}
+    exec(compile(ast.Module([probe], type_ignores=[]), str(run), "exec"), scope)
+    threads = scope["_blas_threads"]()
+    if threads is None:
+        pytest.skip("no OpenBLAS bundled with NumPy")
+    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])

@@ -1132,12 +1132,15 @@ def _same_bits(a, b):
 
 def _terms_spy(mp):
     """Spy on the message VJP's terms through mp: a list that gains
-    ("pairs", rel) per `ad._pair_terms` call and ("dense", rel) per
-    `ad._dense_terms` call, and the layer input each was given."""
+    ("pairs", rel) per `ad._pair_terms` call, ("zero-input", rel) per
+    `ad._dense_terms` call given touched pairs and ("dense", rel) per
+    other `ad._dense_terms` call, and the layer input each was given."""
     calls = []
     for kind, name in (("pairs", "_pair_terms"), ("dense", "_dense_terms")):
         def spy(G, h, *rest, kind=kind, real=getattr(ad, name)):
-            calls.append((kind, rest[5], h))  # rest[5]: the relation
+            # rest[5]: the relation; rest[6], if any, _dense_terms' touched pairs
+            zero = kind == "dense" and len(rest) > 6 and rest[6] is not None
+            calls.append(("zero-input" if zero else kind, rest[5], h))
             return real(G, h, *rest)
 
         mp.setattr(ad, name, spy)
@@ -1308,8 +1311,10 @@ class TestPairGradients:
         # 2/2/3/3, 16 queries, three layers, d=32, ten negatives. The loss
         # reaches about 1% of the last layer's rows, so about 3% of its
         # pairs, and about 30-40% of the middle layer's pairs, above
-        # PAIR_SHARE. A hypercycle graph fills no block, so its VJP does not
-        # even look for pairs.
+        # PAIR_SHARE. The first layer, whose input is +0.0 off the given
+        # nodes, runs on the all-zero input's factors off the touched
+        # pairs; the middle layer stays dense. A hypercycle graph fills no
+        # block, so its VJP does not even look for pairs.
         rng = np.random.default_rng(0)
         rels = [Relation(r, f"r{r}", k) for r, k in enumerate((2, 2, 3, 3))]
         facts = [HyperEdge(r, tuple(int(v) for v in rng.integers(0, 1000, k)))
@@ -1332,13 +1337,151 @@ class TestPairGradients:
         fit(g, {"train": facts}, TrainConfig(d=32, layers=3, batch_size=16, negatives=10,
                                              epochs=1, steps_per_epoch=1, seed=0))
         assert len(layers) == 3 and len(looked) == 12
-        assert [rel for kind, rel, h in calls if kind == "pairs"] == [3, 2, 1, 0]
-        assert all(h is layers[2] for kind, _, h in calls if kind == "pairs")
-        assert sum(kind == "dense" for kind, _, _ in calls) == 8
+        for kind, layer in (("zero-input", 0), ("dense", 1), ("pairs", 2)):
+            assert [rel for k, rel, h in calls if k == kind] == [3, 2, 1, 0]
+            assert all(h is layers[layer] for k, _, h in calls if k == kind)
+        assert len(calls) == 12
         layers.clear(), looked.clear(), calls.clear()
         run_expressiveness_experiment("hcnet", TrainConfig(d=8, layers=2, epochs=1),
                                       ns=(8,), ks=(3,), ratio=1.0)
         assert layers and looked == [] and calls and all(kind == "dense" for kind, _, _ in calls)
+
+
+# --- the first layer's VJP on the all-zero input's factors -------------------
+
+
+def _first_layer_inputs(gate_shape, seed=0, Q=5, V=30, d=6):
+    """Relations of arities 3, 1, 5, 2 and 4 (12 edges each) on V nodes, a
+    first-layer input h that is +0.0 but for its given (query, node)
+    pairs, one of them twice, whose rows span six orders of magnitude
+    with -0.0 entries, alpha < 0 (so a zero row's factor starts from
+    -0.0), and a G with -0.0 entries: (groups, given, inputs, G)."""
+    rng = np.random.default_rng(seed)
+    groups = {r: rng.integers(0, V, (12, k)) for r, k in enumerate((3, 1, 5, 2, 4))}
+    drawn = rng.integers(0, (Q, V), (2 * Q, 2))
+    pairs = np.concatenate([drawn, drawn[:1]])
+    given = (pairs[:, 0], pairs[:, 1])
+    rows = rng.standard_normal((len(pairs), d)) * 10.0 ** rng.integers(-3, 3, d)
+    rows[0, :2] = -0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[-1] = rows[0]  # the pair given twice
+    h = np.zeros((Q, V, d))
+    h[given] = rows
+    inputs = {"h": h, "alpha": np.asarray(-0.4), "pe": rng.standard_normal((6, d)),
+              **{f"g{r}": rng.standard_normal(gate_shape) for r in groups}}
+    G = rng.standard_normal((Q, V, d)) * 10.0 ** rng.integers(-3, 3, d)
+    G[rng.random((Q, V, d)) < 0.1] = -0.0
+    return groups, given, inputs, G
+
+
+def _first_layer_vjp(groups, given, inputs, G, constants=()):
+    """relation_messages told the given pairs, and its VJP for G, as
+    `_message_vjp` returns them."""
+    tape = ad.Tape()
+    leaves = {name: (tape.constant if name in constants else tape.leaf)(value.copy())
+              for name, value in inputs.items()}
+    one_minus = ad.sub(tape, tape.constant(np.asarray(1.0)), leaves["alpha"])
+    out = ad.relation_messages(tape, leaves["h"], leaves["alpha"], one_minus, leaves["pe"],
+                               {r: leaves[f"g{r}"] for r in groups},
+                               ad.MessagePlan(groups, G.shape), given)
+    ad.backward(tape, out, G)
+    return [out.value] + [leaf.grad for leaf in leaves.values()]
+
+
+def _assert_first_layer_equals_dense(groups, given, inputs, G, monkeypatch, constants=()):
+    """The VJP of a first layer that fills a block (a budget of 8 bytes)
+    equals the dense VJP of the full pass bit for bit, sign bits and NaN
+    payloads included, on the serial and the threaded path; returns each
+    path's `_terms_spy` calls."""
+    dense = _message_vjp(groups, inputs, G, constants)
+    paths = []
+    for _ in _paths(monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(ad, "BLOCK_BYTES", 8)
+            calls = _terms_spy(mp)
+            got = _first_layer_vjp(groups, given, inputs, G, constants)
+        assert len(got) == len(dense)
+        for a, b in zip(dense, got):
+            assert (a is None and b is None) or _same_bits(a, b)
+        paths.append([(kind, rel) for kind, rel, _ in calls])
+    return paths
+
+
+class TestFirstLayerGradients:
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    @pytest.mark.parametrize("constants", [(), ("pe",), ("h", "pe")],
+                             ids=["leaves", "constant-pe", "constant-h-pe"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["all", "masked-relation"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_zero_input_mode_equals_the_dense_vjp_bitwise(self, gate_shape, constants,
+                                                          masked, seed, monkeypatch):
+        # Arities 1 to 5: the arity-1 relation (1) stays dense; every other
+        # relation runs on the all-zero input's factors off its touched
+        # pairs, with no fallback.
+        groups, given, inputs, G = _first_layer_inputs(gate_shape, seed)
+        if masked:
+            del groups[2]
+        for calls in _assert_first_layer_equals_dense(groups, given, inputs, G, monkeypatch,
+                                                      constants):
+            assert sorted(calls) == [("dense", 1)] + [("zero-input", r) for r in groups if r != 1]
+
+    def test_no_given_pair_in_an_edge(self, monkeypatch):
+        # Given nodes in no edge: no pair is touched, and every pair takes
+        # the zero input's factors; alpha's terms are all left out, so its
+        # sum is 0.0 and each relation falls back.
+        groups, _, inputs, G = _first_layer_inputs((6,))
+        inputs["h"][:] = 0.0
+        inputs["h"][0, 29] = 1.0
+        groups = {r: np.minimum(nodes, 28) for r, nodes in groups.items()}
+        for calls in _assert_first_layer_equals_dense(
+                groups, (np.array([0]), np.array([29])), inputs, G, monkeypatch):
+            for rel in (0, 2, 3, 4):
+                assert ("zero-input", rel) in calls and ("dense", rel) in calls
+
+    @pytest.mark.parametrize("gate_shape", [(6,), (5, 1, 1, 6)], ids=["shared", "per-query"])
+    def test_a_zero_alpha_sum_falls_back(self, gate_shape, monkeypatch):
+        # Given rows of +0.0 and -0.0 only: every term of alpha's sum is
+        # +-0.0, so the sum is exactly 0.0, whose sign a left-out term may
+        # set, and each relation takes the dense pass.
+        groups, given, inputs, G = _first_layer_inputs(gate_shape)
+        inputs["h"][given] = np.where(np.random.default_rng(3).random(
+            (len(given[0]), 6)) < 0.5, 0.0, -0.0)
+        for calls in _assert_first_layer_equals_dense(groups, given, inputs, G, monkeypatch):
+            for rel in (0, 2, 3, 4):
+                assert ("zero-input", rel) in calls and ("dense", rel) in calls
+
+    @pytest.mark.parametrize("case", ["nan-G", "inf-G", "inf-G-arity-2", "nan-h", "inf-h"])
+    def test_a_non_finite_gradient_or_input_falls_back(self, case, monkeypatch):
+        # One non-finite entry of G at a node no query is given, in an edge
+        # of every relation of arity 2 or more: alpha's dense terms at the
+        # untouched pairs of that edge are gf * (+0.0) = NaN, not +-0.0. Or
+        # a NaN or infinite given row of h at a node in an edge of every
+        # relation of arity 3 or more. Either way the factors' gradients of
+        # those relations are not finite, nor is their Q-sum, so they take
+        # the dense pass (at arity 2 a factor's gradient is the other
+        # position's gm, which no factor enters). With one relation of
+        # arity 2, alpha's gradient without the fallback would be -inf or
+        # +inf (its left-out NaN terms are what the dense sum reads), not
+        # the dense NaN.
+        groups, given, inputs, G = _first_layer_inputs((5, 1, 1, 6))
+        bad = np.nan if case.startswith("nan") else np.inf
+        if case.endswith("arity-2"):
+            groups = {1: groups[1], 3: groups[3]}
+        if "-G" in case:
+            held = set.intersection(*(set(nodes.ravel()) for nodes in groups.values()
+                                      if nodes.shape[1] > 1))
+            G[1, min(held - set(given[1].tolist())), 2] = bad
+            expected = set(groups) - {1}
+        else:
+            v = min(set.intersection(*(set(groups[r].ravel()) for r in (0, 2, 4))))
+            inputs["h"][1, v] = -bad
+            given = (np.append(given[0], 1), np.append(given[1], v))
+            expected = {0, 2, 4}
+        with np.errstate(invalid="ignore", over="ignore"):
+            paths = _assert_first_layer_equals_dense(groups, given, inputs, G, monkeypatch)
+        for calls in paths:
+            assert {rel for kind, rel in calls if kind == "dense"} >= expected | {1}
+            assert {rel for kind, rel in calls if kind == "zero-input"} == set(groups) - {1}
 
 
 # --- the fused layer tail and unary decoder against the chains they replaced -
@@ -1597,7 +1740,8 @@ class TestTailAndDecoderThreads:
     def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch):
         # A pass of one block, or on one CPU, runs on the calling thread
         # with no thread and no shared state; two CPUs and four blocks do
-        # start one thread per pass.
+        # start one thread per pass. An op that ran more than one block
+        # runs its VJP's sums over all queries as one more pass of two jobs.
         before = threading.active_count()
         for cpus, budget, threaded in (({0, 1}, 1 << 21, False), ({0}, 8, False),
                                        ({0, 1}, 8, True)):
@@ -1608,8 +1752,8 @@ class TestTailAndDecoderThreads:
                 off_tail = _off_thread_calls(mp, "_normalize")
                 off_rows = _off_thread_rows(mp)
                 _tail_and_decoder()
-                # Tail and decoder, forward and VJP: four passes.
-                assert len(passes) == (4 if threaded else 0)
+                # Tail and decoder: forward, VJP blocks and VJP sums.
+                assert len(passes) == (6 if threaded else 0)
                 assert bool(off_tail) == bool(off_rows) == threaded
                 assert threading.active_count() == before
 

@@ -15,6 +15,10 @@ From the root of a checkout (hcnet is imported from its `src/`):
   positive and ten negatives per query), which reaches few nodes, and of
   a dense random seed on the logits; hrnet's features, k-ary logits and
   gradients at both sizes;
+- at `train` size, hcnet with a learnable encoding table and a negative
+  first-layer alpha (so a zero row's factor starts from -0.0): features,
+  logits and the gradients of the training loss and of a dense seed, pe's
+  and alpha's among them;
 - seeded `train.fit` logs (loss and validation MRR) and trained tensors;
 - `evalrank.evaluate_model` reports of both model kinds;
 - hypercycle experiment results of both model kinds.
@@ -110,6 +114,31 @@ def _forwards(out: dict, size: str) -> None:
         out[f"{size}/hrnet/grad/{tensor}"] = g
 
 
+def _first_layer(out: dict) -> None:
+    nodes, edges, layers = SIZES["train"]
+    graph, facts = _graph(nodes, edges, seed=nodes)
+    queries, pos, neg, masked = _batch(graph, facts, np.random.default_rng(1))
+    rows = np.arange(Q, dtype=np.intp)
+    cfg = nn.ModelConfig(kind="hcnet", d=D, layers=layers, pe_kind="learnable")
+    params = nn.init_params(graph, cfg, np.random.default_rng(2))
+    params.tensors["alpha_l0"][...] = -0.7
+    for grad in ("loss", "seed"):
+        name = f"train/hcnet/learnable-pe/negative-alpha/{grad}"
+        trace = nn.hcnet_forward_batch(graph, queries, params, None, masked)
+        logits = nn.decode_unary_batch(trace)
+        if grad == "loss":
+            p = ad.gather_2d(trace.tape, logits, rows, pos)
+            n = ad.gather_2d(trace.tape, logits, rows[:, None], neg)
+            grads = nn.backward(trace, train.adversarial_loss_from_logits(trace.tape, p, n, 0.5))
+        else:
+            grads = nn.backward(trace, logits, np.random.default_rng(4).standard_normal(
+                logits.value.shape))
+        out[f"{name}/features"] = trace.features.value
+        out[f"{name}/logits"] = logits.value
+        for tensor, g in grads.items():
+            out[f"{name}/grad/{tensor}"] = g
+
+
 def _fit_and_rank(out: dict) -> None:
     graph, facts = _graph(1000, 4000, seed=5)
     splits = {"train": facts[64:], "valid": facts[:32], "test": facts[32:64]}
@@ -141,6 +170,7 @@ def write(path: str) -> None:
     out: dict[str, np.ndarray] = {}
     for size in SIZES:
         _forwards(out, size)
+    _first_layer(out)
     _fit_and_rank(out)
     _hypercycle(out)
     np.savez(path, **{name: np.asarray(value, dtype=np.float64) for name, value in out.items()})
