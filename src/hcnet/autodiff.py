@@ -1,149 +1,37 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A Tape records every produced Var in creation order together with
-vector-Jacobian closures back to its parents; backward() replays the tape
-in reverse. The operator set is exactly what the message-passing models
-need: broadcasting arithmetic, matmul on the last axis, gather/scatter on
-the node axis, a layer's relational messages (`relation_messages`), a
-layer's tail (`layer_tail`), both decoders' MLP (`mlp_decoder`),
-concat, layer norm, and stable sigmoid/softplus pieces.
-Accumulation order is fixed by tape order, so gradients are deterministic.
+A Tape records every produced Var in creation order with vector-Jacobian
+closures back to its parents, and `backward` replays it in reverse, so
+gradients accumulate in a fixed order. The ops are what the
+message-passing models need:
 
-A layer's messages are one tape op for all relations. It keeps only the
-summed (Q, V, d) messages; its VJP recomputes each relation's gathered
-rows, factors and exclusive products from the layer's input, one
-relation at a time (recomputation in backward, as in gradient
-checkpointing), so no per-incidence array outlives the op. Both
-directions walk the query axis in blocks whose per-incidence arrays fit
-`BLOCK_BYTES` (2 MB), so a block's arrays stay in cache while they are
-reused, and each block sums straight into its rows of the output. The
-scatter bins of a pass are built and range checked once (`MessagePlan`)
-and serve every block, layer and VJP. Blocking changes no bit: every sum
-runs in the order of the unblocked ops. Two sums run over all queries at
-once in the memory order of a gather h[..., idx, :], which NumPy lays out
-as (k, E, Q, d): alpha's gradient and a shared gate's. Each keeps one
-full buffer per relation with that layout; a C-ordered buffer sums them
-in another order.
+- arithmetic, `matmul_last`, `sigmoid`, `softplus`, `sum_all`,
+  `reshape`, and row gathers and scatters (`take_rows`, `gather_2d`,
+  `index_add_2d`); every float scatter-add is a `Bins.sum`;
+- `relation_messages`: a layer's summed messages for all relations, from
+  the one message kernel (`incidence_messages`) on scatter bins built
+  once per pass (`MessagePlan`). Its sparse paths take their (query,
+  edge) pairs from one finder (`_holding_pairs`): a first layer's
+  forward (`_given_messages`, re-summing rows with `_row_sums`), the VJP
+  on the pairs that hold a live row of its gradient (`_pair_terms`), and
+  a first layer's VJP on the all-zero input's factors (`_dense_terms`);
+- `layer_tail`, a layer's linear map, layer norm, dropout, ReLU and skip;
+  `mlp_decoder`, both decoders' two-layer MLP;
+- `gather_nodes`, `index_add`, `concat_last`, `relu`, `layer_norm` and
+  `broadcast_middle`, which no model calls; the benchmark's tracer
+  patches them by name.
 
-A pass of two or more blocks runs on two threads (`run_blocks`) when the
-process may run on two or more CPUs: the calling thread takes the even
-blocks and a thread started for the pass the odd ones, and the pass
-joins that thread before it returns, so no thread outlives a pass. No
-query reads another's rows, so each block writes only its own rows; the
-one sum that runs across blocks, the VJP's Q-sum behind one_minus's and
-pe's gradients, adds each block's rows in block order (`_Pass.in_turn`),
-so the bits are the serial pass's. A pass of one block, or on one CPU,
-runs on the calling thread alone, with no thread, lock or state of its
-own. NumPy drops the GIL in its ufunc, `take`, BLAS and (on NumPy 2.4.6)
-`np.bincount` loops, so the two threads' scatters overlap too (`Bins`).
-
-A forward's first layer with queries starts from features that are +0.0
-off the given nodes (`nn._query_init`), and `relation_messages` is told
-those (query, node) pairs. When one query's per-incidence messages fill
-a block, its forward then sums only what differs between queries
-(`_given_messages`), with the same bits. Off the given nodes a factor
-alpha*h + (1-alpha)*p_j is bitwise the factor of an all-zero input, so
-a message whose edge holds no given node at another position is bitwise
-that input's message under the same gate, and a node none of whose
-incidences is touched sums, from +0.0 in incidence order, exactly the
-all-zero pass's sum. So the all-zero pass runs once per distinct set of
-gate rows (one per query relation; one when the gates are shared), and
-only the nodes of an edge that holds a given node are summed again, over
-all of their incidences in incidence order, from the true messages of the
-one message kernel (`incidence_messages`): the same values in the same
-order as the full pass. The VJP recomputes from the inputs as always.
-
-The VJP of a layer's messages reads G, the gradient of their sum. A
-training loss reads the logits of a positive and a few negatives per
-query (11 of V=1000 at the `train` benchmark's size), so most rows of the
-last layer's G are +0.0 or -0.0 throughout, and only 2-3 % of its (query,
-edge) pairs hold a live row. A pair without one has gm = +-0.0 at every
-position, so with finite factors and products every term it adds to a
-sum (the gate's, the Q-sum's, alpha's, h's) is +-0.0. Adding +-0.0 to a
-sum changes no bit unless the sum is 0.0, whose sign it may set (NumPy
-2.4.6 starts its sums from +0.0, so even then it does not; nothing here
-leans on that): a bincount from +0.0, a sequential sum and a pairwise sum
-at fixed places all end on the same bits without those terms, unless
-they end on a zero. So, on a graph where one query's per-incidence
-arrays fill a block, the VJP finds G's live rows once per op, and a
-relation of arity 2 or more whose pairs that hold one are at most
-`PAIR_SHARE` (0.25) of its Q*E runs on those pairs alone (`_pair_terms`):
-node tables on the flattened (Q*V, d) rows, through the one kernel's
-`_factors`, `exclusive_products` and `exclusive_products_vjp`, each sum
-a bincount from +0.0 over the pairs' terms in its dense sum's order
-(position, edge, query), alpha's terms in their places of a zero (k, E,
-Q, d) buffer summed as the dense buffer is. The relation falls back to
-the dense pass when a summed entry (a gate's, the Q-sum's total over
-edges, alpha's) is exactly 0.0, and the branch is not taken when the
-op's output is not finite: every message enters it, so a finite output
-means finite factors, partial products and gates, and left-out terms
-that are +-0.0. On the `train` benchmark's graph the branch broke even
-at a share of about 0.3 on two CPUs (0.55 on one); a `train` step's last
-layer (0.02-0.03) takes it, 57-60 ms of VJP becoming 10-11 ms, while its
-middle layer (0.3-0.42) stays dense and its first layer (0.99) takes the
-zero-input mode below. Hypercycle and theorem-suite graphs fill no
-block, so their VJP never looks.
-
-A first layer's VJP (the op was told the given pairs, and one query's
-messages fill a block) leans on its input being +0.0 off the given
-rows. A (query, edge) pair whose edge holds no given node reads +0.0 at
-every position, and alpha*(+0.0) is the same signed zero on every such
-row (-0.0 when alpha < 0), to which one_minus*pe_j is added: its factors
-are bitwise `_factors` of an all-zero input, one row per position, and so
-are their exclusive products. So each relation of arity 2 or more runs
-`_dense_terms` on those rows, broadcast, in place of gathering h, and
-only the pairs that hold a given node (the forward's `_holding_pairs`,
-kept by the op) go through the per-pair kernel (`_pair_kernel`), their
-terms written over the block's before any sum reads them: the gate's
-sum, the Q-sum and h's full gradient add the dense pass's values in its
-order. alpha's term gf*hn is gf*(+0.0) = +-0.0 off the touched pairs
-while gf is finite, so only the touched pairs' terms go into a zero
-buffer, summed as the dense buffer is. The relation falls back to the
-dense pass when a summed entry is exactly 0.0 (as above), or when the
-Q-sum's total over edges is not finite: a sum with a term that is not
-finite is not finite, so a finite total shows every gf finite. On the
-`train` benchmark's graph, in one process on a 2-core x86 host, the
-first layer's VJP took 55-57 ms against 72-73 ms dense (medians of 12
-steps, three alternating runs).
-
-A layer's tail (W [h || msgs] + b through layer norm, dropout and ReLU,
-plus the skip h) and the decoders' MLP are one tape op each. They run
-the NumPy calls of the per-op chains they replaced in order, so every
-bit is the chains', and keep only what their VJPs read (the tail xhat,
-inv and boolean masks, the decoder its hidden layer and mask),
-rebuilding their input rows for a weight's gradient. The decoder's
-caller builds its input rows for a range of queries and spreads their
-gradient, so the unary and the k-ary decoder are one op. Both ops walk
-the query axis on `run_blocks` too, in blocks of as many queries as
-`BLOCK_BYTES` holds of their input rows, each block building only its
-own. They cut nothing but the query axis of a stacked product (Q, V, n)
-@ (n, m), which NumPy runs as one matrix product per query, so a block's
-rows are the whole product's bits; cut by rows, a 2-D product (M, n) @
-(n, m) may change its bits, so the k-ary decoder's 2-D input is one
-block, and `evalrank` runs hrnet's per-query decodes on the two threads
-instead. Sums over all queries (the weights', biases', gamma's and
-beta's gradients) run once over the whole arrays after the blocks, as
-two jobs of one more pass when the op ran more than one block (`_jobs`):
-the first weight's gradient, and the rest. The tail's weight gradient
-is [gy^T h, gy^T msgs], with no concatenation of [h || msgs]. A
-fused op computes all of its parents' gradients on the first VJP call
-and hands them out one per parent (`_shared_vjp`).
-
-The tape holds only what is still needed. backward() frees as it walks:
-once a var has passed its gradient on, it drops that gradient and its
-closures (and with them the arrays they captured), so only the leaves
-keep a gradient. It calls no VJP for a Constant (a closed-form encoding
-table, hrnet's all-ones start, the loss's adversarial weights), and a
-fused op lists no Constant as a parent, so its hand-out cannot slip. A
-Tape(record=False) records nothing: its vars carry no parents and the
-tape keeps no list, so a forward pass for evaluation holds no more than
-the arrays still in use.
-Every float scatter-add is a `Bins.sum`, a bincount into a new zero
-array that reproduces np.add.at into zeros bit for bit at a fraction of
-its cost; `scatter_add` builds the bins for a single call. Importing
-the module sets glibc's malloc to keep freed arrays for reuse
-(`keep_freed_memory`), so a repeated pass does not page-fault its
-arrays in again, and to serve both threads from one arena (`one_arena`).
+Invariants. A fused op, and each of its paths, gives bit for bit the
+values and gradients of the per-op chain it replaced; the function that
+relies on a rule for that states it. The fused ops keep only what their
+VJPs read (the message op no per-incidence array: its VJP recomputes
+them) and walk the query axis in blocks (`BLOCK_BYTES`), on two threads
+when there are two or more blocks and CPUs (`run_blocks`); no thread
+outlives a pass. `backward` frees each var's gradient and closures once
+it has passed them on and calls no VJP for a Constant, and a
+Tape(record=False) keeps nothing. Importing the module sets glibc's
+malloc to keep freed arrays (`keep_freed_memory`) in one arena
+(`one_arena`).
 """
 
 from __future__ import annotations
@@ -162,13 +50,10 @@ from .errors import ShapeMismatch
 
 Array = np.ndarray
 
-# glibc's malloc hands a freed block back to the kernel when it was mapped
-# on its own (above the mmap threshold) or leaves more than the trim
-# threshold free at the top of the heap, and both thresholds adapt to what
-# the process freed before. A pass over a large graph allocates tens of MB
-# of arrays, so whether it page-faulted them all in again followed the
-# process's history: a recorded hrnet forward on V=2000 took 22 ms after
-# one training run and 31-34 ms (7300 faults) after a leaner one. Fixed
+# glibc's malloc hands freed blocks back to the kernel by thresholds that
+# adapt to what the process freed before, so whether a pass page-faulted
+# its arrays in again followed the process's history: a recorded hrnet
+# forward on V=2000 took 22 ms or, with 7300 faults, 31-34 ms. Fixed
 # thresholds keep freed arrays in the process for the next pass.
 _MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
@@ -199,10 +84,9 @@ def keep_freed_memory() -> bool:
 def one_arena() -> bool:
     """Have glibc serve every thread from one malloc arena; True if set. A
     no-op, False, without glibc's mallopt or when MALLOC_ARENA_MAX is set.
-    The message kernel's second thread would otherwise get an arena of its
-    own, which keeps its freed blocks apart from the main thread's. On a
-    2-core x86 host that raised the peak RSS of a V=1000 training step
-    from 131 to 134-139 MB, and of ranking at V=2000 from 110 to 118 MB."""
+    A second thread's arena keeps its freed blocks apart from the main
+    thread's: that raised a V=1000 training step's peak RSS from 131 to
+    134-139 MB."""
     return _mallopt(("MALLOC_ARENA_MAX",), {_M_ARENA_MAX: 1})
 
 
@@ -242,8 +126,6 @@ class Tape:
         return self.var(value)
 
     def constant(self, value: Array) -> Constant:
-        # Recorded like any var, with no parents; backward hands it no
-        # gradient.
         v = Constant(np.asarray(value))
         if self.record:
             self.vars.append(v)
@@ -420,8 +302,7 @@ def matmul_last(tape: Tape, x: Var, w: Var) -> Var:
 
 
 def concat_last(tape: Tape, parts: list[Var]) -> Var:
-    """Join parts on the last axis. No model calls it since the fused ops
-    took over; the benchmark's tracer still patches it by name."""
+    """Join parts on the last axis."""
     sizes = [p.value.shape[-1] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -435,8 +316,7 @@ def concat_last(tape: Tape, parts: list[Var]) -> Var:
 
 
 def relu(tape: Tape, a: Var) -> Var:
-    """max(a, 0). No model calls it since the fused ops took over; the
-    benchmark's tracer still patches it by name."""
+    """max(a, 0)."""
     mask = a.value > 0
     return tape.var(a.value * mask, ((a, lambda g: g * mask),))
 
@@ -467,14 +347,11 @@ def sum_all(tape: Tape, a: Var) -> Var:
     )
 
 
-# Bins per np.bincount call in a scatter. Leading slices are summed in
-# chunks whose bins fit in 256 KB of float64: a batch of tiny graphs takes
-# one call, and a large graph one call per slice, its randomly indexed
-# accumulator staying in cache. On a 2-core x86 host, a scatter of 16
-# slices of V*d = 32000 bins took 14 ms with one slice per call and
-# 23-39 ms with 2 to 16; the hypercycle benchmark workload (up to 20
-# slices of 640 bins) ran 29.3 steps/s with these chunks and 27.5 with one
-# slice per call (medians of 10 pairs).
+# Bins per np.bincount call in a scatter: leading slices are summed in
+# chunks whose bins fit in 256 KB of float64, so tiny graphs share a call
+# and a large graph takes one per slice, its accumulator in cache. A
+# scatter of 16 slices of V*d = 32000 bins took 14 ms with one slice a
+# call and 23-39 ms with 2 to 16.
 SCATTER_BINS = 1 << 15
 
 
@@ -487,10 +364,9 @@ class Bins:
     slices. bincount starts every bin at +0.0 and adds its weights in input
     order, as np.add.at does into zeros, so how the slices are chunked
     does not change a bit. On NumPy 2.4.6 bincount releases the GIL
-    while it sums, so the two threads of a message pass sum at once: on a
-    2-core x86 host, 400 sums of 320000 weights into V*d = 32000 bins took
-    0.27-0.36 s on one thread and 0.14-0.18 s split over two (7 runs
-    each)."""
+    while it sums, so both threads of a pass sum at once: 400 sums of
+    320000 weights into 32000 bins took 0.27-0.36 s on one thread and
+    0.14-0.18 s on two."""
 
     def __init__(self, idx: Array, V: int, d: int, count: int) -> None:
         idx = np.asarray(idx, dtype=np.intp)
@@ -541,9 +417,7 @@ def scatter_add(shape: tuple[int, ...], idx: Array, vals: Array) -> Array:
 
 
 def gather_nodes(tape: Tape, h: Var, idx: Array) -> Var:
-    """h (..., V, d) indexed on the node axis: out = h[..., idx, :]. No
-    model calls it since `mlp_decoder` took over the k-ary decoder; the
-    benchmark's tracer still patches it by name."""
+    """h (..., V, d) indexed on the node axis: out = h[..., idx, :]."""
     return tape.var(
         h.value[..., idx, :], ((h, lambda g: scatter_add(h.value.shape, idx, g)),)
     )
@@ -559,9 +433,7 @@ def take_rows(tape: Tape, table: Var, idx: Array) -> Var:
 
 def index_add(tape: Tape, base: Var, idx: Array, vals: Var) -> Var:
     """out = base with vals accumulated at [..., idx, :] by np.add.at
-    (duplicates sum). No model calls it since `relation_messages` took over
-    its scatter; the benchmark's tracer (`perfbench/tracer.py`) still
-    patches it by name."""
+    (duplicates sum)."""
     out = base.value.copy()
     np.add.at(out, (Ellipsis, idx, slice(None)), vals.value)
     return tape.var(out, ((base, lambda g: g), (vals, lambda g: g[..., idx, :])))
@@ -569,22 +441,12 @@ def index_add(tape: Tape, base: Var, idx: Array, vals: Var) -> Var:
 
 # --- the message kernel ------------------------------------------------------
 
-# Bytes of one per-incidence array of a query block. `relation_messages`
-# walks the query axis in blocks of as many queries as fit: the forward's
-# block holds every relation's messages for its queries, the VJP's block
-# one relation's gathered rows, factors and gradients. Every array of a
-# block then stays in cache while it is reused. On a 2-core x86 host
-# (4 MB L2 per core), a forward plus backward at Q=16, V=1000, 4000 edges
-# of arities 2/2/3/3 and d=32 took 69 + 143 ms unblocked and 35 + 107 ms
-# in 2 MB blocks; budgets from 256 KB to 4 MB were within 5% of that.
-# `layer_tail` and `mlp_decoder` cut a stacked input's query axis the same
-# way, at their input rows ([h || msgs] or [h || z_q], V*2d float64 a
-# query): 4-query blocks on the `train` benchmark's graph (V=1000, d=32),
-# 2-query blocks on `rank`'s (V=2000), one block on a hypercycle or
-# theorem-suite graph. In one process on that host, budgets for those two
-# ops alone from 512 KB to 4 MB took a `train` step 0.333-0.346 s and a
-# `rank` operation 0.564-0.605 s (medians of 20 and 12), against 0.368 s
-# and 0.666 s in one block.
+# Bytes of one per-incidence array of a query block: the fused ops walk
+# the query axis in blocks of as many queries as fit (`_blocks`), so every
+# array of a block stays in cache while it is reused. A message forward
+# plus backward at Q=16, V=1000, 4000 edges of arities 2/2/3/3 and d=32
+# took 69 + 143 ms unblocked and 35 + 107 ms in 2 MB blocks, on a 2-core
+# x86 host with 4 MB of L2 a core; budgets of 256 KB to 4 MB came within 5 %.
 BLOCK_BYTES = 1 << 21
 
 
@@ -640,7 +502,12 @@ def run_blocks(run: Callable[[int, _Pass], None], count: int) -> None:
     increasing order, and the pass returns once that thread has ended;
     otherwise the calling thread runs them all in order, with no thread,
     lock or state of its own. The first error stops both threads at their
-    next block or turn and is raised once both are done."""
+    next block or turn and is raised once both are done.
+
+    A block writes only its own rows, and a step that runs across blocks
+    takes them in block order (`_Pass.in_turn`), so both ways give the
+    same bits. NumPy drops the GIL in its ufunc, `take`, BLAS and
+    `np.bincount` loops, so the two threads overlap."""
     if count < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         for j in range(count):
             run(j, _SERIAL)
@@ -751,52 +618,47 @@ def _query_rows(a: Array, lo: int, hi: int) -> Array:
     return a[lo:hi] if a.ndim == 4 else a
 
 
-def _holding_pairs(marked: Array, nodes: Array) -> tuple[Array, Array]:
-    """The (query, edge) pairs, as arrays qs, es sorted by edge and then
-    query, whose edge e of a relation's nodes (E, k) holds a node that
-    marked (V, Q) marks for query q."""
+def _holding_pairs(marked: Array, nodes: Array) -> tuple[Array, Array, Array]:
+    """The (query, edge) pairs whose edge of a relation's nodes (E, k)
+    holds a node that marked (V, Q) marks for the query: arrays qs, es,
+    sorted by edge and then query, and the pairs' node rows (k, P) on the
+    flattened (Q*V) axis of a (Q, V, d) array."""
+    V = len(marked)
     held = marked[nodes[:, 0]]  # (E, Q)
     for j in range(1, nodes.shape[1]):
         held |= marked[nodes[:, j]]
     es, qs = np.nonzero(held)
-    return qs, es
+    return qs, es, (qs[:, None] * V + nodes[es]).T
 
 
-def _touched_rows(
+def _row_sums(
     hv: Array, alpha: Array, one_minus: Array, pe: Array, gates: dict, plan: MessagePlan,
-    given: tuple[Array, Array],
-) -> tuple[Array, Array, dict]:
-    """The rows of the summed messages that an edge holding a given node
-    reaches, as indices into hv's (Q*V) rows, and their sums (|rows|, d),
-    bit for bit the full pass's; and each relation's (query, edge) pairs
-    whose edge holds a given node (`_holding_pairs`).
+    marked: Array,
+) -> tuple[Array, Array]:
+    """The summed messages of hv (Q, V, d) at the (query, node) rows that
+    marked (V, Q) marks, bit for bit the full pass's: the rows' indices
+    into hv's flattened (Q*V) rows, ascending, and their sums (|rows|, d).
 
-    Every incidence into a reached row lies on an edge of its query that
-    holds a reached node. Those (query, edge) pairs, as node tables on
-    the (Q*V) rows with each pair's gate row, go through
-    `incidence_messages`: the full pass's NumPy calls on the same values,
-    in its relation, position, edge order for each row. One bincount sums
-    from +0.0 those bound for a reached row."""
+    Every incidence into a marked row lies on an edge that holds the row's
+    node, so on one of the `_holding_pairs`. Those pairs go through
+    `incidence_messages` as node tables on the (Q*V) rows, each with its
+    gate row: the full pass's NumPy calls on the same values, in its
+    relation, position, edge order for each row. One bincount sums, from
+    +0.0 and in that order, the messages bound for a marked row."""
     Q, V, d = hv.shape
-    marked = np.zeros((V, Q), dtype=bool)
-    marked[given[1], given[0]] = True
-    reached = np.zeros((V, Q), dtype=bool)
-    holding = {rel: _holding_pairs(marked, nodes) for rel, nodes in plan.groups.items()}
-    for rel, (qs, es) in holding.items():
-        reached[plan.groups[rel][es], qs[:, None]] = True
     tables, table_gates = {}, {}
     for rel, nodes in plan.groups.items():
-        qs, es = _holding_pairs(reached, nodes)
-        tables[rel] = qs[:, None] * V + nodes[es]
+        qs, _, rows = _holding_pairs(marked, nodes)
+        tables[rel] = rows.T
         gv = gates[rel].value
         table_gates[rel] = gv[qs, 0, 0][None] if gv.ndim == 4 else gv
     msgs = incidence_messages(hv.reshape(Q * V, d), alpha, one_minus, pe, table_gates, tables)
     dest = destinations(tables)
-    reached = reached.T.reshape(-1)  # by (query, node), as hv's rows
-    keep = reached[dest]
-    rows = np.flatnonzero(reached)
+    flat = marked.T.reshape(-1)  # by (query, node), as hv's rows
+    keep = flat[dest]
+    rows = np.flatnonzero(flat)
     bins = Bins(np.searchsorted(rows, dest[keep]), rows.size, d, 1)
-    return rows, bins.sum(msgs[keep].reshape(1, -1))[0], holding
+    return rows, bins.sum(msgs[keep].reshape(1, -1))[0]
 
 
 def _given_messages(
@@ -805,21 +667,20 @@ def _given_messages(
 ) -> dict:
     """The summed messages of hv (Q, V, d) written into out, when every row
     of hv but the (query, node) pairs of given is +0.0; returns each
-    relation's (query, edge) pairs whose edge holds a given node.
+    relation's `_holding_pairs` of the given nodes.
 
-    A message that no given node's factor enters is the message of an
-    all-zero input with the same gate, and a node none of whose incidences
-    is such is summed from such messages only. Under a zero input, every
-    edge of a relation has the same factors, so the same message at each
-    position. So for each distinct set of gate rows (compared by their
-    bytes; one when the gates are shared) the kernel runs on one zero edge
-    per relation, each message is repeated over its relation's edges, and
-    the plan's bins sum them into the row of the set's first query, which
-    is copied to its other queries. The rows an edge holding a given node
-    reaches are then summed again in full (`_touched_rows`). The sets run
-    on `run_blocks`; the touched rows run before them on the calling
-    thread alone: as one more job of the pass, a 16-query `rank` chunk
-    took 13-17 ms here against 12-15 ms (medians of 3 runs, 2-core x86)."""
+    Off the given nodes a factor alpha*h + one_minus*p_j is bitwise that
+    of an all-zero input, so a row that no edge holding a given node
+    reaches sums, from +0.0 in incidence order, the all-zero input's
+    messages under the same gate. Under a zero input every edge of a
+    relation has the same factors, so for each distinct set of gate rows
+    (by their bytes; one when the gates are shared) the kernel runs on one
+    zero edge per relation, and the plan's bins sum its messages, repeated
+    over each relation's edges, into the set's first query's rows, copied
+    to its other queries. The reached rows are summed again in full
+    (`_row_sums`) on the calling thread, before the sets' `run_blocks`
+    pass: as one more job of it, a 16-query `rank` chunk took 13-17 ms
+    against 12-15 ms."""
     Q, V, d = hv.shape
     per_query = [gates[rel].value.reshape(Q, -1) for rel in plan.groups
                  if gates[rel].value.ndim == 4]
@@ -829,7 +690,13 @@ def _given_messages(
     zero_edges = {rel: np.zeros((1, nodes.shape[1]), dtype=np.intp)
                   for rel, nodes in plan.groups.items()}
     repeats = np.concatenate([np.full(k, E) for E, k in (n.shape for n in plan.groups.values())])
-    rows, sums, holding = _touched_rows(hv, alpha, one_minus, pe, gates, plan, given)
+    marked = np.zeros((V, Q), dtype=bool)
+    marked[given[1], given[0]] = True
+    holding = {rel: _holding_pairs(marked, nodes) for rel, nodes in plan.groups.items()}
+    reached = np.zeros((V, Q), dtype=bool)
+    for rel, (qs, es, _) in holding.items():
+        reached[plan.groups[rel][es], qs[:, None]] = True
+    rows, sums = _row_sums(hv, alpha, one_minus, pe, gates, plan, reached)
     jobs = list(firsts.values())
 
     def run(j: int, _: _Pass) -> None:
@@ -849,31 +716,11 @@ def _given_messages(
 
 
 # The share of a relation's (query, edge) pairs up to which its VJP runs on
-# the pairs that hold a live row of G alone (`_pair_terms`), on a graph
-# where one query's per-incidence arrays fill a block. On the `train`
-# benchmark's graph (V=1000, 4000 edges of arities 2/2/3/3, Q=16, d=32)
-# on a 2-core x86 host, with G's rows thinned at random, a relation's
-# pair VJP took 1.6-4.3 ms at shares up to 0.08 against 8.6-23 ms dense,
-# and broke even at shares of about 0.3 on two CPUs (about 0.55 on one,
-# where the dense pass has no second thread). A `train` step's last layer
-# holds 0.02-0.03 of its pairs, its middle layer 0.3-0.42. With the pair
-# path's sums on two threads, the middle layer's four relations took
-# 66.5 ms on their pairs against 72.7 ms dense at shares 0.25-0.37, and
-# 83.0 against 78.9 ms at 0.33-0.44 (medians of 15), a break-even of about
-# 0.35. The share stays below the middle layer's all the same: on its
-# pairs (a share of 0.5) the `train` workload ran 32.6 and 36.0 queries/s
-# against 30.4 and 34.6 (two 10 s runs each), but its peak RSS rose from
-# 127-128 to 136-137 MB, since the pair path's (k, P, d) arrays are not
-# cut into query blocks: about 20 MB each at a share of 0.4.
+# the pairs that hold a live row of G alone (`_pair_terms`). A `train` step's
+# last layer holds 0.02-0.03 of its pairs; its middle layer's 0.3-0.42 stay
+# dense, since at a share of 0.5 the pair arrays (k, P, d), not cut into
+# query blocks, raised the workload's peak RSS from 127-128 to 136-137 MB.
 PAIR_SHARE = 0.25
-
-
-def _gradient_pairs(live: Array, nodes: Array) -> tuple[Array, Array] | None:
-    """The (query, edge) pairs whose edge of a relation's nodes (E, k)
-    holds a live row of G, marked in live (V, Q), when they are at most
-    PAIR_SHARE of the relation's pairs; None otherwise."""
-    qs, es = _holding_pairs(live, nodes)
-    return (qs, es) if qs.size <= PAIR_SHARE * nodes.shape[0] * live.shape[1] else None
 
 
 def _pair_kernel(
@@ -882,7 +729,7 @@ def _pair_kernel(
     """The terms of the (query, edge) pairs of queries qs whose node rows
     (k, P) index the flattened (Q*V, d) rows of G and hv: `_dense_terms`'
     NumPy calls on the same values. Returns, (k, P, d) each, the gate's
-    term gm * t, the factors' gradient gf and the gathered rows hn."""
+    term gm * t, the factors' gradient gf and alpha's term gf * hn."""
     d = G.shape[-1]
     gm = np.take(G.reshape(-1, d), rows, axis=0)
     hn = np.take(hv.reshape(-1, d), rows, axis=0)
@@ -890,7 +737,8 @@ def _pair_kernel(
     t = exclusive_products(f)
     t *= gm
     gm *= gv if gv.ndim < 4 else gv[qs, 0, 0]
-    return t, exclusive_products_vjp(f, gm), hn
+    gf = exclusive_products_vjp(f, gm)
+    return t, gf, np.multiply(gf, hn, out=hn)
 
 
 def _alpha_grad(shape: tuple[int, ...], qs: Array, es: Array, terms: Array, a: Array) -> Array:
@@ -906,7 +754,7 @@ def _alpha_grad(shape: tuple[int, ...], qs: Array, es: Array, terms: Array, a: A
 
 def _dense_terms(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
-    rel: int, touched: tuple[Array, Array] | None = None,
+    rel: int, touched: tuple[Array, Array, Array] | None = None,
 ) -> tuple:
     """Relation rel's terms over all of its (query, edge) pairs: the gate's
     gradient, and at arity 2 or more the Q-sum behind one_minus's and pe's
@@ -915,22 +763,22 @@ def _dense_terms(
 
     Factors and products are recomputed from the inputs, one block of
     queries at a time. The Q-sum runs on from block to block, in block
-    order also when the blocks run on two threads (`run_blocks`); every
-    other term, h's too, fills its own rows. alpha's term and a shared
-    gate's sum over all queries at once, in the memory order of the
-    per-op chain's gather h[..., nodes.T, :], which is (k, E, Q, d): each
-    is written into one buffer per relation laid out so. The gate's is
-    summed here after the last block, alpha's by `_relation_grads`.
+    order; every other term, h's too, fills its own rows. alpha's term and
+    a shared gate's sum over all queries at once, in the memory order of
+    the per-op chain's gather h[..., nodes.T, :], which is (k, E, Q, d):
+    each is written into one buffer per relation laid out so. The gate's
+    is summed here after the last block, alpha's by `_relation_grads`.
 
-    touched (arity 2 or more), when given, holds the (query, edge) pairs
-    (qs, es) of the only edges that hold a row of h that may not be +0.0.
-    Every other pair then takes the factors and products of an all-zero
-    input, one row per position broadcast over the block, in place of
-    gathering h. The touched pairs run through `_pair_kernel` once, and
-    each block writes their terms over its own before any sum reads them.
-    alpha's terms are theirs alone, summed by `_alpha_grad` before the
-    blocks: the others are gf * (+0.0)."""
-    Q, V, d = G.shape
+    touched (arity 2 or more), when given, holds the `_holding_pairs` of
+    the only edges that hold a row of h that may not be +0.0. At every
+    other pair each position reads +0.0, and alpha*(+0.0) is one signed
+    zero on every such row, so its factors and their products are
+    bitwise those of an all-zero input, one row per position broadcast
+    over the block in place of gathering h. The touched pairs run through
+    `_pair_kernel` once, and each block writes their terms over its own
+    before any sum reads them. alpha's terms are theirs alone, summed by
+    `_alpha_grad`: the others are gf * (+0.0)."""
+    Q, _, d = G.shape
     nodes = plan.groups[rel]
     E, k = nodes.shape
     a, c, gv = alpha.value, one_minus.value, gate.value
@@ -945,10 +793,9 @@ def _dense_terms(
     galpha = gather_layout() if k > 1 and touched is None else None
     tg = gfp = None  # the touched pairs' gate terms and factor gradients
     if touched is not None:
-        qs, es = touched
-        tg, gfp, hnp = _pair_kernel(G, h.value, a, c, pe.value, gv, qs,
-                                    (qs[:, None] * V + nodes[es]).T)
-        galpha = _alpha_grad((Q, k, E, d), qs, es, gfp * hnp, a)
+        qs, es, rows = touched
+        tg, gfp, ta = _pair_kernel(G, h.value, a, c, pe.value, gv, qs, rows)
+        galpha = _alpha_grad((Q, k, E, d), qs, es, ta, a)
         f0 = _factors(np.zeros((k, 1, d)), a, c, pe.value)
         t0 = exclusive_products(f0)
     gh = np.empty(G.shape) if want_h else None
@@ -1005,10 +852,10 @@ def _dense_terms(
 
 def _pair_terms(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
-    rel: int, pairs: tuple[Array, Array],
+    rel: int, pairs: tuple[Array, Array, Array],
 ) -> tuple:
-    """`_dense_terms` (arity 2 or more) from the (query, edge) pairs
-    (qs, es) alone, sorted by edge and then query.
+    """`_dense_terms` (arity 2 or more) from the `_holding_pairs` of G's
+    live rows alone.
 
     Their terms come from `_pair_kernel`, on the calling thread. Each sum
     is a bincount from +0.0 that adds them in the order of its dense sum,
@@ -1019,12 +866,10 @@ def _pair_terms(
     sums run as two jobs of one `run_blocks` pass: alpha's, and the
     bincounts."""
     Q, V, d = G.shape
-    nodes = plan.groups[rel]
-    E, k = nodes.shape
-    qs, es = pairs
+    E, k = plan.groups[rel].shape
+    qs, es, rows = pairs
     gv = gate.value
-    rows = (qs[:, None] * V + nodes[es]).T  # (k, P)
-    t, gf, hn = _pair_kernel(G, h.value, alpha.value, one_minus.value, pe.value, gv, qs, rows)
+    t, gf, ta = _pair_kernel(G, h.value, alpha.value, one_minus.value, pe.value, gv, qs, rows)
 
     def summed(bins: Array, n: int, terms: Array) -> Array:
         return Bins(bins, n, d, 1).sum(terms.reshape(1, -1))[0]
@@ -1034,14 +879,14 @@ def _pair_terms(
         summed(by_query, 1 if gv.ndim < 4 else Q, t).reshape(gv.shape),
         summed(np.arange(k)[:, None] * E + es, k * E, gf).reshape(k, E, d),
         None if isinstance(h, Constant) else summed(rows, Q * V, gf * alpha.value).reshape(G.shape),
-    ), lambda: _alpha_grad((Q, k, E, d), qs, es, gf * hn, alpha.value))
+    ), lambda: _alpha_grad((Q, k, E, d), qs, es, ta, alpha.value))
     return ggate, gsum, galpha, gh
 
 
 def _relation_grads(
     G: Array, h: Var, alpha: Var, one_minus: Var, pe: Var, gate: Var, plan: MessagePlan,
-    rel: int, pairs: tuple[Array, Array] | None = None,
-    touched: tuple[Array, Array] | None = None,
+    rel: int, pairs: tuple[Array, Array, Array] | None = None,
+    touched: tuple[Array, Array, Array] | None = None,
 ) -> list[Array]:
     """Relation rel's gradient contributions to gate, one_minus, alpha, pe
     and h (to the gate alone at arity 1, whose product is constant), with
@@ -1053,11 +898,13 @@ def _relation_grads(
     it, so the gradients are bitwise equal to theirs. The terms come from
     every (query, edge) pair (`_dense_terms`, on the all-zero input's
     factors off the touched pairs when touched is given), or from `pairs`
-    alone (`_pair_terms`). Their sums leave out only terms that are +0.0
-    or -0.0 while every factor's gradient is finite, which a finite
-    total of the Q-sum over edges shows. If that total is not finite, or
-    a sum is exactly 0.0, whose sign a left-out term may set, the dense
-    pass runs instead."""
+    alone (`_pair_terms`). Those two leave out of their sums only terms
+    that are +0.0 or -0.0, while every factor's gradient is finite, and
+    adding such a term changes no bit of a sum unless the sum is 0.0,
+    whose sign it may set. A term of a sum that is not finite makes the
+    sum not finite, so a finite total of the Q-sum over edges shows every
+    factor's gradient finite. If that total is not finite, or a sum is
+    exactly 0.0, the dense pass runs instead."""
     k = plan.groups[rel].shape[1]
     terms = (_dense_terms(G, h, alpha, one_minus, pe, gate, plan, rel, touched) if pairs is None
              else _pair_terms(G, h, alpha, one_minus, pe, gate, plan, rel, pairs))
@@ -1087,33 +934,28 @@ def relation_messages(
 ) -> Var:
     """A layer's summed messages (Q, V, d): `incidence_messages` scattered
     onto their destinations with the plan's bins, bit for bit the chain of
-    one index_add per relation.
-
-    The query axis is walked in blocks (`BLOCK_BYTES`), on two threads
-    when there are two or more (`run_blocks`): a block's messages are
-    written into one buffer and summed straight into its rows of the
-    output. One tape op for all relations, and it keeps no per-incidence
-    array: its VJP recomputes each relation's factors and products from
-    the inputs, one relation and one block at a time. The parents are
-    listed as (parent, relation) pairs in the order the per-op chain
-    reached them: relations last to first, and per relation gate,
-    one_minus, alpha, pe, h, less the Constants. The first pair of a
-    relation computes all of its terms, and each pair hands on one
-    (`_shared_vjp`).
+    one index_add per relation. No query reads another's rows, so each
+    query block sums its messages straight into its rows of the output.
+    The VJP recomputes each relation's factors and products from the
+    inputs, one block at a time. The parents are listed as (parent,
+    relation) pairs in the order the per-op chain reached them: relations
+    last to first, and per relation gate, one_minus, alpha, pe, h, less
+    the Constants (`_shared_vjp`).
 
     given, when not None, holds the (query, node) pairs (two arrays) of
     the only rows of h that may not be +0.0, as a forward's first layer
-    has them. When one query's per-incidence messages fill a block, the
-    forward then runs `_given_messages`, with the same bits, and keeps
-    each relation's pairs whose edge holds a given node.
-
-    On such a graph the VJP also finds the live rows of G (those not
-    +-0.0 throughout) once, at its first call, and a relation of arity 2
-    or more whose pairs that hold one are at most PAIR_SHARE of its Q*E
-    runs on them alone (`_gradient_pairs`, `_pair_terms`), with the same
-    bits, unless the output is not finite. Any other relation of arity 2
-    or more of a first layer runs `_dense_terms` on the all-zero input's
-    factors off the kept pairs, with the same bits."""
+    has them. The sparse paths run only where one query's per-incidence
+    messages fill a block. There a first layer's forward runs
+    `_given_messages` and keeps its pairs. In every layer there the VJP
+    finds G's live rows (those not +-0.0 throughout) once, and a relation
+    of arity 2 or more whose pairs that hold one are at most PAIR_SHARE
+    of its Q*E runs on them alone (`_pair_terms`), unless the output is
+    not finite; otherwise a first layer runs it on the all-zero input's
+    factors off the kept pairs (`_dense_terms`). A pair
+    with no live row has gm = +-0.0 at every position, and every message
+    enters the output, so a finite output means finite factors, products
+    and gates, and +-0.0 for every term such a pair adds to a sum
+    (`_relation_grads`)."""
     hv = h.value
     out = np.empty(hv.shape)
     holding = None
@@ -1143,8 +985,8 @@ def relation_messages(
         if nodes.shape[1] > 1 and 8 * plan.dest.width >= BLOCK_BYTES:
             if not live:
                 live.append(np.ascontiguousarray(np.any(g != 0, axis=-1).T))
-            pairs = _gradient_pairs(live[0], nodes)
-            if pairs is not None and not finite():
+            pairs = _holding_pairs(live[0], nodes)
+            if pairs[0].size > PAIR_SHARE * nodes.shape[0] * g.shape[0] or not finite():
                 pairs = None
             if pairs is None and holding is not None:
                 touched = holding[rel]
@@ -1182,9 +1024,7 @@ def reshape(tape: Tape, x: Var, shape: tuple[int, ...]) -> Var:
 
 
 def broadcast_middle(tape: Tape, x: Var, size: int) -> Var:
-    """(Q, 1, d) -> (Q, size, d) by repetition; backward sums the axis. No
-    model calls it since `mlp_decoder` took over the decoder; the
-    benchmark's tracer still patches it by name."""
+    """(Q, 1, d) -> (Q, size, d) by repetition; backward sums the axis."""
     out = np.broadcast_to(x.value, (x.value.shape[0], size, x.value.shape[2]))
     return tape.var(
         out.copy(), ((x, lambda g: g.sum(axis=1, keepdims=True)),)
@@ -1218,9 +1058,7 @@ def _normalize_vjp(g: Array, gamma: Array, xhat: Array, inv: Array, out: Array |
 
 
 def layer_norm(tape: Tape, x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
-    """Normalize over the last axis, then scale and shift. No model calls
-    it since `layer_tail` took over the layer's norm; the benchmark's
-    tracer still patches it by name."""
+    """Normalize over the last axis, then scale and shift."""
     xhat, inv = _normalize(x.value, eps)
     return tape.var(gamma.value * xhat + beta.value, _shared_vjp(
         [x, gamma, beta], lambda g: [_normalize_vjp(g, gamma.value, xhat, inv),
@@ -1237,20 +1075,18 @@ def layer_tail(
     of the chain concat_last, matmul_last, add, layer_norm, mul by
     dropout's keep, relu and add, so every value and gradient is bitwise
     theirs. With rate > 0, keep = (rng.random(shape) >= rate) / (1 - rate),
-    drawn whole before any block, so the rng's stream is the chain's.
+    drawn whole before any block, so the rng's stream is the chain's. It
+    keeps xhat, inv and the ReLU mask, as booleans.
 
-    Both directions walk the query axis in blocks of as many queries as
-    `BLOCK_BYTES` of [h || msgs] rows hold, on two threads when there
-    are two or more (`run_blocks`). A forward block builds only its own
-    rows of [h || msgs] and writes its rows of the output and of what the
-    op keeps: xhat, inv and the ReLU mask, as booleans. A VJP block writes
-    its rows of the norm's output and input gradients, and of
-    gy @ W, whose h slice takes the skip term (one sum, in the order
-    backward added them). The sums over all queries, the gradients of W,
-    b, gamma and beta, run once over the whole arrays after the blocks, as
-    two jobs (W's, and the rest) when there were two or more blocks
-    (`_jobs`). W's is [gy^T h, gy^T msgs], one product per input, which
-    stay alive anyway: the bits of gy^T [h || msgs] without building it."""
+    Both directions walk the query axis in blocks of `BLOCK_BYTES` of
+    [h || msgs] rows, each block building only its own. They cut nothing
+    but the query axis of a stacked product (Q, V, n) @ (n, m), which
+    NumPy runs as one product per query, so a block's rows are the whole
+    product's bits. The h slice of gy @ W takes the skip term, one sum in
+    the order backward added them. The sums over all queries (the
+    gradients of W, b, gamma and beta) run once after the blocks, as two
+    `_jobs`: W's, which is [gy^T h, gy^T msgs], the bits of
+    gy^T [h || msgs] without building it, and the rest."""
     hv, mv, Wv = h.value, msgs.value, W.value
     shape = hv.shape
     d = shape[-1]
@@ -1315,15 +1151,11 @@ def mlp_decoder(
     every value and gradient is bitwise theirs. It keeps the hidden ReLU
     output and its mask.
 
-    A stacked input, shape (Q, V), is walked along its query axis in
-    blocks of as many queries as `BLOCK_BYTES` of rows hold, on two
-    threads when there are two or more (`run_blocks`): a block builds its
-    own rows and writes its rows of the hidden layer, mask and logits, and
-    in the VJP of the hidden layer's and the rows' gradients. A 2-D input,
-    shape (M,), is one block: cut by rows, a 2-D product may change its
-    bits. The gradients of W1, b1, W2 and b2 sum over all rows once, after
-    the blocks, as two jobs (W1's, which builds all rows again, and the
-    rest) when there were two or more blocks (`_jobs`)."""
+    A stacked input, shape (Q, V), is walked in query blocks as
+    `layer_tail` walks its own. A 2-D input, shape (M,), is one block: cut
+    by rows, a 2-D product may change its bits. The gradients of W1, b1,
+    W2 and b2 sum over all rows once, after the blocks, as two `_jobs`:
+    W1's, which builds all rows again, and the rest."""
     n = W1.value.shape[1]
     blocks = ([(0, shape[0])] if len(shape) < 2
               else _blocks(shape[0], math.prod(shape[1:]) * n))

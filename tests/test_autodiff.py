@@ -480,15 +480,31 @@ class TestHoldingPairs:
         marked = rng.random((10, 4)) < 0.2
         marked[:, 2] = False
         marked[:, 3] = True
-        qs, es = ad._holding_pairs(marked, nodes)
+        qs, es, rows = ad._holding_pairs(marked, nodes)
         want = [(q, e) for e in range(12) for q in range(4)
                 if any(marked[v, q] for v in nodes[e])]
         assert list(zip(qs.tolist(), es.tolist())) == want
-        assert qs.dtype == es.dtype == np.intp
+        assert qs.dtype == es.dtype == rows.dtype == np.intp
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_index_the_pairs_nodes_on_the_flattened_axis(self, k):
+        # Row j of h.reshape(Q*V, d) at rows[i, p] is h[qs[p], nodes[es[p], i]].
+        rng = np.random.default_rng(10 + k)
+        Q, V, d = 4, 10, 3
+        nodes = rng.integers(0, V, (12, k))
+        h = rng.standard_normal((Q, V, d))
+        qs, es, rows = ad._holding_pairs(rng.random((V, Q)) < 0.3, nodes)
+        assert qs.size and rows.shape == (k, qs.size)
+        for i in range(k):
+            assert _bitwise_equal(h.reshape(Q * V, d)[rows[i]], h[qs, nodes[es, i]])
 
     def test_no_marks_no_pairs(self):
-        qs, es = ad._holding_pairs(np.zeros((5, 3), dtype=bool), np.array([[0, 1], [2, 4]]))
-        assert qs.size == es.size == 0
+        qs, es, rows = ad._holding_pairs(np.zeros((5, 3), dtype=bool), np.array([[0, 1], [2, 4]]))
+        assert qs.size == es.size == 0 and rows.shape == (2, 0)
+
+    def test_a_relation_with_no_edges_has_no_pairs(self):
+        qs, es, rows = ad._holding_pairs(np.ones((5, 3), dtype=bool), np.empty((0, 3), np.intp))
+        assert qs.size == es.size == 0 and rows.shape == (3, 0)
 
 
 class TestTapeSemantics:

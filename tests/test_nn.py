@@ -1121,6 +1121,44 @@ class TestGivenMessages:
                 for a, b in zip(results[0], other):  # arity 1 alone: no h, alpha, pe grads
                     assert (a is None and b is None) or _bitwise_equal(a, b)
 
+    @staticmethod
+    def _masks(groups, V, given, Q, rng):
+        """(name, (V, Q) mask of output rows): none, one row, the rows an
+        edge holding a given node reaches, a random third, every row."""
+        one = np.zeros((V, Q), dtype=bool)
+        one[rng.integers(V), rng.integers(Q)] = True
+        hop = np.zeros((V, Q), dtype=bool)
+        for nodes in groups.values():
+            for q, v in zip(*given):
+                held = nodes[(nodes == v).any(axis=1)]
+                hop[held.ravel(), q] = True
+        return [("empty", np.zeros((V, Q), dtype=bool)), ("one", one), ("one-hop", hop),
+                ("random", rng.random((V, Q)) < 0.3), ("all", np.ones((V, Q), dtype=bool))]
+
+    @pytest.mark.parametrize("gate_shape", [(6,), (4, 1, 1, 6)], ids=["shared", "per-query"])
+    def test_row_sums_equal_the_full_pass_bitwise(self, gate_shape):
+        # Any mask of output rows, not only a one-hop set: the sums at its
+        # rows have the full pass's bytes, sign bits included. h is dense
+        # here, with rows of -0.0 and +0.0, and alpha < 0.
+        Q, d = 4, 6
+        for groups, V, given, rng in self._op_cases(Q):
+            h = rng.standard_normal((Q, V, d)) * 10.0 ** rng.integers(-3, 3, (Q, V, 1))
+            h[rng.random((Q, V)) < 0.2] = -0.0
+            h[rng.random((Q, V)) < 0.1] = 0.0
+            alpha = np.asarray(-0.4)
+            k = max(nodes.shape[1] for nodes in groups.values())
+            pe = rng.standard_normal((k + 1, d))
+            tape = ad.Tape(record=False)
+            gates = {r: tape.constant(rng.standard_normal(gate_shape)) for r in groups}
+            plan = ad.MessagePlan(groups, (Q, V, d))
+            full = ad.relation_messages(tape, tape.constant(h), tape.constant(alpha),
+                                        tape.constant(1.0 - alpha), tape.constant(pe), gates,
+                                        plan).value.reshape(Q * V, d)
+            for name, marked in self._masks(groups, V, given, Q, rng):
+                rows, sums = ad._row_sums(h, alpha, 1.0 - alpha, pe, gates, plan, marked)
+                assert rows.tolist() == np.flatnonzero(marked.T).tolist(), name
+                assert _same_bits(sums, full[rows]), name
+
 
 # --- the message VJP on the (query, edge) pairs that hold a live row of G -----
 
@@ -1306,36 +1344,54 @@ class TestPairGradients:
             for a, b in zip(dense, got):
                 assert _same_bits(a, b)
 
-    def test_only_a_train_steps_last_layer_takes_the_branch(self, monkeypatch):
-        # The train benchmark's sizes: V=1000, 4000 edges of arities
-        # 2/2/3/3, 16 queries, three layers, d=32, ten negatives. The loss
-        # reaches about 1% of the last layer's rows, so about 3% of its
-        # pairs, and about 30-40% of the middle layer's pairs, above
-        # PAIR_SHARE. The first layer, whose input is +0.0 off the given
-        # nodes, runs on the all-zero input's factors off the touched
-        # pairs; the middle layer stays dense. A hypercycle graph fills no
-        # block, so its VJP does not even look for pairs.
+    @staticmethod
+    def _train_step(monkeypatch, layers):
+        """One `fit` step at the train benchmark's sizes (V=1000, 4000
+        edges of arities 2/2/3/3, 16 queries, d=32, ten negatives) with
+        the given number of layers: each layer's input h, the VJP's
+        `_holding_pairs` looks (the first layer's forward finds pairs too,
+        and those are not counted) and the `_terms_spy` calls."""
         rng = np.random.default_rng(0)
         rels = [Relation(r, f"r{r}", k) for r, k in enumerate((2, 2, 3, 3))]
         facts = [HyperEdge(r, tuple(int(v) for v in rng.integers(0, 1000, k)))
                  for r, k in enumerate((2, 2, 3, 3)) for _ in range(1000)]
         g = build_graph(rels, facts, 1000)
-        layers, looked = [], []
-        messages, pairs = ad.relation_messages, ad._gradient_pairs
+        inputs, looked, in_backward = [], [], []
+        messages, pairs, backward_ = ad.relation_messages, ad._holding_pairs, ad.backward
 
         def spy_messages(tape, h, *rest):
-            layers.append(h)
+            inputs.append(h)
             return messages(tape, h, *rest)
 
         def spy_pairs(*args):
-            looked.append(args)
+            if in_backward:
+                looked.append(args)
             return pairs(*args)
 
+        def spy_backward(*args):
+            in_backward.append(True)
+            try:
+                return backward_(*args)
+            finally:
+                in_backward.clear()
+
         monkeypatch.setattr(ad, "relation_messages", spy_messages)
-        monkeypatch.setattr(ad, "_gradient_pairs", spy_pairs)
+        monkeypatch.setattr(ad, "_holding_pairs", spy_pairs)
+        monkeypatch.setattr(ad, "backward", spy_backward)
         calls = _terms_spy(monkeypatch)
-        fit(g, {"train": facts}, TrainConfig(d=32, layers=3, batch_size=16, negatives=10,
+        fit(g, {"train": facts}, TrainConfig(d=32, layers=layers, batch_size=16, negatives=10,
                                              epochs=1, steps_per_epoch=1, seed=0))
+        return inputs, looked, calls
+
+    def test_only_a_train_steps_last_layer_takes_the_branch(self, monkeypatch):
+        # The loss reaches about 1% of the last layer's rows, so about 3%
+        # of its pairs, and about 30-40% of the middle layer's pairs, above
+        # PAIR_SHARE. Every layer looks for G's pairs. The first layer,
+        # whose input is +0.0 off the given nodes, finds about all of its
+        # pairs live and runs on the all-zero input's factors off the
+        # touched pairs; the middle layer stays dense. A hypercycle graph
+        # fills no block, so its VJP does not even look for pairs.
+        layers, looked, calls = self._train_step(monkeypatch, 3)
         assert len(layers) == 3 and len(looked) == 12
         for kind, layer in (("zero-input", 0), ("dense", 1), ("pairs", 2)):
             assert [rel for k, rel, h in calls if k == kind] == [3, 2, 1, 0]
@@ -1345,6 +1401,19 @@ class TestPairGradients:
         run_expressiveness_experiment("hcnet", TrainConfig(d=8, layers=2, epochs=1),
                                       ns=(8,), ks=(3,), ratio=1.0)
         assert layers and looked == [] and calls and all(kind == "dense" for kind, _, _ in calls)
+
+    def test_a_one_layer_steps_first_layer_takes_the_branch(self, monkeypatch):
+        # With one layer the first layer is also the last: its forward keeps
+        # the given nodes' pairs, but the loss reaches only the scored rows,
+        # so its VJP runs on G's few live pairs (2-3% of them), not in
+        # zero-input mode. An arity-2 relation then finds alpha's gradient
+        # exactly 0.0 (no scored row is a given node's neighbour), whose
+        # sign its pairs cannot settle, and reruns on the dense pass.
+        layers, looked, calls = self._train_step(monkeypatch, 1)
+        assert len(layers) == 1 and len(looked) == 4
+        assert [(k, rel) for k, rel, _ in calls] == [
+            ("pairs", 3), ("pairs", 2), ("pairs", 1), ("dense", 1), ("pairs", 0), ("dense", 0)]
+        assert all(h is layers[0] for _, _, h in calls)
 
 
 # --- the first layer's VJP on the all-zero input's factors -------------------
